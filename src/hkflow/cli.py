@@ -13,6 +13,7 @@ notation, empty cells where a cadence skipped a column).  Exit codes:
 
 import argparse
 import json
+import math
 import platform
 import sys
 
@@ -109,6 +110,26 @@ def _manifest_bool(doc, key):
     return val == "true"
 
 
+def _manifest_number(doc, key, kind, default=None):
+    raw = doc.get(key, default)
+    if raw is None:
+        raise InputError(f"manifest is missing {key}")
+    try:
+        val = kind(raw)
+    except ValueError:
+        raise InputError(f"manifest key {key} must be {kind.__name__}, got {raw!r}") from None
+    if not math.isfinite(val):
+        raise InputError(f"manifest key {key} must be finite, got {raw!r}")
+    return val
+
+
+def _parse_periods(text, label):
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"{label} must be comma separated numbers, got {text!r}") from None
+
+
 def _scenario_from_manifest(doc):
     name = doc.get("scenario")
     if name not in SCENARIO_NAMES:
@@ -116,31 +137,32 @@ def _scenario_from_manifest(doc):
     params = {}
     for key in ("eps", "R", "r", "Lu", "Lv"):
         if key in doc:
-            params[key] = float(doc[key])
+            params[key] = _manifest_number(doc, key, float)
     if "exprs" in doc:
         params["exprs"] = doc["exprs"].split(";")
     if "periods" in doc:
-        params["periods"] = [float(x) for x in doc["periods"].split(",")]
-    return scenario(name, int(doc["nu"]), int(doc["nv"]), **params)
+        params["periods"] = _parse_periods(doc["periods"], "manifest key periods")
+    nu, nv = _manifest_number(doc, "nu", int), _manifest_number(doc, "nv", int)
+    return scenario(name, nu, nv, **params)
 
 
 def _config_from_manifest(doc):
     dt_raw = doc.get("dt_flow_time", "cfl")
-    dt = None if dt_raw == "cfl" else float(dt_raw)
+    dt = None if dt_raw == "cfl" else _manifest_number(doc, "dt_flow_time", float)
     kw = dict(
         dt=dt,
-        safety=float(doc.get("cfl_safety", "0.9")),
+        safety=_manifest_number(doc, "cfl_safety", float, "0.9"),
         scheme=doc.get("scheme", "euler"),
-        steps=int(doc.get("steps", "5000")),
+        steps=_manifest_number(doc, "steps", int, "5000"),
         renormalize_phase=_manifest_bool(doc, "renormalize_phase"),
-        lambda1_cadence=int(doc.get("lambda1_cadence", "10")),
-        consistency_cadence=int(doc.get("consistency_cadence", "0")),
-        c_mon=float(doc.get("c_mon", "8.0")),
+        lambda1_cadence=_manifest_number(doc, "lambda1_cadence", int, "10"),
+        consistency_cadence=_manifest_number(doc, "consistency_cadence", int, "0"),
+        c_mon=_manifest_number(doc, "c_mon", float, "8.0"),
     )
     if "stop_max_h_below" in doc:
-        kw["max_h_below"] = float(doc["stop_max_h_below"])
+        kw["max_h_below"] = _manifest_number(doc, "stop_max_h_below", float)
     if "stop_t_final_flow_time" in doc:
-        kw["t_final"] = float(doc["stop_t_final_flow_time"])
+        kw["t_final"] = _manifest_number(doc, "stop_t_final_flow_time", float)
     return FlowConfig(**kw)
 
 
@@ -163,7 +185,7 @@ def cmd_init(args):
     if args.exprs is not None:
         params["exprs"] = args.exprs.split(";")
     if args.periods is not None:
-        params["periods"] = [float(x) for x in args.periods.split(",")]
+        params["periods"] = _parse_periods(args.periods, "--periods")
     spec = scenario(args.scenario, args.nu, args.nv, **params)
     grid = build_immersion(spec)
     compute_geometry(grid)  # reject degenerate setups before writing anything

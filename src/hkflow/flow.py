@@ -235,10 +235,6 @@ def coupled_step(state, pf, cfg, t=0.0, e_accum=0.0, with_consistency=False):
     return new_state, new_pf, rec
 
 
-def _needs_lambda(step_index, cadence):
-    return step_index % cadence == 0
-
-
 def efa_monitor(tail, c_mon=DEFAULT_C_MON):
     """Violation of the energy decay inequality between lambda1 samples.
 
@@ -316,7 +312,7 @@ def run_flow(cfg, scenario, triple=None, sink=None):
             exc.step = step
             raise NumericalError(f"step {step}: {exc}", step=step) from exc
         t, e_accum = rec.t, rec.E_accum
-        if _needs_lambda(step, cfg.lambda1_cadence):
+        if step % cfg.lambda1_cadence == 0:
             rec.lambda1 = solve_lambda1(state.cache).lambda1
             tail = series.records + [rec]
             try:

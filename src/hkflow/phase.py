@@ -137,7 +137,7 @@ def lagrangian_angle(pf, cache):
     theta = rows + (col0 - raw[:, 0])[:, None]
 
     # omega_{J3}(H, f_i) in the pinned convention; J3 H spelled out
-    H = _cachefield(cache, "H")
+    H = cache.H
     j3h = np.stack([H[..., 3], -H[..., 2], H[..., 1], -H[..., 0]], axis=-1)
     r_u = (j3h * cache.f_u).sum(-1)
     r_v = (j3h * cache.f_v).sum(-1)
@@ -153,10 +153,6 @@ def lagrangian_angle(pf, cache):
     residual = float(np.sqrt(max(surface_integral(sq, cache), 0.0)))
     winding = (_winding(raw, 0), _winding(raw, 1))
     return LagrangianAngle(theta, residual, winding)
-
-
-def _cachefield(cache, name):
-    return getattr(cache, name)
 
 
 def _apply_phase(coeff, vec, triple):

@@ -150,23 +150,30 @@ def geodesic_ball_volumes(cache, centers=None, radii=0.5):
 
     Distances are Dijkstra on the 8-neighbor chord graph, so the ratio
     tends to pi on smooth surfaces as r shrinks (short of the stencil's
-    direction bias, roughly 10% here).  kappa is the worst sampled
-    ratio: the noncollapsing constant in Vol(B(x, r)) >= kappa r^2.
-    Samples are (center, radius, volume, ratio) tuples.
+    direction bias, roughly 10% here).  Each search stops at the largest
+    radius r_max: nodes farther out are never read, so they stay inf.
+    The diameter proxy is the eccentricity of the first center, from one
+    search cut at 2 r_max; if that search leaves any node unreached, the
+    proxy exceeds 2 r_max and no radius is too large.  kappa is the
+    worst sampled ratio: the noncollapsing constant in
+    Vol(B(x, r)) >= kappa r^2.  Samples are (center, radius, volume,
+    ratio) tuples.
     """
     radii = tuple(np.atleast_1d(np.asarray(radii, float)))
     if any(r <= 0 for r in radii):
         raise InputError(f"ball radii must be positive, got {radii}")
     if centers is None:
         centers = default_ball_centers(cache)
-    nu, nv = cache.grid.nu, cache.grid.nv
+    nv = cache.grid.nv
     flat = [int(i) * nv + int(j) for i, j in centers]
-    dist = csgraph.dijkstra(_chord_graph(cache), directed=False, indices=flat)
-    proxy = float(dist[0][np.isfinite(dist[0])].max())
+    graph = _chord_graph(cache)
+    reach = csgraph.dijkstra(graph, directed=False, indices=flat[0], limit=2 * max(radii))
+    proxy = float(reach.max())
     if max(radii) > 0.5 * proxy:
         raise InputError(
             f"radius-too-large: {max(radii)} exceeds half the diameter proxy {proxy:.3f}"
         )
+    dist = csgraph.dijkstra(graph, directed=False, indices=flat, limit=max(radii))
     w = cache.node_area().ravel()
     samples = []
     for k, center in enumerate(centers):

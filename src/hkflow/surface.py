@@ -14,7 +14,9 @@ clean; a pure central-difference metric loses an O(h^2) factor between
 the two and visibly biases |H|^2.
 """
 
+import ast
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,16 +70,48 @@ class SurfaceGrid:
         return np.meshgrid(u, v, indexing="ij")
 
 
-_EXPR_NAMES = {
+_EXPR_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-    "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi,
+    "sqrt": np.sqrt, "abs": np.abs,
 }
+_EXPR_BINOPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+}
+_EXPR_UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _eval_node(node, names):
+    """Walk a parsed expression, admitting only arithmetic on float
+    literals, the grid variables and one-argument calls of _EXPR_FUNCS."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARYOPS:
+        return _EXPR_UNARYOPS[type(node.op)](_eval_node(node.operand, names))
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+        left, right = _eval_node(node.left, names), _eval_node(node.right, names)
+        return _EXPR_BINOPS[type(node.op)](left, right)
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in _EXPR_FUNCS
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        return _EXPR_FUNCS[node.func.id](_eval_node(node.args[0], names))
+    what = f"name {node.id!r}" if isinstance(node, ast.Name) else type(node).__name__
+    raise InputError(f"{what} is not allowed")
 
 
 def _eval_expr(expr, u, v):
     try:
-        out = eval(expr, {"__builtins__": {}}, {**_EXPR_NAMES, "u": u, "v": v})
-    except Exception as exc:
+        tree = ast.parse(expr, mode="eval")
+        out = _eval_node(tree.body, {"u": u, "v": v, "pi": np.pi})
+    except (
+        InputError, SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError
+    ) as exc:
         raise InputError(f"cannot evaluate expression {expr!r}: {exc}") from exc
     return np.broadcast_to(np.asarray(out, float), u.shape)
 
@@ -457,18 +491,29 @@ def load_snapshot(path):
         raise IOFailure(f"cannot read snapshot {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"snapshot {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"snapshot {path} is not a JSON object")
     for key in ("version", "nu", "nv", "periods", "positions"):
         if key not in doc:
             raise InputError(f"snapshot {path} is missing field {key!r}")
     if doc["version"] != SNAPSHOT_VERSION:
         raise InputError(f"snapshot version {doc['version']} is not supported")
-    nu, nv = int(doc["nu"]), int(doc["nv"])
-    pos = np.array(doc["positions"], dtype=float)
+
+    def numeric(key, convert):
+        try:
+            return convert(doc[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"snapshot {path}: field {key!r} is not numeric: {exc}") from exc
+
+    nu, nv = numeric("nu", int), numeric("nv", int)
+    if nu < 1 or nv < 1:
+        raise InputError(f"snapshot {path}: grid {nu} x {nv} is empty")
+    pos = numeric("positions", lambda x: np.array(x, dtype=float))
+    periods = numeric("periods", lambda x: tuple(float(p) for p in x) if x else None)
     if pos.size != nu * nv * 4:
         raise InputError(
             f"snapshot {path}: expected {nu * nv * 4} coordinates, got {pos.size}"
         )
     if not np.all(np.isfinite(pos)):
         raise InputError(f"snapshot {path} contains non-finite positions")
-    periods = tuple(doc["periods"]) if doc["periods"] else None
     return SurfaceGrid(nu, nv, pos.reshape(nu, nv, 4), AmbientSpace(periods))

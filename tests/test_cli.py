@@ -82,6 +82,39 @@ def test_init_rejects_bad_flags(tmp_path):
     assert "validation failure" in out.stderr
     out = run_cli("init", "--scenario", "nonsense", cwd=tmp_path)
     assert out.returncode == 2  # argparse choice rejection
+    out = run_cli("init", "--scenario", "flat-plane-torus", "--periods", "1,two", cwd=tmp_path)
+    assert out.returncode == 2
+    assert "--periods must be comma separated numbers" in out.stderr
+
+
+def assert_validation_failure(out):
+    assert out.returncode == 2, out.stderr
+    assert "validation failure:" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+HOSTILE_EXPRESSIONS = (
+    "().__class__.__base__.__subclasses__()",
+    "0*().__class__.__base__.__subclasses__().__len__() + u",
+    "__import__('os')",
+    "u.real",
+    "lambda: u",
+    "[w for w in (u, v)]",
+    "sin(x=u)",
+    "sin(u, v)",
+    "9**9**9",
+)
+
+
+@pytest.mark.parametrize("expr", HOSTILE_EXPRESSIONS)
+def test_init_rejects_hostile_expression(tmp_path, expr):
+    out = run_cli(
+        "init", "--scenario", "custom-expression", "--nu", "8", "--nv", "8",
+        "--exprs", f"{expr};v;0*u;0*u", "--out", "hostile", cwd=tmp_path,
+    )
+    assert_validation_failure(out)
+    assert "cannot evaluate expression" in out.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_init_unwritable_path(tmp_path):
@@ -161,6 +194,22 @@ def test_run_bad_manifest(tmp_path):
     assert out.returncode == 4
 
 
+def test_run_rejects_malformed_numbers(flat_dir, tmp_path):
+    man = (flat_dir / "flat-plane-torus-32x32.manifest").read_text()
+    assert "\nnu = 32\n" in man
+    for name, text, message in (
+        ("abc", man.replace("\nnu = 32\n", "\nnu = abc\n"), "manifest key nu must be int"),
+        ("missing", man.replace("\nnu = 32\n", "\n"), "manifest is missing nu"),
+        ("steps", man.replace("\nsteps = ", "\nsteps = x"), "manifest key steps must be int"),
+        ("periods", man + "periods = 1,two,3,4\n", "manifest key periods must be"),
+        ("nan", man.replace("\nc_mon = ", "\nc_mon = nan # "), "manifest key c_mon must be finite"),
+    ):
+        (tmp_path / f"{name}.manifest").write_text(text)
+        out = run_cli("run", f"{name}.manifest", cwd=tmp_path)
+        assert_validation_failure(out)
+        assert message in out.stderr
+
+
 def test_run_unwritable_csv(flat_dir, tmp_path):
     man = (flat_dir / "flat-plane-torus-32x32.manifest").read_text()
     man = man.replace(
@@ -234,6 +283,29 @@ def test_check_corrupt_snapshot(flat_dir, tmp_path):
 
     out = run_cli("check", "never-written.json", cwd=tmp_path)
     assert out.returncode == 4
+
+
+def test_check_rejects_non_numeric_snapshot(flat_dir, tmp_path):
+    good = json.loads((flat_dir / "flat-plane-torus-32x32.snapshot.json").read_text())
+    bad = tmp_path / "bad.snapshot.json"
+    for key, val in (
+        ("nu", "abc"),
+        ("nv", [32]),
+        ("positions", ["x"] * len(good["positions"])),
+        ("periods", ["a", "b", "c", "d"]),
+    ):
+        bad.write_text(json.dumps({**good, key: val}))
+        out = run_cli("check", str(bad), cwd=tmp_path)
+        assert_validation_failure(out)
+        assert repr(key) in out.stderr
+    bad.write_text(json.dumps({**good, "nu": float("inf")}))    # int() overflows
+    assert_validation_failure(run_cli("check", str(bad), cwd=tmp_path))
+    bad.write_text(json.dumps({**good, "nu": -2, "nv": -2, "positions": [0.0] * 16}))
+    out = run_cli("check", str(bad), cwd=tmp_path)
+    assert_validation_failure(out)
+    assert "empty" in out.stderr
+    bad.write_text("[1, 2, 3]")
+    assert_validation_failure(run_cli("check", str(bad), cwd=tmp_path))
 
 
 def test_spectrum_flat(flat_dir):

@@ -10,9 +10,12 @@ against the pointwise operator at machine precision.
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.csgraph as csgraph
 
 from hkflow.errors import InputError, PreconditionError
 from hkflow.spectral import (
+    CollapseReport,
+    _chord_graph,
     c0_from_l2_validator,
     default_ball_centers,
     geodesic_ball_volumes,
@@ -151,6 +154,70 @@ def test_ball_volumes_validation(flat64):
         geodesic_ball_volumes(flat64, radii=3.0)
     with pytest.raises(InputError, match="positive"):
         geodesic_ball_volumes(flat64, radii=-0.5)
+
+
+def unbounded_ball_volumes(cache, centers=None, radii=0.5):
+    """Reference: full-grid Dijkstra from every center, and the proxy
+    taken over every reachable node of the first search."""
+    radii = tuple(np.atleast_1d(np.asarray(radii, float)))
+    if centers is None:
+        centers = default_ball_centers(cache)
+    flat = [int(i) * cache.grid.nv + int(j) for i, j in centers]
+    dist = csgraph.dijkstra(_chord_graph(cache), directed=False, indices=flat)
+    proxy = float(dist[0][np.isfinite(dist[0])].max())
+    if max(radii) > 0.5 * proxy:
+        raise InputError(
+            f"radius-too-large: {max(radii)} exceeds half the diameter proxy {proxy:.3f}"
+        )
+    w = cache.node_area().ravel()
+    samples = []
+    for k, center in enumerate(centers):
+        for r in radii:
+            r = float(r)
+            vol = float(w[dist[k] <= r].sum())
+            samples.append((tuple(center), r, vol, vol / r**2))
+    return CollapseReport(min(s[3] for s in samples), max(radii), tuple(samples))
+
+
+def ball_outcome(fn, cache, **kw):
+    try:
+        return fn(cache, **kw)
+    except InputError as exc:
+        return ("raised", str(exc))
+
+
+BALL_SCENARIOS = {
+    "clifford": ("clifford", 64, dict(R=1.0, r=1.0)),
+    "flat": ("flat-plane-torus", 64, {}),
+    "perturbed": ("perturbed-complex-torus", 64, dict(eps=0.05)),
+    "lagrangian": ("lagrangian-graph", 64, dict(eps=0.1)),
+    "sheared": ("custom-expression", 48, SHEAR),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BALL_SCENARIOS))
+def test_ball_volumes_match_unbounded_search(key):
+    name, n, params = BALL_SCENARIOS[key]
+    c = cache_for(name, n, **params)
+    full = csgraph.dijkstra(_chord_graph(c), directed=False, indices=0)
+    attained = float(full[full <= 0.5].max())      # a node sits exactly at r
+    half_proxy = 0.5 * float(full.max())
+    cases = [
+        dict(radii=0.1),
+        dict(radii=0.5),
+        dict(radii=1.5),
+        dict(radii=attained),
+        dict(centers=[(0, 0), (n // 2, n // 2), (3, n - 5)], radii=[0.3, 0.5]),
+        dict(radii=np.nextafter(half_proxy, 0.0)),
+        dict(radii=half_proxy),
+        dict(radii=np.nextafter(half_proxy, np.inf)),
+    ]
+    for kw in cases:
+        got = ball_outcome(geodesic_ball_volumes, c, **kw)
+        assert got == ball_outcome(unbounded_ball_volumes, c, **kw), kw
+    assert ball_outcome(geodesic_ball_volumes, c, radii=half_proxy)[0] != "raised"
+    raised = ball_outcome(geodesic_ball_volumes, c, radii=np.nextafter(half_proxy, np.inf))
+    assert raised[0] == "raised" and "radius-too-large" in raised[1]
 
 
 def test_validator_sine_field(flat64):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hkflow.errors import InputError, IOFailure, NumericalError
+from hkflow.kernel import AmbientSpace
 from hkflow.surface import (
     build_immersion,
     compute_geometry,
@@ -201,6 +202,23 @@ def test_scenario_validation():
         build_immersion(
             scenario("custom-expression", 16, 16, exprs=["__import__('os')", "v", "u", "v"])
         )
+
+
+def test_custom_expression_matches_direct_numpy():
+    # the expression walker must reproduce plain numpy arithmetic bit for bit
+    n = 48
+    periods = [np.pi, TWO_PI, TWO_PI, TWO_PI]
+    grid = build_immersion(
+        scenario(
+            "custom-expression", n, n,
+            exprs=["u + 0.5*v", "v", "0*u", "0*u"], periods=periods,
+        )
+    )
+    h = TWO_PI / n
+    u = np.arange(n)[:, None] * h * np.ones((1, n))
+    v = np.ones((n, 1)) * np.arange(n)[None, :] * h
+    expect = AmbientSpace(tuple(periods)).wrap(np.stack([u + 0.5 * v, v, 0 * u, 0 * u], -1))
+    assert np.array_equal(grid.positions, expect)
 
 
 def test_degenerate_metric_detected():
