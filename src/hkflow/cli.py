@@ -60,14 +60,13 @@ SCENARIO_NAMES = (
     "lagrangian-graph",
     "custom-expression",
 )
+SCENARIO_PARAMS = ("eps", "R", "r", "Lu", "Lv")
 
 
 # ---------------------------------------------------------------- manifest
 
 
 def _fmt_value(val):
-    if isinstance(val, bool):
-        return "true" if val else "false"
     if isinstance(val, float):
         return repr(val)
     return str(val)
@@ -103,13 +102,6 @@ def read_manifest(path):
     return doc
 
 
-def _manifest_bool(doc, key):
-    val = doc.get(key, "true")
-    if val not in ("true", "false"):
-        raise InputError(f"manifest key {key} must be true or false, got {val!r}")
-    return val == "true"
-
-
 def _manifest_number(doc, key, kind, default=None):
     raw = doc.get(key, default)
     if raw is None:
@@ -135,7 +127,7 @@ def _scenario_from_manifest(doc):
     if name not in SCENARIO_NAMES:
         raise InputError(f"manifest names unknown scenario {name!r}")
     params = {}
-    for key in ("eps", "R", "r", "Lu", "Lv"):
+    for key in SCENARIO_PARAMS:
         if key in doc:
             params[key] = _manifest_number(doc, key, float)
     if "exprs" in doc:
@@ -147,6 +139,11 @@ def _scenario_from_manifest(doc):
 
 
 def _config_from_manifest(doc):
+    # the format keeps no on/off switches: a manifest may still carry one
+    # set to true, the only behaviour there is, but false has no path
+    for key, val in doc.items():
+        if val == "false":
+            raise InputError(f"manifest key {key} = false is not supported; it is always on")
     dt_raw = doc.get("dt_flow_time", "cfl")
     dt = None if dt_raw == "cfl" else _manifest_number(doc, "dt_flow_time", float)
     kw = dict(
@@ -154,7 +151,6 @@ def _config_from_manifest(doc):
         safety=_manifest_number(doc, "cfl_safety", float, "0.9"),
         scheme=doc.get("scheme", "euler"),
         steps=_manifest_number(doc, "steps", int, "5000"),
-        renormalize_phase=_manifest_bool(doc, "renormalize_phase"),
         lambda1_cadence=_manifest_number(doc, "lambda1_cadence", int, "10"),
         consistency_cadence=_manifest_number(doc, "consistency_cadence", int, "0"),
         c_mon=_manifest_number(doc, "c_mon", float, "8.0"),
@@ -178,7 +174,7 @@ def _platform_tag():
 
 def cmd_init(args):
     params = {}
-    for key in ("eps", "R", "r", "Lu", "Lv"):
+    for key in SCENARIO_PARAMS:
         val = getattr(args, key)
         if val is not None:
             params[key] = val
@@ -201,7 +197,7 @@ def cmd_init(args):
         ("nu", args.nu),
         ("nv", args.nv),
     ]
-    for key in ("eps", "R", "r", "Lu", "Lv"):
+    for key in SCENARIO_PARAMS:
         if key in params:
             entries.append((key, params[key]))
     if "exprs" in params:
@@ -213,7 +209,6 @@ def cmd_init(args):
         ("cfl_safety", args.safety),
         ("scheme", args.scheme),
         ("steps", args.steps),
-        ("renormalize_phase", not args.no_renormalize),
         ("lambda1_cadence", args.lambda1_cadence),
         ("consistency_cadence", args.consistency_cadence),
         ("c_mon", args.c_mon),
@@ -521,11 +516,8 @@ def build_parser():
     p_init.add_argument("--scenario", required=True, choices=SCENARIO_NAMES)
     p_init.add_argument("--nu", type=int, default=64)
     p_init.add_argument("--nv", type=int, default=64)
-    p_init.add_argument("--eps", type=float, default=None)
-    p_init.add_argument("--R", type=float, default=None)
-    p_init.add_argument("--r", type=float, default=None)
-    p_init.add_argument("--Lu", type=float, default=None)
-    p_init.add_argument("--Lv", type=float, default=None)
+    for key in SCENARIO_PARAMS:
+        p_init.add_argument(f"--{key}", type=float, default=None)
     p_init.add_argument("--exprs", default=None, help="4 expressions joined with ;")
     p_init.add_argument("--periods", default=None, help="ambient periods, comma separated")
     p_init.add_argument("--out", default=None, help="output stem (default scenario-NUxNV)")
@@ -533,7 +525,6 @@ def build_parser():
     p_init.add_argument("--safety", type=float, default=0.9)
     p_init.add_argument("--scheme", default="euler", choices=("euler", "rk2"))
     p_init.add_argument("--steps", type=int, default=5000)
-    p_init.add_argument("--no-renormalize", action="store_true")
     p_init.add_argument("--lambda1-cadence", type=int, default=10)
     p_init.add_argument("--consistency-cadence", type=int, default=0)
     p_init.add_argument("--c-mon", type=float, default=8.0)

@@ -7,9 +7,10 @@ moved frames and comparing against the heat-flow prediction.
 
 All stepping is explicit and deterministic; stability is enforced, not
 hoped for (displacement guard for the motion, parabolic bound for the
-phase, unit-drift guard before each renormalization).
+phase, unit-drift guard before each projection back to the sphere).
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,14 +18,7 @@ import numpy as np
 from .errors import InputError, NumericalError, PreconditionError
 from .kernel import standard_twistor_triple
 from .phase import PhaseField, field_from_array, phase_field, tension_field, twistor_energy
-from .surface import (
-    ScenarioSpec,
-    SurfaceGrid,
-    build_immersion,
-    compute_geometry,
-    dirichlet_energy_density,
-    surface_integral,
-)
+from .surface import ScenarioSpec, SurfaceGrid, build_immersion, compute_geometry, surface_integral
 
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
 DRIFT_MARGIN = 1.5              # on the predicted pre-projection unit drift
@@ -39,7 +33,6 @@ class FlowConfig:
     safety: float = 0.9
     scheme: str = "euler"
     steps: int = 100
-    renormalize_phase: bool = True
     lambda1_cadence: int = 10
     consistency_cadence: int = 0      # 0 disables the per-step check
     c_mon: float = DEFAULT_C_MON
@@ -47,6 +40,10 @@ class FlowConfig:
     t_final: float | None = None
 
     def __post_init__(self):
+        for name in ("dt", "c_mon", "max_h_below", "t_final"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise InputError(f"{name} must be finite, got {val}")
         if self.dt is not None and self.dt <= 0:
             raise InputError(f"fixed dt must be positive, got {self.dt}")
         if not 0 < self.safety <= 1:
@@ -150,7 +147,7 @@ def mcf_step(state, dt, scheme="euler"):
     return SurfaceState(grid, new_cache, carried, state.triple)
 
 
-def phase_heat_step(pf, cache, dt, renormalize=True):
+def phase_heat_step(pf, cache, dt):
     """Explicit step of (d/dt - Lap) a = |grad a|^2 a, projected to S^2."""
     hg = metric_spacing(cache)
     if dt > 0.25 * hg**2 * (1 + 1e-12):
@@ -168,21 +165,14 @@ def phase_heat_step(pf, cache, dt, renormalize=True):
         raise NumericalError(
             f"phase-drift {drift:.3e} exceeds the projection budget {bound:.3e}"
         )
-    if not renormalize:
-        hu, hv = cache.hu, cache.hv
-        du = (np.roll(raw, -1, 0) - np.roll(raw, 1, 0)) / (2 * hu)
-        dv = (np.roll(raw, -1, 1) - np.roll(raw, 1, 1)) / (2 * hv)
-        return PhaseField(raw, np.stack([du, dv], axis=2), dirichlet_energy_density(raw, cache))
     return field_from_array(raw, cache)
 
 
-def consistency_check(state, pf_evolved, dt):
+def consistency_check(state, pf_evolved):
     """Distance between the frame-derived phase and the heat-flow phase.
 
-    dt is accepted for symmetry with the stepping API; the defect is
-    returned raw (it scales as O(dt^2) + O(dt h^2) per step).
+    The defect is returned raw (it scales as O(dt^2) + O(dt h^2) per step).
     """
-    del dt
     frame_phase = phase_field(state.cache, state.triple)
     return float(np.linalg.norm(frame_phase.a - pf_evolved.a, axis=-1).max())
 
@@ -217,22 +207,21 @@ def _record(state, t, dt, e_accum):
     )
 
 
-def coupled_step(state, pf, cfg, t=0.0, e_accum=0.0, with_consistency=False):
+def coupled_step(state, cfg, t=0.0, e_accum=0.0, with_consistency=False):
     """One MCF step, then one phase heat step on the moved geometry."""
-    pf = state.phase if pf is None else pf
     dt = cfg.dt if cfg.dt is not None else cfl_dt(state.cache, cfg.safety)
     pre_h = float(np.sqrt(state.cache.norm_H_sq.max()))
     pre_a = float(np.sqrt(state.cache.norm_A_sq.max()))
 
-    moved = mcf_step(replace(state, phase=pf), dt, cfg.scheme)
-    new_pf = phase_heat_step(moved.phase, moved.cache, dt, cfg.renormalize_phase)
+    moved = mcf_step(state, dt, cfg.scheme)
+    new_pf = phase_heat_step(moved.phase, moved.cache, dt)
     new_state = replace(moved, phase=new_pf)
 
     rec = _record(new_state, t + dt, dt, e_accum + dt * (pre_h**2 + pre_a * pre_h))
     rec.metric_residual = metric_evolution_monitor(state, new_state, dt)
     if with_consistency:
-        rec.consistency_error = consistency_check(new_state, new_pf, dt)
-    return new_state, new_pf, rec
+        rec.consistency_error = consistency_check(new_state, new_pf)
+    return new_state, rec
 
 
 def efa_monitor(tail, c_mon=DEFAULT_C_MON):
@@ -248,7 +237,7 @@ def efa_monitor(tail, c_mon=DEFAULT_C_MON):
         + c_mon * left.max_H * left.max_A
         + 2.0 * left.max_grad_sq
     ) * left.twistor_energy
-    return max(0.0, rate - rhs)
+    return _violation(rate - rhs)
 
 
 def efe_monitor(tail, c_mon=DEFAULT_C_MON):
@@ -256,7 +245,12 @@ def efe_monitor(tail, c_mon=DEFAULT_C_MON):
     left, right = _lambda_pair(tail)
     rate = (right.lambda1 - left.lambda1) / (right.t - left.t)
     rhs = (left.max_H**2 + c_mon * left.max_H * left.max_A) * left.lambda1
-    return max(0.0, -rate - rhs)
+    return _violation(-rate - rhs)
+
+
+def _violation(excess):
+    """max(0, excess), except that NaN stays NaN instead of reading as held."""
+    return 0.0 if excess <= 0 else excess
 
 
 def _lambda_pair(tail):
@@ -305,8 +299,8 @@ def run_flow(cfg, scenario, triple=None, sink=None):
             break
         try:
             with_cons = cfg.consistency_cadence > 0 and step % cfg.consistency_cadence == 0
-            state, _, rec = coupled_step(
-                state, None, cfg, t=t, e_accum=e_accum, with_consistency=with_cons
+            state, rec = coupled_step(
+                state, cfg, t=t, e_accum=e_accum, with_consistency=with_cons
             )
         except NumericalError as exc:
             exc.step = step

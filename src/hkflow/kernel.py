@@ -18,6 +18,7 @@ Conventions, fixed once and used everywhere downstream:
 All operations are pure functions of immutable values.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ UNIT_TOL = 1e-9          # tolerance on |a| = 1 for caller-supplied coefficients
 ORTHO_TOL = 1e-9         # tolerance on a . b = 0 for coefficient pairs
 GRAM_TOL = 1e-8          # tolerance on frame orthonormality
 VERIFY_TOL = 1e-6        # tolerance on the defining relations of the phase
+PHI_SWAP_TOL = 0.1       # switch companion chart when |z x a| falls below this
 
 
 def _right_mult_matrix(q):
@@ -85,8 +87,8 @@ class AmbientSpace:
     def __post_init__(self):
         if self.periods is not None:
             p = tuple(float(x) for x in self.periods)
-            if len(p) != 4 or any(x <= 0 for x in p):
-                raise InputError(f"periods must be 4 positive lengths, got {self.periods}")
+            if len(p) != 4 or not all(math.isfinite(x) and x > 0 for x in p):
+                raise InputError(f"periods must be 4 positive finite lengths, got {self.periods}")
             object.__setattr__(self, "periods", p)
 
     def wrap(self, positions):
@@ -119,6 +121,31 @@ def phase_operator(a, triple):
     """J_a = a1 J1 + a2 J2 + a3 J3 for unit a."""
     a = as_unit_coefficient(a)
     return a[0] * triple.j1 + a[1] * triple.j2 + a[2] * triple.j3
+
+
+def phi_field(a):
+    """Deterministic companion phase b(x) orthogonal to a(x).
+
+    z x a away from the poles of the third axis, x x a near them; both
+    branches are normalized cross products so b is unit and b . a = 0.
+    """
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    zxa = np.stack([-a2, a1, np.zeros_like(a1)], axis=-1)
+    xxa = np.stack([np.zeros_like(a1), -a3, a2], axis=-1)
+    use_z = np.linalg.norm(zxa, axis=-1) > PHI_SWAP_TOL
+    b = np.where(use_z[..., None], zxa, xxa)
+    return b / np.linalg.norm(b, axis=-1, keepdims=True)
+
+
+def _tangent_phase(e1, e2, triple):
+    """Per-node unit a with a_d = <J_d e1, e2>, the phase of the plane (e1, e2)."""
+    a = np.stack([((e1 @ j.T) * e2).sum(-1) for j in triple.as_stack()], axis=-1)
+    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+
+
+def _apply_phase(coeff, vec, triple):
+    """(sum_d coeff_d J_d) vec for per-node coefficient and vector fields."""
+    return sum(coeff[..., d, None] * (vec @ j.T) for d, j in enumerate(triple.as_stack()))
 
 
 def symplectic_form(j, u, v):

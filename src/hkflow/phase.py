@@ -19,9 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, PreconditionError
-from .surface import dirichlet_energy_density, laplace_beltrami, surface_integral
+from .kernel import _apply_phase, _tangent_phase, phi_field
+from .surface import (
+    _central,
+    _cometric,
+    _second_fundamental_form,
+    dirichlet_energy_density,
+    laplace_beltrami,
+    surface_integral,
+)
 
-PHI_SWAP_TOL = 0.1       # switch companion chart when |z x a| falls below this
 POLE_TOL = 0.05          # refuse polar charts closer than this to |a3| = 1
 LAGRANGIAN_TOL = 0.05    # refuse the Lagrangian angle beyond this |a3|
 FRAME_VERIFY_TOL = 1e-6
@@ -35,14 +42,11 @@ class PhaseField:
 
 
 def _central_grad(fld, cache):
-    hu, hv = cache.hu, cache.hv
-    du = (np.roll(fld, -1, axis=0) - np.roll(fld, 1, axis=0)) / (2 * hu)
-    dv = (np.roll(fld, -1, axis=1) - np.roll(fld, 1, axis=1)) / (2 * hv)
-    return np.stack([du, dv], axis=2)
+    return np.stack([_central(fld, 0, cache.hu), _central(fld, 1, cache.hv)], axis=2)
 
 
 def field_from_array(a, cache):
-    """PhaseField from a raw per-node direction field (renormalized first)."""
+    """PhaseField from a raw per-node direction field (normalized first)."""
     a = np.asarray(a, float)
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
     return PhaseField(a, _central_grad(a, cache), dirichlet_energy_density(a, cache))
@@ -51,12 +55,10 @@ def field_from_array(a, cache):
 def phase_field(cache, triple):
     """Canonical phase of every node frame, with the defining relations
     verified in bulk (mirrors kernel.canonical_phase_from_frame)."""
-    js = triple.as_stack()
     e1, e2, e3, e4 = cache.e1, cache.e2, cache.e3, cache.e4
-    a = np.einsum("dkl,ijl,ijk->ijd", js, e1, e2, optimize=True)
-    a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    jpsi_e1 = np.einsum("ijd,dkl,ijl->ijk", a, js, e1, optimize=True)
-    jpsi_e3 = np.einsum("ijd,dkl,ijl->ijk", a, js, e3, optimize=True)
+    a = _tangent_phase(e1, e2, triple)
+    jpsi_e1 = _apply_phase(a, e1, triple)
+    jpsi_e3 = _apply_phase(a, e3, triple)
     residual = np.linalg.norm(jpsi_e1 - e2, axis=-1) + np.linalg.norm(
         jpsi_e3 + e4, axis=-1
     )
@@ -80,20 +82,6 @@ def tension_field(pf, cache):
 
 def kahler_angle(pf):
     return np.arccos(np.clip(pf.a[..., 2], -1.0, 1.0))
-
-
-def phi_field(a):
-    """Deterministic companion phase b(x) orthogonal to a(x).
-
-    z x a away from the poles of the third axis, x x a near them; both
-    branches are normalized cross products so b is unit and b . a = 0.
-    """
-    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
-    zxa = np.stack([-a2, a1, np.zeros_like(a1)], axis=-1)
-    xxa = np.stack([np.zeros_like(a1), -a3, a2], axis=-1)
-    use_z = np.linalg.norm(zxa, axis=-1) > PHI_SWAP_TOL
-    b = np.where(use_z[..., None], zxa, xxa)
-    return b / np.linalg.norm(b, axis=-1, keepdims=True)
 
 
 def _wrap_angle(t):
@@ -142,23 +130,10 @@ def lagrangian_angle(pf, cache):
     r_u = (j3h * cache.f_u).sum(-1)
     r_v = (j3h * cache.f_v).sum(-1)
     dth = _angle_grad(theta, cache)
-    res_u = r_u + dth[..., 0]
-    res_v = r_v + dth[..., 1]
-    ginv = cache.ginv
-    sq = (
-        ginv[..., 0, 0] * res_u**2
-        + 2 * ginv[..., 0, 1] * res_u * res_v
-        + ginv[..., 1, 1] * res_v**2
-    )
+    sq = _cometric(cache.ginv, r_u + dth[..., 0], r_v + dth[..., 1])
     residual = float(np.sqrt(max(surface_integral(sq, cache), 0.0)))
     winding = (_winding(raw, 0), _winding(raw, 1))
     return LagrangianAngle(theta, residual, winding)
-
-
-def _apply_phase(coeff, vec, triple):
-    """(sum_d coeff_d J_d) vec for per-node coefficient and vector fields."""
-    js = triple.as_stack()
-    return np.einsum("ijd,dkl,ijl->ijk", coeff, js, vec, optimize=True)
 
 
 def _to_frame(comp_u, comp_v, cache):
@@ -212,16 +187,9 @@ def bja_identity(cache, pf, triple):
     adapted to (a, b): tangent (e1, e2), normals (J_b e1, J_b e2).
     Also returns the pointwise ratio |grad a| / |A|.
     """
-    a = pf.a
-    b = phi_field(a)
-    n3 = _apply_phase(b, cache.e1, triple)
-    n4 = _apply_phase(b, cache.e2, triple)
-
-    hp = np.empty(a.shape[:2] + (2, 2, 2))
-    for alpha, n in enumerate((n3, n4)):
-        hp[..., alpha, 0, 0] = (cache.f_uu * n).sum(-1)
-        hp[..., alpha, 0, 1] = hp[..., alpha, 1, 0] = (cache.f_uv * n).sum(-1)
-        hp[..., alpha, 1, 1] = (cache.f_vv * n).sum(-1)
+    b = phi_field(pf.a)
+    normals = (_apply_phase(b, cache.e1, triple), _apply_phase(b, cache.e2, triple))
+    hp = _second_fundamental_form(cache.f_uu, cache.f_uv, cache.f_vv, normals)
     horth = np.einsum("...ik,...jl,...akl->...aij", cache.gs, cache.gs, hp, optimize=True)
 
     x = horth[..., 0, 1, :] - horth[..., 1, 0, :]      # h3_{2i} - h4_{1i}
@@ -253,15 +221,8 @@ def polar_identity_check(pf, cache):
     phi = np.arccos(np.clip(a3, -1.0, 1.0))
     dth = _angle_grad(theta, cache)
     dph = _central_grad(phi, cache)
-
-    def sq_norm(d):
-        return (
-            cache.ginv[..., 0, 0] * d[..., 0] ** 2
-            + 2 * cache.ginv[..., 0, 1] * d[..., 0] * d[..., 1]
-            + cache.ginv[..., 1, 1] * d[..., 1] ** 2
-        )
-
-    rhs = np.sin(phi) ** 2 * sq_norm(dth) + sq_norm(dph)
+    sq_th = _cometric(cache.ginv, dth[..., 0], dth[..., 1])
+    rhs = np.sin(phi) ** 2 * sq_th + _cometric(cache.ginv, dph[..., 0], dph[..., 1])
     return np.abs(pf.energy_density - rhs)
 
 

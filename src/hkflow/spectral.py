@@ -17,7 +17,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import InputError, NumericalError, PreconditionError
-from .surface import surface_integral
+from .surface import _central, _cometric, surface_integral
 
 RAYLEIGH_RTOL = 1e-10
 RESIDUAL_TOL = 1e-7
@@ -53,10 +53,7 @@ def laplacian_matrix(cache):
     duc = (su - su.T) / (2 * hu)
     dvc = (sv - sv.T) / (2 * hv)
 
-    au = sp.diags(0.5 * (cache.cuu + np.roll(cache.cuu, -1, axis=0)).ravel())
-    av = sp.diags(0.5 * (cache.cvv + np.roll(cache.cvv, -1, axis=1)).ravel())
-    cc = sp.diags(cache.cuv.ravel())
-
+    au, av, cc = (sp.diags(c.ravel()) for c in (cache.au, cache.av, cache.cuv))
     a = (hu * hv) * (
         duf.T @ au @ duf + dvf.T @ av @ dvf - duc @ cc @ dvc - dvc @ cc @ duc
     )
@@ -195,14 +192,7 @@ def c0_from_l2_validator(sigma, lam, cache, radius=0.5):
     sigma = np.asarray(sigma, float)
     if sigma.shape != cache.sqrt_det_g.shape:
         raise InputError(f"field shape {sigma.shape} does not match the grid")
-    hu, hv = cache.hu, cache.hv
-    du = (np.roll(sigma, -1, 0) - np.roll(sigma, 1, 0)) / (2 * hu)
-    dv = (np.roll(sigma, -1, 1) - np.roll(sigma, 1, 1)) / (2 * hv)
-    grad_sq = (
-        cache.ginv[..., 0, 0] * du**2
-        + 2 * cache.ginv[..., 0, 1] * du * dv
-        + cache.ginv[..., 1, 1] * dv**2
-    )
+    grad_sq = _cometric(cache.ginv, _central(sigma, 0, cache.hu), _central(sigma, 1, cache.hv))
     measured = float(np.sqrt(grad_sq.max()))
     if lam < measured * (1 - 1e-9):
         raise PreconditionError(

@@ -12,6 +12,9 @@ with the central second difference, which makes H exact on products of
 circles and keeps the discrete integration by parts of the Laplacian
 clean; a pure central-difference metric loses an O(h^2) factor between
 the two and visibly biases |H|^2.
+
+The normal frame (e3, e4) = (J_b e1, J_b e2) is adapted to the tangent
+phase a and its companion b = kernel.phi_field(a), positive by construction.
 """
 
 import ast
@@ -22,19 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, IOFailure, NumericalError
-from .kernel import AmbientSpace
+from .kernel import AmbientSpace, _apply_phase, _tangent_phase, phi_field, standard_twistor_triple
 
 DET_FLOOR_REL = 1e-10
-SEED_COLLAPSE_TOL = 1e-8
 SNAPSHOT_VERSION = 1
-
-# deterministic seed vectors for the normal frame, tried in order
-NORMAL_SEEDS = (
-    (0.0, 0.0, 1.0, 0.0),
-    (0.0, 0.0, 0.0, 1.0),
-    (1.0, 0.0, 0.0, 0.0),
-    (0.0, 1.0, 0.0, 0.0),
-)
+_TRIPLE = standard_twistor_triple()
 
 
 @dataclass(frozen=True)
@@ -197,9 +192,9 @@ class GeometryCache:
     H: np.ndarray                # (nu, nv, 4) mean curvature vector
     norm_H_sq: np.ndarray
     norm_A_sq: np.ndarray
-    cuu: np.ndarray              # flux coefficients sqrt(g) g^{ij}
-    cvv: np.ndarray
-    cuv: np.ndarray
+    au: np.ndarray               # sqrt(g) g^uu averaged onto edge (i, i+1)
+    av: np.ndarray               # sqrt(g) g^vv averaged onto edge (j, j+1)
+    cuv: np.ndarray              # sqrt(g) g^uv at the nodes
     min_edge: float              # shortest ambient grid edge, stability proxy
 
     @property
@@ -214,13 +209,24 @@ class GeometryCache:
         return self.sqrt_det_g * self.hu * self.hv
 
 
-def _neighbor_diff(pos, axis, ambient):
-    """Shortest-image forward difference along a grid axis."""
-    d = np.roll(pos, -1, axis=axis) - pos
-    if ambient.periods is None:
-        return d
-    per = np.array(ambient.periods)
-    return d - per * np.round(d / per)
+def _central(f, axis, h):
+    """Periodic central difference of a grid field along one parameter axis."""
+    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
+
+
+def _cometric(ginv, xu, xv):
+    """g^{ij} x_i x_j for a covector with parameter components (xu, xv)."""
+    return ginv[..., 0, 0] * xu**2 + 2 * ginv[..., 0, 1] * xu * xv + ginv[..., 1, 1] * xv**2
+
+
+def _second_fundamental_form(f_uu, f_uv, f_vv, normals):
+    """[alpha, i, j] = <f_ij, n_alpha> for a pair of normal fields."""
+    h = np.empty(f_uu.shape[:2] + (2, 2, 2))
+    for alpha, n in enumerate(normals):
+        h[..., alpha, 0, 0] = (f_uu * n).sum(-1)
+        h[..., alpha, 0, 1] = h[..., alpha, 1, 0] = (f_uv * n).sum(-1)
+        h[..., alpha, 1, 1] = (f_vv * n).sum(-1)
+    return h
 
 
 def compute_geometry(grid):
@@ -228,8 +234,13 @@ def compute_geometry(grid):
     hu, hv = grid.hu, grid.hv
     amb = grid.ambient
 
-    du_f = _neighbor_diff(pos, 0, amb)           # F(i+1,j) - F(i,j)
-    dv_f = _neighbor_diff(pos, 1, amb)
+    finite = np.isfinite(pos).all(-1)
+    if not finite.all():
+        ij = tuple(int(k) for k in np.unravel_index(np.argmin(finite), finite.shape))
+        raise NumericalError(f"non-finite position at node {ij}: {pos[ij]}")
+
+    du_f = amb.displacement(pos, np.roll(pos, -1, axis=0))   # F(i+1,j) - F(i,j)
+    dv_f = amb.displacement(pos, np.roll(pos, -1, axis=1))
     du_b = np.roll(du_f, 1, axis=0)              # F(i,j) - F(i-1,j)
     dv_b = np.roll(dv_f, 1, axis=1)
 
@@ -238,7 +249,7 @@ def compute_geometry(grid):
     f_uu = (du_f - du_b) / hu**2
     f_vv = (dv_f - dv_b) / hv**2
     # cross derivative: central difference of the (seam-free) tangent field
-    f_uv = (np.roll(f_u, -1, axis=1) - np.roll(f_u, 1, axis=1)) / (2 * hv)
+    f_uv = _central(f_u, 1, hv)
 
     g = np.empty(pos.shape[:2] + (2, 2))
     g[..., 0, 0] = 0.5 * ((du_f**2).sum(-1) + (du_b**2).sum(-1)) / hu**2
@@ -247,7 +258,7 @@ def compute_geometry(grid):
 
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     floor = DET_FLOOR_REL * float(np.mean(det))
-    if np.min(det) <= floor or np.min(det) <= 0:
+    if not np.min(det) > max(floor, 0.0):       # NaN fails too
         ij = np.unravel_index(np.argmin(det), det.shape)
         raise NumericalError(
             f"metric-degenerate at node {ij}: det g = {np.min(det):.3e}"
@@ -273,18 +284,12 @@ def compute_geometry(grid):
     gs[..., 1, 0] = -g[..., 0, 1] / (g[..., 0, 0] * ell)
     gs[..., 1, 1] = 1.0 / ell
 
-    e3, e4 = _normal_frame(e1, e2)
-
-    # enforce positive orientation by flipping e4 where needed
-    frames = np.stack([e1, e2, e3, e4], axis=-2)
-    neg = np.linalg.det(frames) < 0
-    e4 = np.where(neg[..., None], -e4, e4)
-
-    h = np.empty(pos.shape[:2] + (2, 2, 2))
-    for alpha, e_n in enumerate((e3, e4)):
-        h[..., alpha, 0, 0] = (f_uu * e_n).sum(-1)
-        h[..., alpha, 0, 1] = h[..., alpha, 1, 0] = (f_uv * e_n).sum(-1)
-        h[..., alpha, 1, 1] = (f_vv * e_n).sum(-1)
+    # normals adapted to the tangent phase a (J_a e1 = e2) and its companion
+    # b: J_a J_b = -J_b J_a gives J_a e3 = -e4, so the frame is positive
+    b = phi_field(_tangent_phase(e1, e2, _TRIPLE))
+    e3 = _apply_phase(b, e1, _TRIPLE)
+    e4 = _apply_phase(b, e2, _TRIPLE)
+    h = _second_fundamental_form(f_uu, f_uv, f_vv, (e3, e4))
 
     trace = (
         ginv[..., 0, 0, None] * f_uu
@@ -301,9 +306,9 @@ def compute_geometry(grid):
         "...ik,...jl,...aij,...akl->...", ginv, ginv, h, h, optimize=True
     )
 
-    cuu = sqrt_det_g * ginv[..., 0, 0]
-    cvv = sqrt_det_g * ginv[..., 1, 1]
-    cuv = sqrt_det_g * ginv[..., 0, 1]
+    # diagonal fluxes sqrt(g) g^ii, averaged once onto the grid edges
+    flux_u = sqrt_det_g * ginv[..., 0, 0]
+    flux_v = sqrt_det_g * ginv[..., 1, 1]
 
     min_edge = float(
         min(np.sqrt((du_f**2).sum(-1)).min(), np.sqrt((dv_f**2).sum(-1)).min())
@@ -314,45 +319,10 @@ def compute_geometry(grid):
         f_u=f_u, f_v=f_v, f_uu=f_uu, f_uv=f_uv, f_vv=f_vv,
         e1=e1, e2=e2, e3=e3, e4=e4, gs=gs, h=h,
         H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq,
-        cuu=cuu, cvv=cvv, cuv=cuv, min_edge=min_edge,
+        au=0.5 * (flux_u + np.roll(flux_u, -1, axis=0)),
+        av=0.5 * (flux_v + np.roll(flux_v, -1, axis=1)),
+        cuv=sqrt_det_g * ginv[..., 0, 1], min_edge=min_edge,
     )
-
-
-def _normal_frame(e1, e2):
-    """Greedy Gram-Schmidt of the fixed seed list against the tangent plane.
-
-    A seed is skipped where its residual collapses; if fewer than two seeds
-    survive somewhere the immersion is folding and we refuse to continue.
-    """
-    shape = e1.shape[:2]
-    normals = []
-    filled = np.zeros(shape, dtype=int)
-    for seed in NORMAL_SEEDS:
-        if len(normals) == 2 and filled.min() >= 2:
-            break
-        s = np.broadcast_to(np.array(seed), e1.shape).copy()
-        s -= (s * e1).sum(-1, keepdims=True) * e1
-        s -= (s * e2).sum(-1, keepdims=True) * e2
-        for n, mask in normals:
-            s -= np.where(mask[..., None], (s * n).sum(-1, keepdims=True) * n, 0.0)
-        norm = np.linalg.norm(s, axis=-1)
-        ok = (norm > SEED_COLLAPSE_TOL) & (filled < 2)
-        unit = np.where(ok[..., None], s / np.maximum(norm, SEED_COLLAPSE_TOL)[..., None], 0.0)
-        normals.append((unit, ok))
-        filled += ok.astype(int)
-    if filled.min() < 2:
-        ij = np.unravel_index(np.argmin(filled), shape)
-        raise NumericalError(f"normal-seed-collapse at node {ij}: surface is folding")
-    e3 = np.zeros(e1.shape)
-    e4 = np.zeros(e1.shape)
-    count = np.zeros(shape, dtype=int)
-    for unit, ok in normals:
-        take3 = ok & (count == 0)
-        take4 = ok & (count == 1)
-        e3 = np.where(take3[..., None], unit, e3)
-        e4 = np.where(take4[..., None], unit, e4)
-        count += ok.astype(int)
-    return e3, e4
 
 
 def laplace_beltrami(fld, cache):
@@ -369,23 +339,15 @@ def laplace_beltrami(fld, cache):
     if not vec:
         f = f[..., None]
     hu, hv = cache.hu, cache.hv
-    cuu, cvv, cuv = cache.cuu[..., None], cache.cvv[..., None], cache.cuv[..., None]
-
-    au_p = 0.5 * (cuu + np.roll(cuu, -1, axis=0))
-    au_m = np.roll(au_p, 1, axis=0)
-    av_p = 0.5 * (cvv + np.roll(cvv, -1, axis=1))
-    av_m = np.roll(av_p, 1, axis=1)
+    au, av, cuv = cache.au[..., None], cache.av[..., None], cache.cuv[..., None]
 
     out = (
-        au_p * (np.roll(f, -1, axis=0) - f) - au_m * (f - np.roll(f, 1, axis=0))
+        au * (np.roll(f, -1, axis=0) - f) - np.roll(au, 1, axis=0) * (f - np.roll(f, 1, axis=0))
     ) / hu**2
     out += (
-        av_p * (np.roll(f, -1, axis=1) - f) - av_m * (f - np.roll(f, 1, axis=1))
+        av * (np.roll(f, -1, axis=1) - f) - np.roll(av, 1, axis=1) * (f - np.roll(f, 1, axis=1))
     ) / hv**2
-
-    dcu = lambda w: (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (2 * hu)
-    dcv = lambda w: (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2 * hv)
-    out += dcu(cuv * dcv(f)) + dcv(cuv * dcu(f))
+    out += _central(cuv * _central(f, 1, hv), 0, hu) + _central(cuv * _central(f, 0, hu), 1, hv)
 
     out /= cache.sqrt_det_g[..., None]
     return out if vec else out[..., 0]
@@ -398,20 +360,13 @@ def dirichlet_energy_density(fld, cache):
     if f.ndim == 2:
         f = f[..., None]
     hu, hv = cache.hu, cache.hv
-    cuu, cvv, cuv = cache.cuu, cache.cvv, cache.cuv
-
-    au_p = 0.5 * (cuu + np.roll(cuu, -1, axis=0))
-    av_p = 0.5 * (cvv + np.roll(cvv, -1, axis=1))
     du = (np.roll(f, -1, axis=0) - f) / hu       # forward edge differences
     dv = (np.roll(f, -1, axis=1) - f) / hv
-    e_u = au_p * (du**2).sum(-1)
-    e_v = av_p * (dv**2).sum(-1)
+    e_u = cache.au * (du**2).sum(-1)
+    e_v = cache.av * (dv**2).sum(-1)
     # each edge contributes half to its two endpoint nodes
     density = 0.5 * (e_u + np.roll(e_u, 1, axis=0) + e_v + np.roll(e_v, 1, axis=1))
-
-    dcu = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * hu)
-    dcv = (np.roll(f, -1, axis=1) - np.roll(f, 1, axis=1)) / (2 * hv)
-    density += 2.0 * cuv * (dcu * dcv).sum(-1)
+    density += 2.0 * cache.cuv * (_central(f, 0, hu) * _central(f, 1, hv)).sum(-1)
     return density / cache.sqrt_det_g
 
 
@@ -433,8 +388,8 @@ def gauss_curvature_check(cache):
     ) / det
 
     hu, hv = cache.hu, cache.hv
-    dcu = lambda w: (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (2 * hu)
-    dcv = lambda w: (np.roll(w, -1, axis=1) - np.roll(w, 1, axis=1)) / (2 * hv)
+    dcu = lambda w: _central(w, 0, hu)
+    dcv = lambda w: _central(w, 1, hv)
     d2u = lambda w: (np.roll(w, -1, axis=0) - 2 * w + np.roll(w, 1, axis=0)) / hu**2
     d2v = lambda w: (np.roll(w, -1, axis=1) - 2 * w + np.roll(w, 1, axis=1)) / hv**2
 

@@ -82,7 +82,7 @@ def kappa_track(converged):
     t0 = time.perf_counter()
     t = e = 0.0
     for k in range(n_steps):
-        state, _, rec = coupled_step(state, None, cfg, t=t, e_accum=e)
+        state, rec = coupled_step(state, cfg, t=t, e_accum=e)
         t, e = rec.t, rec.E_accum
         if (k + 1) % 500 == 0 or k + 1 == n_steps:
             samples.append((t, geodesic_ball_volumes(state.cache, radii=0.5).kappa, e))
@@ -181,7 +181,7 @@ def test_criterion_4_preservation_consistency(caches, capfd):
     errs = []
     for dt in (0.999 * cap, 0.4995 * cap):
         cfg = FlowConfig(dt=dt, steps=1, scheme="rk2", lambda1_cadence=1000)
-        _, _, rec = coupled_step(state, None, cfg, with_consistency=True)
+        _, rec = coupled_step(state, cfg, with_consistency=True)
         errs.append(rec.consistency_error)
     ratio = errs[0] / errs[1]
     wall = time.perf_counter() - t0

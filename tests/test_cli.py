@@ -210,6 +210,21 @@ def test_run_rejects_malformed_numbers(flat_dir, tmp_path):
         assert message in out.stderr
 
 
+def test_run_old_renormalize_switch(flat_dir, tmp_path):
+    # the phase is always projected back to the sphere: a manifest written
+    # when that was a switch replays when it is on and is refused when off
+    man = (flat_dir / "flat-plane-torus-32x32.manifest").read_text()
+    assert "renormalize_phase" not in man
+    (tmp_path / "off.manifest").write_text(man + "renormalize_phase = false\n")
+    out = run_cli("run", "off.manifest", cwd=tmp_path)
+    assert_validation_failure(out)
+    assert "renormalize_phase" in out.stderr
+    (tmp_path / "on.manifest").write_text(man + "renormalize_phase = true\n")
+    out = run_cli("run", "on.manifest", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "flat-plane-torus-32x32.csv").read_text().split("\n")[1] == FLAT_ROW
+
+
 def test_run_unwritable_csv(flat_dir, tmp_path):
     man = (flat_dir / "flat-plane-torus-32x32.manifest").read_text()
     man = man.replace(
@@ -306,6 +321,10 @@ def test_check_rejects_non_numeric_snapshot(flat_dir, tmp_path):
     assert "empty" in out.stderr
     bad.write_text("[1, 2, 3]")
     assert_validation_failure(run_cli("check", str(bad), cwd=tmp_path))
+    bad.write_text(json.dumps({**good, "periods": [float("nan")] + good["periods"][1:]}))
+    out = run_cli("check", str(bad), cwd=tmp_path)
+    assert_validation_failure(out)
+    assert "periods" in out.stderr
 
 
 def test_spectrum_flat(flat_dir):

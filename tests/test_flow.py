@@ -8,6 +8,9 @@ surface off the euler path and the dt^2 term dominates up to the
 parabolic cap (ratio near 4).  Both are asserted.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,10 @@ def test_config_validation():
         FlowConfig(safety=0.0)
     with pytest.raises(InputError):
         FlowConfig(lambda1_cadence=-2)
+    # NaN passes every ordering test (dt <= 0, max_H < stop), so it is named
+    for name in ("c_mon", "dt", "max_h_below", "t_final"):
+        with pytest.raises(InputError, match=f"{name} must be finite"):
+            FlowConfig(**{name: float("nan")})
     FlowConfig(dt=1e-3, scheme="rk2", max_h_below=1e-6, t_final=2.0)
 
 
@@ -139,7 +146,7 @@ def test_harmonic_phase_is_fixed_point():
 
 def test_coupled_step_record_fields(pert64):
     cfg = FlowConfig(steps=1, lambda1_cadence=1000)
-    new_state, pf, rec = coupled_step(pert64, None, cfg, t=0.0, e_accum=0.0)
+    new_state, rec = coupled_step(pert64, cfg, t=0.0, e_accum=0.0)
     assert rec.t == pytest.approx(rec.dt)
     assert rec.area < pert64.cache.node_area().sum()
     assert rec.max_H > 0 and rec.max_A > 0
@@ -147,7 +154,6 @@ def test_coupled_step_record_fields(pert64):
         rec.dt * (pert64.cache.norm_H_sq.max() + np.sqrt(pert64.cache.norm_H_sq.max() * pert64.cache.norm_A_sq.max())),
         rel=1e-12,
     )
-    assert new_state.phase is pf
 
 
 # ---------------------------------------------------------------- consistency
@@ -156,7 +162,7 @@ def test_coupled_step_record_fields(pert64):
 def test_consistency_flat_exact():
     st = state_for("flat-plane-torus", 32)
     cfg = FlowConfig(steps=1, lambda1_cadence=1000)
-    _, _, rec = coupled_step(st, None, cfg, with_consistency=True)
+    _, rec = coupled_step(st, cfg, with_consistency=True)
     assert rec.consistency_error < 1e-14
 
 
@@ -167,7 +173,7 @@ def test_consistency_euler_floor(pert64):
     errs = []
     for dt in (0.999 * cap, 0.4995 * cap):
         cfg = FlowConfig(dt=dt, steps=1, lambda1_cadence=1000)
-        _, _, rec = coupled_step(pert64, None, cfg, with_consistency=True)
+        _, rec = coupled_step(pert64, cfg, with_consistency=True)
         errs.append(rec.consistency_error)
     ratio = errs[0] / errs[1]
     assert 1.9 < ratio < 2.8
@@ -180,7 +186,7 @@ def test_consistency_rk2_second_order(pert64):
     errs = []
     for dt in (0.999 * cap, 0.4995 * cap):
         cfg = FlowConfig(dt=dt, steps=1, scheme="rk2", lambda1_cadence=1000)
-        _, _, rec = coupled_step(pert64, None, cfg, with_consistency=True)
+        _, rec = coupled_step(pert64, cfg, with_consistency=True)
         errs.append(rec.consistency_error)
     ratio = errs[0] / errs[1]
     assert 3.0 < ratio < 5.0
@@ -193,7 +199,7 @@ def test_consistency_error_shrinks_with_h(pert64):
     for st in (pert64, st128):
         dt = cfl_dt(st.cache, 0.9)
         cfg = FlowConfig(dt=dt, steps=1, lambda1_cadence=1000)
-        _, _, rec = coupled_step(st, None, cfg, with_consistency=True)
+        _, rec = coupled_step(st, cfg, with_consistency=True)
         out[st.grid.nu] = rec.consistency_error
     assert 12.0 < out[64] / out[128] < 20.0
 
@@ -223,6 +229,16 @@ def test_monitor_insufficient_records(pert_run):
         efa_monitor(series.records[:1], 8.0)
     with pytest.raises(PreconditionError, match="insufficient-records"):
         efe_monitor([r for r in series.records if r.lambda1 is not None][:1], 8.0)
+
+
+def test_monitors_propagate_nan(pert_run):
+    # max(0, nan) is 0, which would read as "inequality held"
+    series, _ = pert_run
+    left, right = [r for r in series.records if r.lambda1 is not None][-2:]
+    tail = [dataclasses.replace(left, lambda1=float("nan")), right]
+    assert math.isnan(efa_monitor(tail, 8.0))
+    assert math.isnan(efe_monitor(tail, 8.0))
+    assert efa_monitor([left, right], 8.0) >= 0.0
 
 
 # ---------------------------------------------------------------- runner

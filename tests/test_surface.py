@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hkflow.errors import InputError, IOFailure, NumericalError
-from hkflow.kernel import AmbientSpace
+from hkflow.kernel import AmbientSpace, phi_field, standard_twistor_triple
 from hkflow.surface import (
     build_immersion,
     compute_geometry,
@@ -27,6 +27,8 @@ from hkflow.surface import (
 )
 
 TWO_PI = 2.0 * np.pi
+# constant shear, g_uv = 1/2, det g = 1; closes over x0-period pi
+SHEARED = dict(exprs=["u + 0.5*v", "v", "0*u", "0*u"], periods=[np.pi, TWO_PI, TWO_PI, TWO_PI])
 
 
 def cache_for(name, n, **params):
@@ -50,13 +52,7 @@ def perturbed48():
 
 @pytest.fixture(scope="module")
 def sheared64():
-    # constant shear, g_uv = 1/2, det g = 1; closes over x0-period pi
-    return cache_for(
-        "custom-expression",
-        64,
-        exprs=["u + 0.5*v", "v", "0*u", "0*u"],
-        periods=[np.pi, TWO_PI, TWO_PI, TWO_PI],
-    )
+    return cache_for("custom-expression", 64, **SHEARED)
 
 
 def test_flat_torus_metric_is_exact(flat64):
@@ -173,6 +169,44 @@ def test_frames_orthonormal_oriented(perturbed48):
     # metric Gram-Schmidt rows are orthonormal for g, not for the chords
     ggs = np.einsum("...ik,...kl,...jl->...ij", c.gs, c.g, c.gs)
     assert np.abs(ggs - np.eye(2)).max() < 1e-11
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("perturbed-complex-torus", {"eps": 0.05}),
+        ("clifford", {"R": 1.0, "r": 1.0}),
+        ("lagrangian-graph", {"eps": 0.2}),
+        ("custom-expression", SHEARED),
+    ],
+)
+def test_normal_frame_is_adapted_to_the_phase(name, params):
+    # e3 = J_b e1, e4 = J_b e2 for the tangent phase a_d = <J_d e1, e2>
+    # and its companion b, written out with the triple's matrices
+    c = cache_for(name, 48, **params)
+    js = standard_twistor_triple().as_stack()
+    a = np.stack([((c.e1 @ j.T) * c.e2).sum(-1) for j in js], axis=-1)
+    b = phi_field(a / np.linalg.norm(a, axis=-1, keepdims=True))
+    j_b = sum(b[..., d, None, None] * js[d] for d in range(3))
+    assert np.abs(c.e3 - np.einsum("...kl,...l->...k", j_b, c.e1)).max() < 1e-14
+    assert np.abs(c.e4 - np.einsum("...kl,...l->...k", j_b, c.e2)).max() < 1e-14
+
+
+def test_non_finite_node_is_named():
+    grid = build_immersion(scenario("perturbed-complex-torus", 16, 16, eps=0.05))
+    grid.positions[3, 5, 2] = np.nan
+    with pytest.raises(NumericalError, match=r"non-finite position at node \(3, 5\)") as err:
+        compute_geometry(grid)
+    assert "folding" not in str(err.value)
+
+
+def test_nan_metric_fails_the_det_floor():
+    # finite positions whose squared edges overflow: det g = inf * inf - inf
+    grid = build_immersion(
+        scenario("custom-expression", 16, 16, exprs=["1e200*(u + v)", "1e200*v", "0*u", "0*u"])
+    )
+    with pytest.raises(NumericalError, match="metric-degenerate"), np.errstate(all="ignore"):
+        compute_geometry(grid)
 
 
 def test_gauss_residual_refines_second_order():
