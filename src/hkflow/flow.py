@@ -131,10 +131,12 @@ def mcf_step(state, dt, scheme="euler"):
         raise InputError(f"unknown scheme {scheme!r}")
     moved = float(np.linalg.norm(disp, axis=-1).max())
     limit = DISPLACEMENT_FRACTION * cache.min_edge
-    if moved > limit:
+    if not moved <= limit:                      # NaN fails too
         raise NumericalError(
             f"stability-violation: displacement {moved:.3e} exceeds "
             f"{DISPLACEMENT_FRACTION} of the shortest edge {cache.min_edge:.3e}"
+            if math.isfinite(moved)
+            else f"non-finite displacement {moved} in the mean curvature step"
         )
     grid = SurfaceGrid(
         state.grid.nu,
@@ -161,9 +163,11 @@ def phase_heat_step(pf, cache, dt):
     tau_sq = float((tau * tau).sum(-1).max())
     defect = float(np.abs((pf.a * tau).sum(-1)).max())
     bound = DRIFT_MARGIN * (dt**2 * tau_sq + dt * defect) + 1e-13
-    if drift > bound:
+    if not drift <= bound:                      # NaN fails too
         raise NumericalError(
             f"phase-drift {drift:.3e} exceeds the projection budget {bound:.3e}"
+            if math.isfinite(drift)
+            else f"non-finite phase: unit drift {drift} before the projection"
         )
     return field_from_array(raw, cache)
 

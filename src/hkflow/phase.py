@@ -64,7 +64,7 @@ def phase_field(cache, triple):
     )
     worst = float(residual.max())
     if worst > FRAME_VERIFY_TOL:
-        ij = np.unravel_index(np.argmax(residual), residual.shape)
+        ij = tuple(int(k) for k in np.unravel_index(np.argmax(residual), residual.shape))
         raise FrameError(
             f"node frame at {ij} violates the twistor relations: residual {worst:.3e}"
         )

@@ -4,8 +4,10 @@ The eigenproblem is the pencil (A, W) with A = -W Lap assembled in
 sparse form from the same edge coefficients as the pointwise operator
 (the tests require the two to agree to machine precision) and W the
 diagonal of node areas.  A is symmetric positive semidefinite by
-construction, so the first nonzero eigenvalue comes from shifted inverse
-iteration with the constants projected out in the W inner product.
+construction, so the first nonzero eigenvalue comes from a preconditioned
+block iteration with the constants projected out in the W inner product.
+The preconditioner is the exact FFT inverse of the shifted pencil at the
+mean metric, so no matrix is factorized.
 """
 
 from collections import namedtuple
@@ -14,7 +16,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 
 from .errors import InputError, NumericalError, PreconditionError
 from .surface import _central, _cometric, surface_integral
@@ -61,19 +62,49 @@ def laplacian_matrix(cache):
     return a.tocsr(), w
 
 
+def _fft_inverse(cache, w, gamma):
+    """Exact inverse of A0 + gamma W0, applied to the columns of a block.
+
+    A0 is the pencil's operator with every edge coefficient replaced by
+    its mean and W0 = mean(w), so both are diagonal in the periodic
+    Fourier basis; where the metric coefficients are constant (flat,
+    Clifford and sheared tori) this is (A + gamma W)^-1 itself.
+    """
+    nu, nv = cache.grid.nu, cache.grid.nv
+    hu, hv = cache.hu, cache.hv
+    tu = 2 * np.pi * np.fft.fftfreq(nu)[:, None]
+    tv = 2 * np.pi * np.fft.rfftfreq(nv)[None, :]
+    symbol = (
+        cache.au.mean() * (2 - 2 * np.cos(tu)) * hv / hu
+        + cache.av.mean() * (2 - 2 * np.cos(tv)) * hu / hv
+        + 2 * cache.cuv.mean() * np.sin(tu) * np.sin(tv)
+    )
+    inverse = 1.0 / (symbol + gamma * w.mean())
+
+    def apply(block):
+        fields = block.T.reshape(-1, nu, nv)
+        out = np.fft.irfft2(np.fft.rfft2(fields) * inverse, s=(nu, nv))
+        return out.reshape(block.shape[1], -1).T
+
+    return apply
+
+
 def lambda1(cache, rtol=RAYLEIGH_RTOL, residual_tol=RESIDUAL_TOL):
     """First nonzero eigenvalue of the surface Laplacian.
 
-    Inverse power iteration with constant-mode deflation, run on a
-    4-column block with a Rayleigh-Ritz projection each sweep: the tori
-    of interest carry their lowest eigenvalue with multiplicity up to 4,
-    and a single vector cannot settle inside such a cluster.  Fixed
-    start block and direct sparse solves keep the result deterministic.
+    Preconditioned block iteration (LOBPCG, Knyazev 2001) on a 4-column
+    block with the constants deflated: the tori of interest carry their
+    lowest eigenvalue with multiplicity up to 4, and a single vector
+    cannot settle inside such a cluster.  Each sweep is a Rayleigh-Ritz
+    projection onto [X, T R, P], with R = A X - W X Theta the block
+    residual, T the FFT inverse of the shifted pencil at the mean metric,
+    and P the previous update outside X.  No matrix is factorized; the
+    fixed start block keeps the result deterministic.
     """
     a, w = laplacian_matrix(cache)
-    area = w.sum()
-    gamma = SHIFT_FRACTION * 4 * np.pi**2 / area
-    lu = spla.splu((a + sp.diags(gamma * w)).tocsc())
+    gamma = SHIFT_FRACTION * 4 * np.pi**2 / w.sum()
+    precondition = _fft_inverse(cache, w, gamma)
+    sqrt_w = np.sqrt(w)[:, None]
 
     uu, vv = cache.grid.param_axes()
     x = np.stack(
@@ -85,21 +116,26 @@ def lambda1(cache, rtol=RAYLEIGH_RTOL, residual_tol=RESIDUAL_TOL):
         ],
         axis=1,
     )
+    k = x.shape[1]
 
     def orthonormalize(block):
-        block = block - np.outer(np.ones(block.shape[0]), w @ block) / area
-        chol = sla.cholesky(block.T @ (w[:, None] * block), lower=False)
-        return sla.solve_triangular(chol, block.T, lower=False, trans="T").T
+        # the constants lead the QR, so the rest is W-orthogonal to them;
+        # a QR cannot fail on a block that lost rank after convergence
+        q = np.linalg.qr(sqrt_w * np.column_stack([np.ones(len(w)), block]))[0]
+        return q[:, 1:] / sqrt_w
 
     lam_prev = np.inf
     x = orthonormalize(x)
+    ax, p = a @ x, x[:, :0]
     for iteration in range(1, MAX_ITERATIONS + 1):
-        y = orthonormalize(lu.solve(w[:, None] * x))
-        small = y.T @ (a @ y)
+        rx = ax - w[:, None] * (x @ (x.T @ ax))
+        s = orthonormalize(np.column_stack([x, precondition(rx), p]))
+        a_s = a @ s
+        small = s.T @ a_s
         theta, rot = sla.eigh(0.5 * (small + small.T))
-        y = y @ rot
+        x, ax, p = s @ rot[:, :k], a_s @ rot[:, :k], s[:, k:] @ rot[k:, :k]
         lam = float(theta[0])
-        v = y[:, 0]
+        v = x[:, 0]
         r = a @ v - lam * (w * v)
         residual = float(np.sqrt((r * r / w).sum()))
         if (
@@ -108,7 +144,7 @@ def lambda1(cache, rtol=RAYLEIGH_RTOL, residual_tol=RESIDUAL_TOL):
         ):
             shape = (cache.grid.nu, cache.grid.nv)
             return SpectralResult(lam, v.reshape(shape), iteration, residual)
-        lam_prev, x = lam, y
+        lam_prev = lam
     raise NumericalError(
         f"eigensolver stalled after {MAX_ITERATIONS} iterations "
         f"(last residual {residual:.3e}, Ritz gap estimate {theta[1] - theta[0]:.3e})"

@@ -259,7 +259,7 @@ def compute_geometry(grid):
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
     floor = DET_FLOOR_REL * float(np.mean(det))
     if not np.min(det) > max(floor, 0.0):       # NaN fails too
-        ij = np.unravel_index(np.argmin(det), det.shape)
+        ij = tuple(int(k) for k in np.unravel_index(np.argmin(det), det.shape))
         raise NumericalError(
             f"metric-degenerate at node {ij}: det g = {np.min(det):.3e}"
         )

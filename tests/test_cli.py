@@ -24,10 +24,11 @@ CSV_HEADER = (
 )
 
 # flat 32^2 single-row series, frozen byte for byte (lambda1 at 32^2 is
-# 1 - h^2/12 + O(h^4) and the solver is deterministic)
+# the symbol 4 sin^2(h/2) / h^2, h = 2 pi / 32, up to the solver's
+# roundoff, and the solver is deterministic)
 FLAT_ROW = (
     "0.0000000000000000e+00,0.0000000000000000e+00,3.9478417604357432e+01,"
-    "0.0000000000000000e+00,9.9679136404495949e-01,0.0000000000000000e+00,"
+    "0.0000000000000000e+00,9.9679136404495794e-01,0.0000000000000000e+00,"
     "0.0000000000000000e+00,0.0000000000000000e+00,0.0000000000000000e+00,"
     ",,0.0000000000000000e+00,0.0000000000000000e+00,"
 )
@@ -132,6 +133,9 @@ def test_run_flat_golden_csv(flat_dir):
     text = (flat_dir / "flat-plane-torus-32x32.csv").read_text()
     assert text == CSV_HEADER + "\n" + FLAT_ROW + "\n"
     assert (flat_dir / "flat-plane-torus-32x32.final.json").exists()
+    h = 2 * np.pi / 32
+    symbol = 4 * np.sin(h / 2) ** 2 / h**2
+    assert float(FLAT_ROW.split(",")[4]) == pytest.approx(symbol, rel=1e-14, abs=0)
 
 
 def test_run_is_byte_deterministic(tmp_path):

@@ -115,6 +115,24 @@ def test_displacement_guard():
         mcf_step(st, 0.1)
 
 
+def test_displacement_guard_names_nan():
+    st = state_for("perturbed-complex-torus", 16, eps=0.05)
+    h = st.cache.H.copy()
+    h[4, 7, 0] = np.nan
+    st = dataclasses.replace(st, cache=dataclasses.replace(st.cache, H=h))
+    with pytest.raises(NumericalError, match="non-finite displacement nan"):
+        mcf_step(st, 1e-4)
+
+
+def test_phase_drift_guard_names_nan():
+    st = state_for("perturbed-complex-torus", 16, eps=0.05)
+    a = st.phase.a.copy()
+    a[4, 7] = np.nan
+    dt = 0.5 * cfl_dt(st.cache)
+    with pytest.raises(NumericalError, match="non-finite phase: unit drift nan"):
+        phase_heat_step(dataclasses.replace(st.phase, a=a), st.cache, dt)
+
+
 def test_phase_step_parabolic_guard():
     st = state_for("flat-plane-torus", 16)
     cap = 0.25 * metric_spacing(st.cache) ** 2

@@ -265,7 +265,7 @@ def test_phase_field_rejects_broken_frames(perturbed):
     # second twistor relation fails by |2 e3| at every node
     c, _ = perturbed[64]
     broken = dataclasses.replace(c, e3=c.e4, e4=c.e3)
-    with pytest.raises(FrameError, match="twistor relations"):
+    with pytest.raises(FrameError, match=r"node frame at \(\d+, \d+\) violates the twistor"):
         phase_field(broken, TRIPLE)
 
 

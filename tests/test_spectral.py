@@ -10,10 +10,15 @@ against the pointwise operator at machine precision.
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
 
-from hkflow.errors import InputError, PreconditionError
+import hkflow.spectral as spectral
+from hkflow.errors import InputError, NumericalError, PreconditionError
 from hkflow.spectral import (
+    RESIDUAL_TOL,
+    SHIFT_FRACTION,
     CollapseReport,
     _chord_graph,
     c0_from_l2_validator,
@@ -114,6 +119,91 @@ def test_lambda1_deterministic(perturbed64):
     assert r1.lambda1 == r2.lambda1
     assert np.array_equal(r1.vector, r2.vector)
     assert 0.99 < r1.lambda1 < 1.0                 # 0.99795 measured
+
+
+def inverse_iteration_reference(cache, rtol=1e-10, residual_tol=1e-7):
+    """Reference: shifted inverse iteration on the same 4-column start
+    block, one sparse LU of A + gamma W and a Rayleigh-Ritz step per
+    sweep.  Returns (lambda1, iterations)."""
+    a, w = laplacian_matrix(cache)
+    area = w.sum()
+    gamma = SHIFT_FRACTION * 4 * np.pi**2 / area
+    lu = spla.splu((a + sp.diags(gamma * w)).tocsc())
+    uu, vv = cache.grid.param_axes()
+    x = np.stack(
+        [
+            np.cos(uu).ravel(),
+            np.sin(vv).ravel(),
+            np.cos(uu + 2 * vv).ravel(),
+            np.sin(2 * uu - vv).ravel(),
+        ],
+        axis=1,
+    )
+
+    def orthonormalize(block):
+        block = block - np.outer(np.ones(block.shape[0]), w @ block) / area
+        chol = sla.cholesky(block.T @ (w[:, None] * block), lower=False)
+        return sla.solve_triangular(chol, block.T, lower=False, trans="T").T
+
+    lam_prev = np.inf
+    x = orthonormalize(x)
+    for iteration in range(1, 10_000):
+        y = orthonormalize(lu.solve(w[:, None] * x))
+        small = y.T @ (a @ y)
+        theta, rot = sla.eigh(0.5 * (small + small.T))
+        y = y @ rot
+        lam = float(theta[0])
+        r = a @ y[:, 0] - lam * (w * y[:, 0])
+        residual = float(np.sqrt((r * r / w).sum()))
+        if (
+            abs(lam - lam_prev) <= rtol * max(abs(lam), 1e-30)
+            and residual <= residual_tol * max(1.0, abs(lam))
+        ):
+            return lam, iteration
+        lam_prev, x = lam, y
+    raise AssertionError("reference inverse iteration did not converge")
+
+
+SPECTRAL_SCENARIOS = {
+    f"{key}-{n}": (name, n, params)
+    for n in (32, 64)
+    for key, name, params in (
+        ("flat", "flat-plane-torus", {}),
+        ("clifford", "clifford", dict(R=1.0, r=1.0)),
+        ("perturbed", "perturbed-complex-torus", dict(eps=0.05)),
+        ("lagrangian", "lagrangian-graph", dict(eps=0.1)),
+    )
+}
+SPECTRAL_SCENARIOS["rectangular-64"] = ("flat-plane-torus", 64, dict(Lv=2 * TWO_PI))
+SPECTRAL_SCENARIOS["sheared-48"] = ("custom-expression", 48, SHEAR)
+
+
+@pytest.mark.parametrize("key", sorted(SPECTRAL_SCENARIOS))
+def test_lambda1_matches_inverse_iteration_reference(key):
+    name, n, params = SPECTRAL_SCENARIOS[key]
+    c = cache_for(name, n, **params)
+    ref, ref_iterations = inverse_iteration_reference(c)
+    res = lambda1(c)
+    assert abs(res.lambda1 - ref) <= 1e-12 * ref
+    assert res.iterations <= ref_iterations
+    a, w = laplacian_matrix(c)
+    v = res.vector.ravel()
+    r = a @ v - res.lambda1 * (w * v)
+    assert res.residual == pytest.approx(np.sqrt((r * r / w).sum()), rel=1e-6, abs=1e-15)
+    assert res.residual <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("name, params", [
+    ("flat-plane-torus", {}),
+    ("perturbed-complex-torus", dict(eps=0.05)),
+])
+def test_lambda1_stall_raises(monkeypatch, name, params):
+    # a residual tolerance of zero is never met, so every sweep runs,
+    # including those after the block has lost rank
+    monkeypatch.setattr(spectral, "MAX_ITERATIONS", 6)
+    with pytest.raises(NumericalError, match="eigensolver stalled after 6 iterations") as exc:
+        lambda1(cache_for(name, 32, **params), residual_tol=0.0)
+    assert "nan" not in str(exc.value)
 
 
 def test_ball_volumes_flat(flat64):

@@ -264,6 +264,15 @@ def test_degenerate_metric_detected():
         compute_geometry(grid)
 
 
+def test_degenerate_node_is_named():
+    # zeroing the second coordinate of the flat torus collapses every
+    # v-edge; the node prints as plain integers
+    grid = build_immersion(scenario("flat-plane-torus", 16, 16))
+    grid.positions[..., 1] = 0.0
+    with pytest.raises(NumericalError, match=r"metric-degenerate at node \(0, 0\): det g"):
+        compute_geometry(grid)
+
+
 def test_laplacian_shape_mismatch(flat64):
     with pytest.raises(InputError, match="shape"):
         laplace_beltrami(np.zeros((8, 8)), flat64)
