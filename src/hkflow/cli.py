@@ -30,11 +30,12 @@ from .phase import (
     plf_residual,
     polar_identity_check,
 )
-from .spectral import RESIDUAL_TOL, lambda1, laplacian_matrix
+from .spectral import RESIDUAL_TOL, lambda1
 from .surface import (
     build_immersion,
     compute_geometry,
     gauss_curvature_check,
+    laplacian_matrix,
     load_snapshot,
     save_snapshot,
     scenario,

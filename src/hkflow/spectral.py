@@ -1,13 +1,11 @@
 """Spectral gap, geodesic ball volumes, and the sup-norm validator.
 
-The eigenproblem is the pencil (A, W) with A = -W Lap assembled in
-sparse form from the same edge coefficients as the pointwise operator
-(the tests require the two to agree to machine precision) and W the
-diagonal of node areas.  A is symmetric positive semidefinite by
-construction, so the first nonzero eigenvalue comes from a preconditioned
-block iteration with the constants projected out in the W inner product.
-The preconditioner is the exact FFT inverse of the shifted pencil at the
-mean metric, so no matrix is factorized.
+The eigenproblem is the pencil (A, W) of surface.laplacian_matrix, the
+operator the phase heat step applies: A = -W Lap is symmetric positive
+semidefinite and W is the diagonal of node areas.  The first nonzero
+eigenvalue comes from a block iteration with the constants projected out
+in the W inner product, preconditioned by the exact FFT inverse of the
+shifted pencil at the mean metric, so no matrix is factorized.
 """
 
 from collections import namedtuple
@@ -18,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import InputError, NumericalError, PreconditionError
-from .surface import _central, _cometric, surface_integral
+from .surface import _central, _cometric, laplacian_matrix, surface_integral
 
 RAYLEIGH_RTOL = 1e-10
 RESIDUAL_TOL = 1e-7
@@ -28,38 +26,6 @@ SHIFT_FRACTION = 0.01     # of the natural gap scale 4 pi^2 / area
 SpectralResult = namedtuple("SpectralResult", "lambda1 vector iterations residual")
 CollapseReport = namedtuple("CollapseReport", "kappa radius samples")
 ValidatorReport = namedtuple("ValidatorReport", "bound max_observed holds epsilon kappa")
-
-
-def _cyclic_shift(n, k):
-    rows = np.arange(n)
-    return sp.csr_matrix((np.ones(n), (rows, (rows + k) % n)), shape=(n, n))
-
-
-def laplacian_matrix(cache):
-    """Sparse (A, w) with A = -W Lap, w the node-area diagonal.
-
-    A x equals -w * laplace_beltrami(x) for every field x; the skew
-    central cross blocks and the symmetric flux blocks make A exactly
-    symmetric, so eigensolvers can rely on it.
-    """
-    nu, nv = cache.grid.nu, cache.grid.nv
-    hu, hv = cache.hu, cache.hv
-    eye_u, eye_v = sp.identity(nu, format="csr"), sp.identity(nv, format="csr")
-    su = sp.kron(_cyclic_shift(nu, 1), eye_v, format="csr")
-    sv = sp.kron(eye_u, _cyclic_shift(nv, 1), format="csr")
-    ident = sp.identity(nu * nv, format="csr")
-
-    duf = (su - ident) / hu
-    dvf = (sv - ident) / hv
-    duc = (su - su.T) / (2 * hu)
-    dvc = (sv - sv.T) / (2 * hv)
-
-    au, av, cc = (sp.diags(c.ravel()) for c in (cache.au, cache.av, cache.cuv))
-    a = (hu * hv) * (
-        duf.T @ au @ duf + dvf.T @ av @ dvf - duc @ cc @ dvc - dvc @ cc @ duc
-    )
-    w = (cache.sqrt_det_g * hu * hv).ravel()
-    return a.tocsr(), w
 
 
 def _fft_inverse(cache, w, gamma):

@@ -15,14 +15,19 @@ the two and visibly biases |H|^2.
 
 The normal frame (e3, e4) = (J_b e1, J_b e2) is adapted to the tangent
 phase a and its companion b = kernel.phi_field(a), positive by construction.
+
+The one surface Laplacian is laplacian_matrix: a nine-point stencil filled
+from the edge fluxes into a CSR pattern cached per grid size.
 """
 
 import ast
+import functools
 import json
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError, IOFailure, NumericalError
 from .kernel import AmbientSpace, _apply_phase, _tangent_phase, phi_field, standard_twistor_triple
@@ -270,10 +275,14 @@ def compute_geometry(grid):
     ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
     sqrt_det_g = np.sqrt(det)
 
-    # ambient-orthonormal tangent pair (for frames and the phase)
-    e1 = f_u / np.linalg.norm(f_u, axis=-1, keepdims=True)
-    e2 = f_v - (f_v * e1).sum(-1, keepdims=True) * e1
-    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+    # ambient-orthonormal tangent pair; the det floor reads edge lengths, so f_u can vanish
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = f_u / np.linalg.norm(f_u, axis=-1, keepdims=True)
+        e2 = f_v - (f_v * e1).sum(-1, keepdims=True) * e1
+        e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+    if not np.isfinite(e2).all():
+        ij = tuple(int(k) for k in np.argwhere(~np.isfinite(e2).all(-1))[0])
+        raise NumericalError(f"tangent-degenerate at node {ij}: f_u = {f_u[ij]}, f_v = {f_v[ij]}")
 
     # metric Gram-Schmidt rows for converting parameter indices to the
     # orthonormal frame; uses the edge metric, not ambient dots, so tensor
@@ -325,32 +334,55 @@ def compute_geometry(grid):
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _stencil_pattern(nu, nv):
+    """int32 CSR indptr, indices of the periodic nine-point stencil, node last.
+    Read-only: scipy sorts a matrix's indices in place, so each matrix copies them."""
+    i, j = np.indices((nu, nv), dtype=np.int32)
+    offsets = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1), (0, 0))
+    indices = np.stack([(i + di) % nu * nv + (j + dj) % nv for di, dj in offsets], -1).ravel()
+    indptr = np.arange(0, indices.size + 1, len(offsets), dtype=np.int32)
+    indices.flags.writeable = indptr.flags.writeable = False
+    return indptr, indices
+
+
+def laplacian_matrix(cache):
+    """Sparse (A, w) with A = -W Lap, w the node-area diagonal.
+
+    Row (i, j) holds edge fluxes au, av toward the axis neighbours and the
+    centred cross flux cuv toward the diagonal ones, each computed once and
+    mirrored, so A is exactly symmetric.  The diagonal is stored last, as the
+    negated left-to-right sum of the eight entries before it: the sparse
+    product adds a row in that order, so A @ 1 is exactly 0.
+    """
+    nu, nv = cache.grid.nu, cache.grid.nv
+    east = -(cache.hv / cache.hu) * cache.au     # toward (i+1, j)
+    north = -(cache.hu / cache.hv) * cache.av    # toward (i, j+1)
+    cuv_east = np.roll(cache.cuv, -1, axis=0)
+    north_east = -0.25 * (cuv_east + np.roll(cache.cuv, -1, axis=1))
+    south_east = 0.25 * (cuv_east + np.roll(cache.cuv, 1, axis=1))
+    # toward (i-1, *) and (i, j-1): the neighbour's entry toward (i, j)
+    offdiag = [np.roll(north_east, (1, 1), axis=(0, 1)), np.roll(east, 1, axis=0),
+               np.roll(south_east, (1, -1), axis=(0, 1)), np.roll(north, 1, axis=1),
+               north, south_east, east, north_east]
+    data = np.stack(offdiag + [-sum(offdiag)], axis=-1).ravel()
+    indptr, indices = _stencil_pattern(nu, nv)
+    a = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(nu * nv, nu * nv))
+    return a, cache.node_area().ravel()
+
+
 def laplace_beltrami(fld, cache):
     """Conservative-form Laplace-Beltrami of a scalar or vector field.
 
-    (1/sqrt g) d_i (sqrt g g^{ij} d_j f) with edge-averaged diagonal fluxes
-    and centered cross fluxes; symmetric and nonpositive against the area
-    weights, exact on constants.
+    (1/sqrt g) d_i (sqrt g g^{ij} d_j f) as -(A f) / w, (A, w) from
+    laplacian_matrix: symmetric and nonpositive against the area weights,
+    exactly 0 on constants since A's diagonal closes each row in summation order.
     """
     f = np.asarray(fld, float)
     if f.shape[:2] != cache.sqrt_det_g.shape:
         raise InputError(f"field shape {f.shape} does not match the grid")
-    vec = f.ndim == 3
-    if not vec:
-        f = f[..., None]
-    hu, hv = cache.hu, cache.hv
-    au, av, cuv = cache.au[..., None], cache.av[..., None], cache.cuv[..., None]
-
-    out = (
-        au * (np.roll(f, -1, axis=0) - f) - np.roll(au, 1, axis=0) * (f - np.roll(f, 1, axis=0))
-    ) / hu**2
-    out += (
-        av * (np.roll(f, -1, axis=1) - f) - np.roll(av, 1, axis=1) * (f - np.roll(f, 1, axis=1))
-    ) / hv**2
-    out += _central(cuv * _central(f, 1, hv), 0, hu) + _central(cuv * _central(f, 0, hu), 1, hv)
-
-    out /= cache.sqrt_det_g[..., None]
-    return out if vec else out[..., 0]
+    a, w = laplacian_matrix(cache)
+    return (-(a @ f.reshape(w.size, -1)) / w[:, None]).reshape(f.shape)
 
 
 def dirichlet_energy_density(fld, cache):

@@ -28,7 +28,7 @@ CSV_HEADER = (
 # roundoff, and the solver is deterministic)
 FLAT_ROW = (
     "0.0000000000000000e+00,0.0000000000000000e+00,3.9478417604357432e+01,"
-    "0.0000000000000000e+00,9.9679136404495794e-01,0.0000000000000000e+00,"
+    "0.0000000000000000e+00,9.9679136404495861e-01,0.0000000000000000e+00,"
     "0.0000000000000000e+00,0.0000000000000000e+00,0.0000000000000000e+00,"
     ",,0.0000000000000000e+00,0.0000000000000000e+00,"
 )
@@ -369,3 +369,22 @@ def test_spectrum_degenerate_snapshot(flat_dir, tmp_path):
     out = run_cli("spectrum", str(bad), cwd=tmp_path)
     assert out.returncode == 3
     assert "metric-degenerate" in out.stderr
+
+
+@pytest.mark.parametrize("nu", [16, 2])
+def test_vanishing_central_tangent_exits_3(tmp_path, nu):
+    # rows of nodes alternate between two parallel unit circles: every
+    # edge is long, so the det floor passes, but F(i+1) - F(i-1) = 0
+    t = 2 * np.pi * np.arange(16) / 16
+    pos = np.zeros((nu, 16, 4))
+    pos[..., 0], pos[..., 1] = np.cos(t), np.sin(t)
+    pos[..., 2] = 0.5 * (np.arange(nu) % 2)[:, None]
+    snap = tmp_path / "alternating.json"
+    doc = {"version": 1, "nu": nu, "nv": 16, "periods": None, "positions": pos.ravel().tolist()}
+    snap.write_text(json.dumps(doc))
+    for cmd in ("check", "spectrum"):
+        out = run_cli(cmd, str(snap), cwd=tmp_path)
+        assert out.returncode == 3, out.stderr
+        assert "tangent-degenerate at node (0, 0)" in out.stderr
+        assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
+        assert out.stdout == ""

@@ -8,6 +8,7 @@ convergence order.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ import pytest
 from hkflow.errors import InputError, IOFailure, NumericalError
 from hkflow.kernel import AmbientSpace, phi_field, standard_twistor_triple
 from hkflow.surface import (
+    SurfaceGrid,
     build_immersion,
     compute_geometry,
     dirichlet_energy_density,
     gauss_curvature_check,
     laplace_beltrami,
+    laplacian_matrix,
     load_snapshot,
     save_snapshot,
     scenario,
@@ -93,7 +96,7 @@ def test_clifford_area_closed_form(clifford64):
     assert 0.02 < TWO_PI**2 - area < 0.04
 
 
-def test_laplacian_fourier_modes(flat64):
+def test_laplacian_fourier_modes(flat64, perturbed48, sheared64):
     uu, vv = flat64.grid.param_axes()
     # symbol error h^2/12 per direction: 8.03e-4 at 64^2
     err1 = np.abs(laplace_beltrami(np.sin(uu), flat64) + np.sin(uu)).max()
@@ -102,6 +105,15 @@ def test_laplacian_fourier_modes(flat64):
     err2 = np.abs(laplace_beltrami(f2, flat64) + 2 * f2).max()
     assert err2 < 2e-3
     assert np.abs(laplace_beltrami(np.ones((64, 64)), flat64)).max() < 1e-13
+    # each row's diagonal closes the sum in the product's own order
+    for c in (perturbed48, sheared64, cache_for("lagrangian-graph", 48, eps=0.1)):
+        a, _ = laplacian_matrix(c)
+        assert np.all(a @ np.ones(a.shape[0]) == 0.0)
+        assert np.all(laplace_beltrami(np.ones(c.sqrt_det_g.shape + (3,)), c) == 0.0)
+        a.sort_indices()            # scipy may reorder one matrix in place ...
+        b, _ = laplacian_matrix(c)  # ... and the next one keeps its own order
+        assert abs(b - a).max() == 0.0
+        assert np.all(b @ np.ones(b.shape[0]) == 0.0)
 
     c128 = cache_for("flat-plane-torus", 128)
     u2, _ = c128.grid.param_axes()
@@ -270,6 +282,27 @@ def test_degenerate_node_is_named():
     grid = build_immersion(scenario("flat-plane-torus", 16, 16))
     grid.positions[..., 1] = 0.0
     with pytest.raises(NumericalError, match=r"metric-degenerate at node \(0, 0\): det g"):
+        compute_geometry(grid)
+
+
+@pytest.mark.parametrize("axis, message", [
+    (0, r"f_u = \[0\. 0\. 0\. 0\.\], f_v = \[\S"),
+    (1, r"f_u = \[\S.*\], f_v = \[0\. 0\. 0\. 0\.\]"),
+])
+def test_vanishing_central_tangent_is_named(axis, message):
+    # nodes alternate along one axis between two parallel unit circles:
+    # every edge is long, so the edge-metric det floor passes, but the
+    # central tangent F(k+1) - F(k-1) along that axis is zero everywhere
+    t = TWO_PI * np.arange(16) / 16
+    pos = np.zeros((16, 16, 4))
+    pos[..., 0], pos[..., 1] = np.cos(t), np.sin(t)
+    pos[..., 2] = 0.5 * (np.arange(16) % 2)[:, None]
+    if axis == 1:
+        pos = pos.transpose(1, 0, 2).copy()
+    grid = SurfaceGrid(16, 16, pos, AmbientSpace(None))
+    match = r"tangent-degenerate at node \(0, 0\): " + message
+    with warnings.catch_warnings(), pytest.raises(NumericalError, match=match):
+        warnings.simplefilter("error")        # no division warning first
         compute_geometry(grid)
 
 
