@@ -16,9 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .kernel import standard_twistor_triple
+from .kernel import _dot, standard_twistor_triple
 from .phase import PhaseField, field_from_array, phase_field, tension_field, twistor_energy
-from .surface import ScenarioSpec, SurfaceGrid, build_immersion, compute_geometry, surface_integral
+from .surface import (
+    ScenarioSpec, SurfaceGrid, _planes, build_immersion, compute_geometry, surface_integral,
+)
 
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
 DRIFT_MARGIN = 1.5              # on the predicted pre-projection unit drift
@@ -183,13 +185,16 @@ def consistency_check(state, pf_evolved):
 
 def metric_evolution_monitor(before, after, dt):
     """Defect of d/dt g_ij = -2 H^alpha h^alpha_ij at the step scale."""
-    rate = (after.cache.g - before.cache.g) / dt
-    hten = np.einsum("...a,...aij->...ij", _normal_H(before.cache), before.cache.h)
-    return float(np.abs(rate + 2.0 * hten).max())
+    rate = (_planes(after.cache.g, 2) - _planes(before.cache.g, 2)) / dt
+    n3, n4 = _normal_H(before.cache)
+    h = _planes(before.cache.h, 3)
+    return float(np.abs(rate + 2.0 * (n3 * h[0] + n4 * h[1])).max())
 
 
 def _normal_H(cache):
-    return np.stack([(cache.H * cache.e3).sum(-1), (cache.H * cache.e4).sum(-1)], axis=-1)
+    """(<H, e3>, <H, e4>) as planes (2, nu, nv)."""
+    big_h = _planes(cache.H)
+    return np.stack([_dot(big_h, _planes(cache.e3)), _dot(big_h, _planes(cache.e4))])
 
 
 def _record(state, t, dt, e_accum):

@@ -124,28 +124,63 @@ def phase_operator(a, triple):
 
 
 def phi_field(a):
-    """Deterministic companion phase b(x) orthogonal to a(x).
+    """Deterministic companion phase b(x) orthogonal to a(x), a of shape (..., 3).
 
     z x a away from the poles of the third axis, x x a near them; both
     branches are normalized cross products so b is unit and b . a = 0.
     """
-    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
-    zxa = np.stack([-a2, a1, np.zeros_like(a1)], axis=-1)
-    xxa = np.stack([np.zeros_like(a1), -a3, a2], axis=-1)
-    use_z = np.linalg.norm(zxa, axis=-1) > PHI_SWAP_TOL
-    b = np.where(use_z[..., None], zxa, xxa)
-    return b / np.linalg.norm(b, axis=-1, keepdims=True)
+    return np.moveaxis(_companion(np.moveaxis(np.asarray(a, float), -1, 0)), 0, -1)
+
+
+def _dot(x, y):
+    """Inner product of two stacks of component planes, x0 y0 + x1 y1 + ...
+
+    Summed left to right, the order numpy reduces a short last axis in.
+    """
+    out = x[0] * y[0]
+    for xk, yk in zip(x[1:], y[1:]):
+        out += xk * yk
+    return out
+
+
+def _companion(a):
+    """phi_field on component planes: a (3, ...) -> b (3, ...)."""
+    a1, a2, a3 = a
+    zero = np.zeros_like(a1)
+    use_z = np.sqrt(a2 * a2 + a1 * a1) > PHI_SWAP_TOL     # |z x a|
+    b = np.stack([np.where(use_z, -a2, zero), np.where(use_z, a1, -a3), np.where(use_z, zero, a2)])
+    return b / np.sqrt(_dot(b, b))
+
+
+def _apply_j(j, vec):
+    """j @ vec for a 4x4 matrix j and component planes vec (4, ...).
+
+    Each output plane sums only the planes its row of j touches, so a
+    signed permutation (every J_d of the pinned triple) costs one scaled
+    copy per plane; any other matrix gets the full signed sum.
+    """
+    rows = []
+    for row in j:
+        ks = np.flatnonzero(row)
+        acc = row[ks[0]] * vec[ks[0]]
+        for k in ks[1:]:
+            acc += row[k] * vec[k]
+        rows.append(acc)
+    return np.stack(rows)
 
 
 def _tangent_phase(e1, e2, triple):
-    """Per-node unit a with a_d = <J_d e1, e2>, the phase of the plane (e1, e2)."""
-    a = np.stack([((e1 @ j.T) * e2).sum(-1) for j in triple.as_stack()], axis=-1)
-    return a / np.linalg.norm(a, axis=-1, keepdims=True)
+    """Unit a with a_d = <J_d e1, e2> on component planes: e1, e2 (4, ...) -> (3, ...)."""
+    a = np.stack([_dot(_apply_j(j, e1), e2) for j in triple.as_stack()])
+    return a / np.sqrt(_dot(a, a))
 
 
 def _apply_phase(coeff, vec, triple):
-    """(sum_d coeff_d J_d) vec for per-node coefficient and vector fields."""
-    return sum(coeff[..., d, None] * (vec @ j.T) for d, j in enumerate(triple.as_stack()))
+    """(sum_d coeff_d J_d) vec on component planes: coeff (3, ...), vec (4, ...)."""
+    out = coeff[0] * _apply_j(triple.j1, vec)
+    out += coeff[1] * _apply_j(triple.j2, vec)
+    out += coeff[2] * _apply_j(triple.j3, vec)
+    return out
 
 
 def symplectic_form(j, u, v):

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, PreconditionError
-from .kernel import _apply_phase, _tangent_phase, phi_field
+from .kernel import _apply_phase, _companion, _dot, _tangent_phase, phi_field
 from .surface import (
     _central,
     _cometric,
+    _node_major,
+    _planes,
     _second_fundamental_form,
     dirichlet_energy_density,
     laplace_beltrami,
@@ -42,33 +44,38 @@ class PhaseField:
 
 
 def _central_grad(fld, cache):
-    return np.stack([_central(fld, 0, cache.hu), _central(fld, 1, cache.hv)], axis=2)
+    """Central parameter gradient of planes (..., nu, nv) -> (2, ..., nu, nv)."""
+    return np.stack([_central(fld, -2, cache.hu), _central(fld, -1, cache.hv)])
+
+
+def _phase_from_planes(a, cache):
+    """PhaseField of a unit direction field given as planes (3, nu, nv)."""
+    a = _node_major(a)
+    grad_a = _node_major(_central_grad(_planes(a), cache))
+    return PhaseField(a, grad_a, dirichlet_energy_density(a, cache))
 
 
 def field_from_array(a, cache):
     """PhaseField from a raw per-node direction field (normalized first)."""
-    a = np.asarray(a, float)
-    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
-    return PhaseField(a, _central_grad(a, cache), dirichlet_energy_density(a, cache))
+    a = np.ascontiguousarray(_planes(np.asarray(a, float)))
+    return _phase_from_planes(a / np.sqrt(_dot(a, a)), cache)
 
 
 def phase_field(cache, triple):
     """Canonical phase of every node frame, with the defining relations
     verified in bulk (mirrors kernel.canonical_phase_from_frame)."""
-    e1, e2, e3, e4 = cache.e1, cache.e2, cache.e3, cache.e4
+    e1, e2, e3, e4 = (_planes(e) for e in (cache.e1, cache.e2, cache.e3, cache.e4))
     a = _tangent_phase(e1, e2, triple)
-    jpsi_e1 = _apply_phase(a, e1, triple)
-    jpsi_e3 = _apply_phase(a, e3, triple)
-    residual = np.linalg.norm(jpsi_e1 - e2, axis=-1) + np.linalg.norm(
-        jpsi_e3 + e4, axis=-1
-    )
+    d1 = _apply_phase(a, e1, triple) - e2
+    d3 = _apply_phase(a, e3, triple) + e4
+    residual = np.sqrt(_dot(d1, d1)) + np.sqrt(_dot(d3, d3))
     worst = float(residual.max())
     if worst > FRAME_VERIFY_TOL:
         ij = tuple(int(k) for k in np.unravel_index(np.argmax(residual), residual.shape))
         raise FrameError(
             f"node frame at {ij} violates the twistor relations: residual {worst:.3e}"
         )
-    return PhaseField(a, _central_grad(a, cache), dirichlet_energy_density(a, cache))
+    return _phase_from_planes(a, cache)
 
 
 def twistor_energy(pf, cache):
@@ -93,7 +100,7 @@ def _angle_grad(theta, cache):
     hu, hv = cache.hu, cache.hv
     du = _wrap_angle(np.roll(theta, -1, axis=0) - np.roll(theta, 1, axis=0)) / (2 * hu)
     dv = _wrap_angle(np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)) / (2 * hv)
-    return np.stack([du, dv], axis=2)
+    return np.stack([du, dv])
 
 
 def _winding(theta, axis):
@@ -125,12 +132,12 @@ def lagrangian_angle(pf, cache):
     theta = rows + (col0 - raw[:, 0])[:, None]
 
     # omega_{J3}(H, f_i) in the pinned convention; J3 H spelled out
-    H = cache.H
-    j3h = np.stack([H[..., 3], -H[..., 2], H[..., 1], -H[..., 0]], axis=-1)
-    r_u = (j3h * cache.f_u).sum(-1)
-    r_v = (j3h * cache.f_v).sum(-1)
+    H = _planes(cache.H)
+    j3h = np.stack([H[3], -H[2], H[1], -H[0]])
+    r_u = _dot(j3h, _planes(cache.f_u))
+    r_v = _dot(j3h, _planes(cache.f_v))
     dth = _angle_grad(theta, cache)
-    sq = _cometric(cache.ginv, r_u + dth[..., 0], r_v + dth[..., 1])
+    sq = _cometric(cache.ginv, r_u + dth[0], r_v + dth[1])
     residual = float(np.sqrt(max(surface_integral(sq, cache), 0.0)))
     winding = (_winding(raw, 0), _winding(raw, 1))
     return LagrangianAngle(theta, residual, winding)
@@ -158,18 +165,20 @@ def plf_residual(cache, pf, triple, companion=None):
     companion overrides the default b field; the result is independent
     of that choice, which the tests exercise.
     """
-    a = pf.a
-    b = phi_field(a) if companion is None else companion
-    axb = np.cross(a, b)
+    a = _planes(pf.a)
+    b = _planes(phi_field(pf.a) if companion is None else np.asarray(companion, float))
+    axb = np.cross(a, b, axis=0)
+    f_u, f_v = _planes(cache.f_u), _planes(cache.f_v)
 
-    kh = _apply_phase(b, cache.H, triple)          # J_b H
-    jkh = _apply_phase(a, kh, triple)              # J_a J_b H
-    p_u = (jkh * cache.f_u).sum(-1) - 1j * (kh * cache.f_u).sum(-1)
-    p_v = (jkh * cache.f_v).sum(-1) - 1j * (kh * cache.f_v).sum(-1)
+    kh = _apply_phase(b, _planes(cache.H), triple)     # J_b H
+    jkh = _apply_phase(a, kh, triple)                  # J_a J_b H
+    p_u = _dot(jkh, f_u) - 1j * _dot(kh, f_u)
+    p_v = _dot(jkh, f_v) - 1j * _dot(kh, f_v)
 
     # w(y) = <b(x), a(y)> + i <a x b(x), a(y)>, differentiated at y = x
-    dw_u = (b * pf.grad_a[..., 0, :]).sum(-1) + 1j * (axb * pf.grad_a[..., 0, :]).sum(-1)
-    dw_v = (b * pf.grad_a[..., 1, :]).sum(-1) + 1j * (axb * pf.grad_a[..., 1, :]).sum(-1)
+    grad_u, grad_v = _planes(pf.grad_a, 2)
+    dw_u = _dot(b, grad_u) + 1j * _dot(axb, grad_u)
+    dw_v = _dot(b, grad_v) + 1j * _dot(axb, grad_v)
 
     p1, p2 = _to_frame(p_u, p_v, cache)
     dw1, dw2 = _to_frame(dw_u, dw_v, cache)
@@ -187,9 +196,10 @@ def bja_identity(cache, pf, triple):
     adapted to (a, b): tangent (e1, e2), normals (J_b e1, J_b e2).
     Also returns the pointwise ratio |grad a| / |A|.
     """
-    b = phi_field(pf.a)
-    normals = (_apply_phase(b, cache.e1, triple), _apply_phase(b, cache.e2, triple))
-    hp = _second_fundamental_form(cache.f_uu, cache.f_uv, cache.f_vv, normals)
+    b = _companion(_planes(pf.a))
+    normals = tuple(_apply_phase(b, _planes(e), triple) for e in (cache.e1, cache.e2))
+    second = (_planes(f) for f in (cache.f_uu, cache.f_uv, cache.f_vv))
+    hp = _node_major(_second_fundamental_form(*second, normals))
     horth = np.einsum("...ik,...jl,...akl->...aij", cache.gs, cache.gs, hp, optimize=True)
 
     x = horth[..., 0, 1, :] - horth[..., 1, 0, :]      # h3_{2i} - h4_{1i}
@@ -221,8 +231,8 @@ def polar_identity_check(pf, cache):
     phi = np.arccos(np.clip(a3, -1.0, 1.0))
     dth = _angle_grad(theta, cache)
     dph = _central_grad(phi, cache)
-    sq_th = _cometric(cache.ginv, dth[..., 0], dth[..., 1])
-    rhs = np.sin(phi) ** 2 * sq_th + _cometric(cache.ginv, dph[..., 0], dph[..., 1])
+    sq_th = _cometric(cache.ginv, dth[0], dth[1])
+    rhs = np.sin(phi) ** 2 * sq_th + _cometric(cache.ginv, dph[0], dph[1])
     return np.abs(pf.energy_density - rhs)
 
 
@@ -231,9 +241,9 @@ def hyper_lagrangian_residual(cache, pf, triple):
 
     Identically zero in the continuum for any surface with its canonical
     phase; here it meters frame and phase self-consistency."""
-    a = pf.a
-    b = phi_field(a)
-    kb_e1 = _apply_phase(b, cache.e1, triple)
-    real = (_apply_phase(a, kb_e1, triple) * cache.e2).sum(-1)
-    imag = -(kb_e1 * cache.e2).sum(-1)
+    a = _planes(pf.a)
+    e1, e2 = _planes(cache.e1), _planes(cache.e2)
+    kb_e1 = _apply_phase(_companion(a), e1, triple)
+    real = _dot(_apply_phase(a, kb_e1, triple), e2)
+    imag = -_dot(kb_e1, e2)
     return np.maximum(np.abs(real), np.abs(imag))

@@ -30,7 +30,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError, IOFailure, NumericalError
-from .kernel import AmbientSpace, _apply_phase, _tangent_phase, phi_field, standard_twistor_triple
+from .kernel import (
+    AmbientSpace, _apply_phase, _companion, _dot, _tangent_phase, standard_twistor_triple,
+)
 
 DET_FLOOR_REL = 1e-10
 SNAPSHOT_VERSION = 1
@@ -224,44 +226,65 @@ def _cometric(ginv, xu, xv):
     return ginv[..., 0, 0] * xu**2 + 2 * ginv[..., 0, 1] * xu * xv + ginv[..., 1, 1] * xv**2
 
 
+def _node_major(planes):
+    """View component planes (..., nu, nv) as a node field (nu, nv, ...)."""
+    k = planes.ndim - 2
+    return planes.transpose(k, k + 1, *range(k))
+
+
+def _planes(fld, k=1):
+    """View a node field (nu, nv, ...) with k component axes as planes (..., nu, nv)."""
+    return fld.transpose(*range(2, 2 + k), 0, 1)
+
+
+def _displacement(ambient, p, q):
+    """Shortest-image q - p of two (4, nu, nv) plane stacks, as planes."""
+    return ambient.displacement(p.T, q.T).T
+
+
 def _second_fundamental_form(f_uu, f_uv, f_vv, normals):
-    """[alpha, i, j] = <f_ij, n_alpha> for a pair of normal fields."""
-    h = np.empty(f_uu.shape[:2] + (2, 2, 2))
+    """h[alpha, i, j] = <f_ij, n_alpha> on planes: (2, 2, 2, nu, nv)."""
+    h = np.empty((2, 2, 2) + f_uu.shape[1:])
     for alpha, n in enumerate(normals):
-        h[..., alpha, 0, 0] = (f_uu * n).sum(-1)
-        h[..., alpha, 0, 1] = h[..., alpha, 1, 0] = (f_uv * n).sum(-1)
-        h[..., alpha, 1, 1] = (f_vv * n).sum(-1)
+        h[alpha, 0, 0] = _dot(f_uu, n)
+        h[alpha, 0, 1] = h[alpha, 1, 0] = _dot(f_uv, n)
+        h[alpha, 1, 1] = _dot(f_vv, n)
     return h
 
 
 def compute_geometry(grid):
-    pos = grid.positions
-    hu, hv = grid.hu, grid.hv
-    amb = grid.ambient
+    """GeometryCache of a sampled surface.
 
-    finite = np.isfinite(pos).all(-1)
+    Computed on contiguous component planes, (4, nu, nv) for vectors and
+    (2, 2, nu, nv) for metric-like tensors, so every inner product is a
+    plane sum; the cache exposes each field as a (nu, nv, ...) view.
+    """
+    hu, hv = grid.hu, grid.hv
+    p = np.ascontiguousarray(np.moveaxis(grid.positions, -1, 0))
+
+    finite = np.isfinite(p).all(0)
     if not finite.all():
         ij = tuple(int(k) for k in np.unravel_index(np.argmin(finite), finite.shape))
-        raise NumericalError(f"non-finite position at node {ij}: {pos[ij]}")
+        raise NumericalError(f"non-finite position at node {ij}: {grid.positions[ij]}")
 
-    du_f = amb.displacement(pos, np.roll(pos, -1, axis=0))   # F(i+1,j) - F(i,j)
-    dv_f = amb.displacement(pos, np.roll(pos, -1, axis=1))
-    du_b = np.roll(du_f, 1, axis=0)              # F(i,j) - F(i-1,j)
-    dv_b = np.roll(dv_f, 1, axis=1)
+    du_f = _displacement(grid.ambient, p, np.roll(p, -1, axis=1))   # F(i+1,j) - F(i,j)
+    dv_f = _displacement(grid.ambient, p, np.roll(p, -1, axis=2))
+    du_b = np.roll(du_f, 1, axis=1)              # F(i,j) - F(i-1,j)
+    dv_b = np.roll(dv_f, 1, axis=2)
 
     f_u = (du_f + du_b) / (2 * hu)
     f_v = (dv_f + dv_b) / (2 * hv)
     f_uu = (du_f - du_b) / hu**2
     f_vv = (dv_f - dv_b) / hv**2
     # cross derivative: central difference of the (seam-free) tangent field
-    f_uv = _central(f_u, 1, hv)
+    f_uv = _central(f_u, 2, hv)
 
-    g = np.empty(pos.shape[:2] + (2, 2))
-    g[..., 0, 0] = 0.5 * ((du_f**2).sum(-1) + (du_b**2).sum(-1)) / hu**2
-    g[..., 1, 1] = 0.5 * ((dv_f**2).sum(-1) + (dv_b**2).sum(-1)) / hv**2
-    g[..., 0, 1] = g[..., 1, 0] = (f_u * f_v).sum(-1)
+    g = np.empty((2, 2) + finite.shape)
+    g[0, 0] = 0.5 * (_dot(du_f, du_f) + _dot(du_b, du_b)) / hu**2
+    g[1, 1] = 0.5 * (_dot(dv_f, dv_f) + _dot(dv_b, dv_b)) / hv**2
+    g[0, 1] = g[1, 0] = _dot(f_u, f_v)
 
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
     floor = DET_FLOOR_REL * float(np.mean(det))
     if not np.min(det) > max(floor, 0.0):       # NaN fails too
         ij = tuple(int(k) for k in np.unravel_index(np.argmin(det), det.shape))
@@ -270,67 +293,63 @@ def compute_geometry(grid):
         )
 
     ginv = np.empty_like(g)
-    ginv[..., 0, 0] = g[..., 1, 1] / det
-    ginv[..., 1, 1] = g[..., 0, 0] / det
-    ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
+    ginv[0, 0] = g[1, 1] / det
+    ginv[1, 1] = g[0, 0] / det
+    ginv[0, 1] = ginv[1, 0] = -g[0, 1] / det
     sqrt_det_g = np.sqrt(det)
 
     # ambient-orthonormal tangent pair; the det floor reads edge lengths, so f_u can vanish
     with np.errstate(divide="ignore", invalid="ignore"):
-        e1 = f_u / np.linalg.norm(f_u, axis=-1, keepdims=True)
-        e2 = f_v - (f_v * e1).sum(-1, keepdims=True) * e1
-        e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+        e1 = f_u / np.sqrt(_dot(f_u, f_u))
+        e2 = f_v - _dot(f_v, e1) * e1
+        e2 /= np.sqrt(_dot(e2, e2))
     if not np.isfinite(e2).all():
-        ij = tuple(int(k) for k in np.argwhere(~np.isfinite(e2).all(-1))[0])
-        raise NumericalError(f"tangent-degenerate at node {ij}: f_u = {f_u[ij]}, f_v = {f_v[ij]}")
+        ij = tuple(int(k) for k in np.argwhere(~np.isfinite(e2).all(0))[0])
+        raise NumericalError(
+            f"tangent-degenerate at node {ij}: f_u = {f_u[:, ij[0], ij[1]]}, "
+            f"f_v = {f_v[:, ij[0], ij[1]]}"
+        )
 
     # metric Gram-Schmidt rows for converting parameter indices to the
     # orthonormal frame; uses the edge metric, not ambient dots, so tensor
     # conversions share the Laplacian's symbol
-    ell = np.sqrt(g[..., 1, 1] - g[..., 0, 1] ** 2 / g[..., 0, 0])
-    gs = np.zeros(pos.shape[:2] + (2, 2))
-    gs[..., 0, 0] = 1.0 / np.sqrt(g[..., 0, 0])
-    gs[..., 1, 0] = -g[..., 0, 1] / (g[..., 0, 0] * ell)
-    gs[..., 1, 1] = 1.0 / ell
+    ell = np.sqrt(g[1, 1] - g[0, 1] ** 2 / g[0, 0])
+    gs = np.zeros_like(g)
+    gs[0, 0] = 1.0 / np.sqrt(g[0, 0])
+    gs[1, 0] = -g[0, 1] / (g[0, 0] * ell)
+    gs[1, 1] = 1.0 / ell
 
     # normals adapted to the tangent phase a (J_a e1 = e2) and its companion
     # b: J_a J_b = -J_b J_a gives J_a e3 = -e4, so the frame is positive
-    b = phi_field(_tangent_phase(e1, e2, _TRIPLE))
+    b = _companion(_tangent_phase(e1, e2, _TRIPLE))
     e3 = _apply_phase(b, e1, _TRIPLE)
     e4 = _apply_phase(b, e2, _TRIPLE)
     h = _second_fundamental_form(f_uu, f_uv, f_vv, (e3, e4))
 
-    trace = (
-        ginv[..., 0, 0, None] * f_uu
-        + 2 * ginv[..., 0, 1, None] * f_uv
-        + ginv[..., 1, 1, None] * f_vv
-    )
-    big_h = (
-        trace
-        - (trace * e1).sum(-1, keepdims=True) * e1
-        - (trace * e2).sum(-1, keepdims=True) * e2
-    )
-    norm_h_sq = (big_h**2).sum(-1)
+    trace = ginv[0, 0] * f_uu + 2 * ginv[0, 1] * f_uv + ginv[1, 1] * f_vv
+    big_h = trace - _dot(trace, e1) * e1 - _dot(trace, e2) * e2
+    norm_h_sq = _dot(big_h, big_h)
     norm_a_sq = np.einsum(
-        "...ik,...jl,...aij,...akl->...", ginv, ginv, h, h, optimize=True
+        "...ik,...jl,...aij,...akl->...", _node_major(ginv), _node_major(ginv),
+        _node_major(h), _node_major(h), optimize=True,
     )
 
     # diagonal fluxes sqrt(g) g^ii, averaged once onto the grid edges
-    flux_u = sqrt_det_g * ginv[..., 0, 0]
-    flux_v = sqrt_det_g * ginv[..., 1, 1]
+    flux_u = sqrt_det_g * ginv[0, 0]
+    flux_v = sqrt_det_g * ginv[1, 1]
 
-    min_edge = float(
-        min(np.sqrt((du_f**2).sum(-1)).min(), np.sqrt((dv_f**2).sum(-1)).min())
-    )
+    min_edge = float(min(np.sqrt(_dot(du_f, du_f)).min(), np.sqrt(_dot(dv_f, dv_f)).min()))
 
     return GeometryCache(
-        grid=grid, g=g, ginv=ginv, sqrt_det_g=sqrt_det_g,
-        f_u=f_u, f_v=f_v, f_uu=f_uu, f_uv=f_uv, f_vv=f_vv,
-        e1=e1, e2=e2, e3=e3, e4=e4, gs=gs, h=h,
-        H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq,
+        grid=grid, g=_node_major(g), ginv=_node_major(ginv), sqrt_det_g=sqrt_det_g,
+        f_u=_node_major(f_u), f_v=_node_major(f_v), f_uu=_node_major(f_uu),
+        f_uv=_node_major(f_uv), f_vv=_node_major(f_vv),
+        e1=_node_major(e1), e2=_node_major(e2), e3=_node_major(e3), e4=_node_major(e4),
+        gs=_node_major(gs), h=_node_major(h),
+        H=_node_major(big_h), norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq,
         au=0.5 * (flux_u + np.roll(flux_u, -1, axis=0)),
         av=0.5 * (flux_v + np.roll(flux_v, -1, axis=1)),
-        cuv=sqrt_det_g * ginv[..., 0, 1], min_edge=min_edge,
+        cuv=sqrt_det_g * ginv[0, 1], min_edge=min_edge,
     )
 
 
@@ -389,16 +408,15 @@ def dirichlet_energy_density(fld, cache):
     """Pointwise energy density |grad f|^2 distributed so that its area
     integral equals the quadratic form of -laplace_beltrami exactly."""
     f = np.asarray(fld, float)
-    if f.ndim == 2:
-        f = f[..., None]
+    f = f[None] if f.ndim == 2 else _planes(f)
     hu, hv = cache.hu, cache.hv
-    du = (np.roll(f, -1, axis=0) - f) / hu       # forward edge differences
-    dv = (np.roll(f, -1, axis=1) - f) / hv
-    e_u = cache.au * (du**2).sum(-1)
-    e_v = cache.av * (dv**2).sum(-1)
+    du = (np.roll(f, -1, axis=1) - f) / hu       # forward edge differences
+    dv = (np.roll(f, -1, axis=2) - f) / hv
+    e_u = cache.au * _dot(du, du)
+    e_v = cache.av * _dot(dv, dv)
     # each edge contributes half to its two endpoint nodes
     density = 0.5 * (e_u + np.roll(e_u, 1, axis=0) + e_v + np.roll(e_v, 1, axis=1))
-    density += 2.0 * cache.cuv * (_central(f, 0, hu) * _central(f, 1, hv)).sum(-1)
+    density += 2.0 * cache.cuv * _dot(_central(f, 1, hu), _central(f, 2, hv))
     return density / cache.sqrt_det_g
 
 
