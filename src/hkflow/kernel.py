@@ -15,7 +15,10 @@ Conventions, fixed once and used everywhere downstream:
   a_d = <J_d e1, e2>.  The second relation is automatic for positively
   oriented frames and is verified, not assumed.
 
-All operations are pure functions of immutable values.
+All operations are pure functions of immutable values.  The private
+per-node helpers (_dot, _apply_j, _tangent_phase, _apply_phase,
+_companion) take component planes: arrays whose FIRST axis holds the
+components, (4, nu, nv) for vectors and (3, nu, nv) for phases.
 """
 
 import math

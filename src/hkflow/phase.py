@@ -38,6 +38,8 @@ FRAME_VERIFY_TOL = 1e-6
 
 @dataclass
 class PhaseField:
+    """Fields are (nu, nv, ...) views of component planes, as in GeometryCache."""
+
     a: np.ndarray                 # (nu, nv, 3) unit phase vectors
     grad_a: np.ndarray            # (nu, nv, 2, 3) central parameter gradients
     energy_density: np.ndarray    # (nu, nv) edge-form |grad a|^2
@@ -50,9 +52,9 @@ def _central_grad(fld, cache):
 
 def _phase_from_planes(a, cache):
     """PhaseField of a unit direction field given as planes (3, nu, nv)."""
-    a = _node_major(a)
-    grad_a = _node_major(_central_grad(_planes(a), cache))
-    return PhaseField(a, grad_a, dirichlet_energy_density(a, cache))
+    node_a = _node_major(a)
+    grad_a = _node_major(_central_grad(a, cache))
+    return PhaseField(node_a, grad_a, dirichlet_energy_density(node_a, cache))
 
 
 def field_from_array(a, cache):

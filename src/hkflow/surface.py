@@ -18,6 +18,13 @@ phase a and its companion b = kernel.phi_field(a), positive by construction.
 
 The one surface Laplacian is laplacian_matrix: a nine-point stencil filled
 from the edge fluxes into a CSR pattern cached per grid size.
+
+Layout: the geometry is computed on component planes, a contiguous
+(4, nu, nv) array per vector field and (2, 2, nu, nv) per metric-like
+tensor, so an inner product is the plane sum x0 y0 + x1 y1 + x2 y2 + x3 y3
+and J_d acts by reindexing planes.  GeometryCache exposes every field in
+the (nu, nv, 4) / (nu, nv, 2, 2) layout as a transposed view of those
+planes; the phase fields of the phase module follow the same rule.
 """
 
 import ast
@@ -35,6 +42,7 @@ from .kernel import (
 )
 
 DET_FLOOR_REL = 1e-10
+MIN_GRID = 4              # fewest nodes per parameter axis, sampled or loaded
 SNAPSHOT_VERSION = 1
 _TRIPLE = standard_twistor_triple()
 
@@ -120,8 +128,10 @@ def _eval_expr(expr, u, v):
 
 def build_immersion(spec):
     """Sample one of the catalogue immersions onto a periodic grid."""
-    if spec.nu < 4 or spec.nv < 4:
-        raise InputError(f"grid too small: nu={spec.nu}, nv={spec.nv}")
+    if spec.nu < MIN_GRID or spec.nv < MIN_GRID:
+        raise InputError(
+            f"grid too small: nu={spec.nu}, nv={spec.nv}, need {MIN_GRID} x {MIN_GRID}"
+        )
     hu = 2.0 * np.pi / spec.nu
     hv = 2.0 * np.pi / spec.nv
     u = np.arange(spec.nu)[:, None] * hu * np.ones((1, spec.nv))
@@ -180,6 +190,9 @@ def build_immersion(spec):
 
 @dataclass
 class GeometryCache:
+    """Every array field is a (nu, nv, ...) view of the component planes
+    compute_geometry works on; index [..., k] reads a contiguous plane."""
+
     grid: SurfaceGrid
     g: np.ndarray                # (nu, nv, 2, 2) induced metric
     ginv: np.ndarray
@@ -238,7 +251,11 @@ def _planes(fld, k=1):
 
 
 def _displacement(ambient, p, q):
-    """Shortest-image q - p of two (4, nu, nv) plane stacks, as planes."""
+    """Shortest-image q - p of two (4, nu, nv) plane stacks, as planes.
+
+    AmbientSpace reads components off the last axis, so it gets the
+    transposed views; the result keeps their memory layout.
+    """
     return ambient.displacement(p.T, q.T).T
 
 
@@ -329,10 +346,10 @@ def compute_geometry(grid):
     trace = ginv[0, 0] * f_uu + 2 * ginv[0, 1] * f_uv + ginv[1, 1] * f_vv
     big_h = trace - _dot(trace, e1) * e1 - _dot(trace, e2) * e2
     norm_h_sq = _dot(big_h, big_h)
-    norm_a_sq = np.einsum(
-        "...ik,...jl,...aij,...akl->...", _node_major(ginv), _node_major(ginv),
-        _node_major(h), _node_major(h), optimize=True,
-    )
+    # |A|^2 = sum_alpha tr((g^-1 h_alpha)^2), with (g^-1 h_alpha)_ij = g^ik h_alpha,kj
+    m = [[ginv[i, 0] * h[:, 0, j] + ginv[i, 1] * h[:, 1, j] for j in (0, 1)] for i in (0, 1)]
+    tr_sq = m[0][0] ** 2 + 2 * m[0][1] * m[1][0] + m[1][1] ** 2
+    norm_a_sq = tr_sq[0] + tr_sq[1]
 
     # diagonal fluxes sqrt(g) g^ii, averaged once onto the grid edges
     flux_u = sqrt_det_g * ginv[0, 0]
@@ -511,8 +528,11 @@ def load_snapshot(path):
             raise InputError(f"snapshot {path}: field {key!r} is not numeric: {exc}") from exc
 
     nu, nv = numeric("nu", int), numeric("nv", int)
-    if nu < 1 or nv < 1:
-        raise InputError(f"snapshot {path}: grid {nu} x {nv} is empty")
+    if nu < MIN_GRID or nv < MIN_GRID:
+        size = "empty" if min(nu, nv) < 1 else "too small"
+        raise InputError(
+            f"snapshot {path}: grid {nu} x {nv} is {size}, need {MIN_GRID} x {MIN_GRID}"
+        )
     pos = numeric("positions", lambda x: np.array(x, dtype=float))
     periods = numeric("periods", lambda x: tuple(float(p) for p in x) if x else None)
     if pos.size != nu * nv * 4:
