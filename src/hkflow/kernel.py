@@ -149,9 +149,8 @@ def _dot(x, y):
 def _companion(a):
     """phi_field on component planes: a (3, ...) -> b (3, ...)."""
     a1, a2, a3 = a
-    zero = np.zeros_like(a1)
     use_z = np.sqrt(a2 * a2 + a1 * a1) > PHI_SWAP_TOL     # |z x a|
-    b = np.stack([np.where(use_z, -a2, zero), np.where(use_z, a1, -a3), np.where(use_z, zero, a2)])
+    b = np.stack([np.where(use_z, -a2, 0.0), np.where(use_z, a1, -a3), np.where(use_z, 0.0, a2)])
     return b / np.sqrt(_dot(b, b))
 
 

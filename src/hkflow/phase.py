@@ -200,8 +200,8 @@ def bja_identity(cache, pf, triple):
     """
     b = _companion(_planes(pf.a))
     normals = tuple(_apply_phase(b, _planes(e), triple) for e in (cache.e1, cache.e2))
-    second = (_planes(f) for f in (cache.f_uu, cache.f_uv, cache.f_vv))
-    hp = _node_major(_second_fundamental_form(*second, normals))
+    f_uu, f_uv, f_vv = (_planes(f) for f in (cache.f_uu, cache.f_uv, cache.f_vv))
+    hp = _node_major(_second_fundamental_form(f_uu, f_uv, f_vv, normals))
     horth = np.einsum("...ik,...jl,...akl->...aij", cache.gs, cache.gs, hp, optimize=True)
 
     x = horth[..., 0, 1, :] - horth[..., 1, 0, :]      # h3_{2i} - h4_{1i}

@@ -11,6 +11,9 @@ import pytest
 
 from hkflow.errors import FrameError, InputError
 from hkflow.kernel import (
+    TwistorTriple,
+    _apply_phase,
+    _tangent_phase,
     canonical_phase_from_frame,
     holomorphic_symplectic,
     phase_operator,
@@ -265,3 +268,42 @@ def test_canonical_phase_error_paths(triple):
     wiggle = e[0] + 1e-9 * e[1]
     a = canonical_phase_from_frame(wiggle, e[1], e[2], e[3], triple)
     assert abs(np.linalg.norm(a) - 1.0) <= 1e-9
+
+
+def _rotated_triple(triple, angle=0.7, axis=(1.0, 2.0, 2.0)):
+    """J'_d = sum_e R_de J_e for a rotation R of the twistor sphere: still a
+    quaternion triple, but no matrix of it is a signed permutation."""
+    k = np.asarray(axis) / np.linalg.norm(axis)
+    cross = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    rot = np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * cross @ cross
+    return TwistorTriple(*np.einsum("de,ekl->dkl", rot, triple.as_stack()))
+
+
+@pytest.mark.parametrize("which", ["standard", "pole", "rotated"])
+def test_plane_helpers_match_the_matrix_form(triple, which):
+    # the plane helpers reindex components by the nonzero entries of each
+    # J_d; they must agree with the plain products vec @ J_d^T for any triple
+    chosen = {
+        "standard": triple,
+        "pole": TwistorTriple(triple.j3, triple.j2, -triple.j1),   # test_flow.POLE_TRIPLE
+        "rotated": _rotated_triple(triple),
+    }[which]
+    js = chosen.as_stack()
+    if which == "rotated":
+        assert all(np.count_nonzero(j[0]) > 1 for j in js)
+        assert np.abs(js[0] @ js[1] - js[2]).max() < 1e-15
+    # unit vectors keep every entry below 1, so 1e-15 is a few ulps
+    e1, e2 = RNG.standard_normal((2, 7, 5, 4))
+    coeff = RNG.standard_normal((7, 5, 3))
+    for x in (e1, e2, coeff):
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+
+    a = np.stack([((e1 @ j.T) * e2).sum(-1) for j in js], axis=-1)
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    applied = sum(coeff[..., d, None] * (e1 @ j.T) for d, j in enumerate(js))
+
+    def planes(x):
+        return np.moveaxis(x, -1, 0)
+
+    assert np.abs(_tangent_phase(planes(e1), planes(e2), chosen) - planes(a)).max() < 1e-15
+    assert np.abs(_apply_phase(planes(coeff), planes(e1), chosen) - planes(applied)).max() < 1e-15

@@ -34,6 +34,82 @@ TWO_PI = 2.0 * np.pi
 SHEARED = dict(exprs=["u + 0.5*v", "v", "0*u", "0*u"], periods=[np.pi, TWO_PI, TWO_PI, TWO_PI])
 
 
+def node_major_geometry(grid):
+    """Reference: the geometry core written node-major, (nu, nv, 4) vectors
+    reduced over their last axis and J_d applied as the matrix product
+    vec @ J_d^T.  Returns the GeometryCache fields by name (guards omitted)."""
+    pos, hu, hv, amb = grid.positions, grid.hu, grid.hv, grid.ambient
+    js = standard_twistor_triple().as_stack()
+
+    def central(f, axis, h):
+        return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
+
+    def unit(x):
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+    def apply_phase(coeff, vec):
+        return sum(coeff[..., d, None] * (vec @ j.T) for d, j in enumerate(js))
+
+    du_f = amb.displacement(pos, np.roll(pos, -1, axis=0))
+    dv_f = amb.displacement(pos, np.roll(pos, -1, axis=1))
+    du_b, dv_b = np.roll(du_f, 1, axis=0), np.roll(dv_f, 1, axis=1)
+    f_u, f_v = (du_f + du_b) / (2 * hu), (dv_f + dv_b) / (2 * hv)
+    f_uu, f_vv = (du_f - du_b) / hu**2, (dv_f - dv_b) / hv**2
+    f_uv = central(f_u, 1, hv)
+
+    g = np.empty(pos.shape[:2] + (2, 2))
+    g[..., 0, 0] = 0.5 * ((du_f**2).sum(-1) + (du_b**2).sum(-1)) / hu**2
+    g[..., 1, 1] = 0.5 * ((dv_f**2).sum(-1) + (dv_b**2).sum(-1)) / hv**2
+    g[..., 0, 1] = g[..., 1, 0] = (f_u * f_v).sum(-1)
+    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    ginv = np.empty_like(g)
+    ginv[..., 0, 0] = g[..., 1, 1] / det
+    ginv[..., 1, 1] = g[..., 0, 0] / det
+    ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
+    sqrt_det_g = np.sqrt(det)
+
+    e1 = unit(f_u)
+    e2 = unit(f_v - (f_v * e1).sum(-1, keepdims=True) * e1)
+    ell = np.sqrt(g[..., 1, 1] - g[..., 0, 1] ** 2 / g[..., 0, 0])
+    gs = np.zeros(pos.shape[:2] + (2, 2))
+    gs[..., 0, 0] = 1.0 / np.sqrt(g[..., 0, 0])
+    gs[..., 1, 0] = -g[..., 0, 1] / (g[..., 0, 0] * ell)
+    gs[..., 1, 1] = 1.0 / ell
+
+    a = unit(np.stack([((e1 @ j.T) * e2).sum(-1) for j in js], axis=-1))
+    zxa = np.stack([-a[..., 1], a[..., 0], np.zeros_like(a[..., 0])], axis=-1)
+    xxa = np.stack([np.zeros_like(a[..., 0]), -a[..., 2], a[..., 1]], axis=-1)
+    b = unit(np.where((np.linalg.norm(zxa, axis=-1) > 0.1)[..., None], zxa, xxa))
+    e3, e4 = apply_phase(b, e1), apply_phase(b, e2)
+    h = np.empty(pos.shape[:2] + (2, 2, 2))
+    for alpha, n in enumerate((e3, e4)):
+        h[..., alpha, 0, 0] = (f_uu * n).sum(-1)
+        h[..., alpha, 0, 1] = h[..., alpha, 1, 0] = (f_uv * n).sum(-1)
+        h[..., alpha, 1, 1] = (f_vv * n).sum(-1)
+
+    trace = (
+        ginv[..., 0, 0, None] * f_uu + 2 * ginv[..., 0, 1, None] * f_uv
+        + ginv[..., 1, 1, None] * f_vv
+    )
+    big_h = (
+        trace - (trace * e1).sum(-1, keepdims=True) * e1
+        - (trace * e2).sum(-1, keepdims=True) * e2
+    )
+    flux_u, flux_v = sqrt_det_g * ginv[..., 0, 0], sqrt_det_g * ginv[..., 1, 1]
+    return dict(
+        g=g, ginv=ginv, sqrt_det_g=sqrt_det_g, f_u=f_u, f_v=f_v, f_uu=f_uu, f_uv=f_uv,
+        f_vv=f_vv, e1=e1, e2=e2, e3=e3, e4=e4, gs=gs, h=h, H=big_h,
+        norm_H_sq=(big_h**2).sum(-1),
+        norm_A_sq=np.einsum("...ik,...jl,...aij,...akl->...", ginv, ginv, h, h, optimize=True),
+        au=0.5 * (flux_u + np.roll(flux_u, -1, axis=0)),
+        av=0.5 * (flux_v + np.roll(flux_v, -1, axis=1)),
+        cuv=sqrt_det_g * ginv[..., 0, 1],
+        min_edge=float(
+            min(np.sqrt((du_f**2).sum(-1)).min(), np.sqrt((dv_f**2).sum(-1)).min())
+        ),
+    )
+
+
 def cache_for(name, n, **params):
     return compute_geometry(build_immersion(scenario(name, n, n, **params)))
 
@@ -363,3 +439,30 @@ def test_snapshot_validation(tmp_path):
 def test_node_area_definition(perturbed48):
     c = perturbed48
     assert np.array_equal(c.node_area(), c.sqrt_det_g * c.hu * c.hv)
+
+
+@pytest.mark.parametrize("nu, nv", [(32, 32), (5, 9), (7, 4)])
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("perturbed-complex-torus", {"eps": 0.05}),
+        ("clifford", {"R": 1.0, "r": 1.0}),
+        ("flat-plane-torus", {}),
+        ("flat-plane-torus", {"Lu": 2 * TWO_PI, "Lv": 0.5 * TWO_PI}),
+        ("lagrangian-graph", {"eps": 0.1}),
+        ("custom-expression", SHEARED),
+    ],
+)
+def test_plane_core_matches_node_major_oracle(name, params, nu, nv):
+    # odd and non-square grids put every roll and reindexing next to a
+    # different neighbour; all fields but |A|^2 come out bit for bit
+    grid = build_immersion(scenario(name, nu, nv, **params))
+    cache, ref = compute_geometry(grid), node_major_geometry(grid)
+    for key, want in ref.items():
+        got = getattr(cache, key)
+        assert np.shape(got) == np.shape(want), key
+        if key != "norm_A_sq":
+            assert np.array_equal(got, want), key
+    # |A|^2 is a closed-form trace instead of the contraction
+    scale = np.abs(ref["norm_A_sq"]).max()
+    assert np.abs(cache.norm_A_sq - ref["norm_A_sq"]).max() <= 1e-14 * scale
