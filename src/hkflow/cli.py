@@ -344,13 +344,13 @@ def cmd_run(args):
         raise IOFailure(f"cannot write series {csv_path}: {exc}") from exc
     fh.write(CSV_COLUMNS + "\n")
 
-    def sink(rec):
+    def write_row(rec, state):
         fh.write(_csv_row(rec) + "\n")
         fh.flush()
 
     # rows written so far survive a mid-run numerical failure
     try:
-        series, final = run_flow(cfg, spec, sink=sink)
+        series, final = run_flow(cfg, spec, observe=write_row)
     finally:
         fh.close()
 
@@ -370,7 +370,7 @@ def cmd_run(args):
         _svg_line_plot(f"{stem}_lambda1.svg", lam_t, lam, "t", "lambda1")
     print(
         f"wrote {csv_path}: {len(series.records)} rows, stop {series.stop_reason}, "
-        f"final twistor energy {series.final_energy:.6e}"
+        f"final twistor energy {series.records[-1].twistor_energy:.6e}"
     )
     return 0
 
@@ -493,12 +493,11 @@ def cmd_spectrum(args):
             "nu": grid.nu,
             "nv": grid.nv,
             "lambda1": res.lambda1,
-            "values": [float(x) for x in res.vector.reshape(-1)],
+            "values": res.vector.reshape(-1).tolist(),
         }
         try:
             with open(args.eigenfunction, "w") as fh:
-                json.dump(doc, fh)
-                fh.write("\n")
+                fh.write(json.dumps(doc) + "\n")
         except OSError as exc:
             raise IOFailure(f"cannot write eigenfunction {args.eigenfunction}: {exc}") from exc
     return 0

@@ -5,6 +5,10 @@ the phase on the updated metric.  The splitting defect is not assumed
 small: consistency_check measures it by re-deriving the phase from the
 moved frames and comparing against the heat-flow prediction.
 
+run_flow is the one stepping loop: it hands each row and the state it was
+measured on to one `observe(rec, state)` callback, so a CSV writer or a
+meter rides on the run instead of stepping it again.
+
 All stepping is explicit and deterministic; stability is enforced, not
 hoped for (displacement guard for the motion, parabolic bound for the
 phase, unit-drift guard before each projection back to the sphere).
@@ -18,6 +22,7 @@ import numpy as np
 from .errors import InputError, NumericalError, PreconditionError
 from .kernel import _dot, standard_twistor_triple
 from .phase import PhaseField, field_from_array, phase_field, tension_field, twistor_energy
+from .spectral import lambda1
 from .surface import (
     ScenarioSpec, SurfaceGrid, _planes, build_immersion, compute_geometry, surface_integral,
 )
@@ -94,7 +99,6 @@ class DiagnosticsRecord:
 class DiagnosticsSeries:
     records: list = field(default_factory=list)
     stop_reason: str = ""
-    final_energy: float | None = None
     final_phase_spread: float | None = None
 
     def append(self, rec):
@@ -233,13 +237,13 @@ def coupled_step(state, cfg, t=0.0, e_accum=0.0, with_consistency=False):
     return new_state, rec
 
 
-def efa_monitor(tail, c_mon=DEFAULT_C_MON):
+def efa_monitor(left, right, c_mon=DEFAULT_C_MON):
     """Violation of the energy decay inequality between lambda1 samples.
 
     d/dt T <= (-2 lambda1 + C max|H||A| + 2 max|grad a|^2) T, everything
     on the right frozen at the left sample.
     """
-    left, right = _lambda_pair(tail)
+    _require_lambda1(left, right)
     rate = (right.twistor_energy - left.twistor_energy) / (right.t - left.t)
     rhs = (
         -2.0 * left.lambda1
@@ -249,9 +253,9 @@ def efa_monitor(tail, c_mon=DEFAULT_C_MON):
     return _violation(rate - rhs)
 
 
-def efe_monitor(tail, c_mon=DEFAULT_C_MON):
+def efe_monitor(left, right, c_mon=DEFAULT_C_MON):
     """Violation of d/dt lambda1 >= -(max|H|^2 + C max|H||A|) lambda1."""
-    left, right = _lambda_pair(tail)
+    _require_lambda1(left, right)
     rate = (right.lambda1 - left.lambda1) / (right.t - left.t)
     rhs = (left.max_H**2 + c_mon * left.max_H * left.max_A) * left.lambda1
     return _violation(-rate - rhs)
@@ -262,72 +266,64 @@ def _violation(excess):
     return 0.0 if excess <= 0 else excess
 
 
-def _lambda_pair(tail):
-    sampled = [r for r in tail if r.lambda1 is not None]
-    if len(sampled) < 2:
-        raise PreconditionError(
-            f"insufficient-records: need two lambda1 samples, have {len(sampled)}"
-        )
-    return sampled[-2], sampled[-1]
+def _require_lambda1(*recs):
+    if any(rec.lambda1 is None for rec in recs):
+        raise PreconditionError("insufficient-records: a record carries no lambda1 sample")
 
 
-def run_flow(cfg, scenario, triple=None, sink=None):
+def run_flow(cfg, scenario, triple=None, observe=None):
     """Drive the coupled flow from a scenario until a stop condition.
 
     `scenario` is a ScenarioSpec or an already-sampled SurfaceGrid.
-    Emits every DiagnosticsRecord to `sink` as it is produced (the CSV
-    writer in the command layer), including the t = 0 row.  On failure
-    the partial series is already flushed; the raised error carries the
-    step index.
+    Every DiagnosticsRecord, the t = 0 row included, is appended to the
+    series and then handed to `observe(rec, state)` with the state it
+    was measured on; the state of the last row is the returned final
+    state.  A NumericalError raised along the way is re-raised as
+    "step k: ..." with `step = k` (the t = 0 row is step 0), after the
+    rows before it have been observed.
     """
-    from .spectral import lambda1 as solve_lambda1
-
     grid = build_immersion(scenario) if isinstance(scenario, ScenarioSpec) else scenario
-    state = make_state(grid, triple if triple is not None else standard_twistor_triple())
     series = DiagnosticsSeries()
-    w0 = _mean_phase_direction(state)
+    step = 0
+    try:
+        state = make_state(grid, triple if triple is not None else standard_twistor_triple())
+        w0 = _mean_phase_direction(state)
 
-    def emit(rec, current):
-        rec.min_alignment = float((current.phase.a @ w0).min())
-        series.append(rec)
-        if sink is not None:
-            sink(rec)
+        def emit(rec, current):
+            rec.min_alignment = float((current.phase.a @ w0).min())
+            series.append(rec)
+            if observe is not None:
+                observe(rec, current)
 
-    first = _record(state, 0.0, 0.0, 0.0)
-    first.lambda1 = solve_lambda1(state.cache).lambda1
-    emit(first, state)
+        sampled = _record(state, 0.0, 0.0, 0.0)    # the last row with lambda1
+        sampled.lambda1 = lambda1(state.cache).lambda1
+        emit(sampled, state)
 
-    t, e_accum = 0.0, 0.0
-    for step in range(1, cfg.steps + 1):
-        max_h = float(np.sqrt(state.cache.norm_H_sq.max()))
-        if cfg.max_h_below is not None and max_h < cfg.max_h_below:
-            series.stop_reason = "max_H_below"
-            break
-        if cfg.t_final is not None and t >= cfg.t_final - 1e-15:
-            series.stop_reason = "t_final"
-            break
-        try:
+        t, e_accum = 0.0, 0.0
+        for step in range(1, cfg.steps + 1):
+            max_h = float(np.sqrt(state.cache.norm_H_sq.max()))
+            if cfg.max_h_below is not None and max_h < cfg.max_h_below:
+                series.stop_reason = "max_H_below"
+                break
+            if cfg.t_final is not None and t >= cfg.t_final - 1e-15:
+                series.stop_reason = "t_final"
+                break
             with_cons = cfg.consistency_cadence > 0 and step % cfg.consistency_cadence == 0
             state, rec = coupled_step(
                 state, cfg, t=t, e_accum=e_accum, with_consistency=with_cons
             )
-        except NumericalError as exc:
-            exc.step = step
-            raise NumericalError(f"step {step}: {exc}", step=step) from exc
-        t, e_accum = rec.t, rec.E_accum
-        if step % cfg.lambda1_cadence == 0:
-            rec.lambda1 = solve_lambda1(state.cache).lambda1
-            tail = series.records + [rec]
-            try:
-                rec.efa_residual = efa_monitor(tail, cfg.c_mon)
-                rec.efe_residual = efe_monitor(tail, cfg.c_mon)
-            except PreconditionError:
-                pass
-        emit(rec, state)
-    else:
-        series.stop_reason = "steps"
+            t, e_accum = rec.t, rec.E_accum
+            if step % cfg.lambda1_cadence == 0:
+                rec.lambda1 = lambda1(state.cache).lambda1
+                rec.efa_residual = efa_monitor(sampled, rec, cfg.c_mon)
+                rec.efe_residual = efe_monitor(sampled, rec, cfg.c_mon)
+                sampled = rec
+            emit(rec, state)
+        else:
+            series.stop_reason = "steps"
+    except NumericalError as exc:
+        raise NumericalError(f"step {step}: {exc}", step=step) from exc
 
-    series.final_energy = series.records[-1].twistor_energy
     series.final_phase_spread = _phase_spread(state)
     return series, state
 

@@ -41,7 +41,6 @@ class PhaseField:
     """Fields are (nu, nv, ...) views of component planes, as in GeometryCache."""
 
     a: np.ndarray                 # (nu, nv, 3) unit phase vectors
-    grad_a: np.ndarray            # (nu, nv, 2, 3) central parameter gradients
     energy_density: np.ndarray    # (nu, nv) edge-form |grad a|^2
 
 
@@ -53,8 +52,7 @@ def _central_grad(fld, cache):
 def _phase_from_planes(a, cache):
     """PhaseField of a unit direction field given as planes (3, nu, nv)."""
     node_a = _node_major(a)
-    grad_a = _node_major(_central_grad(a, cache))
-    return PhaseField(node_a, grad_a, dirichlet_energy_density(node_a, cache))
+    return PhaseField(node_a, dirichlet_energy_density(node_a, cache))
 
 
 def field_from_array(a, cache):
@@ -178,7 +176,7 @@ def plf_residual(cache, pf, triple, companion=None):
     p_v = _dot(jkh, f_v) - 1j * _dot(kh, f_v)
 
     # w(y) = <b(x), a(y)> + i <a x b(x), a(y)>, differentiated at y = x
-    grad_u, grad_v = _planes(pf.grad_a, 2)
+    grad_u, grad_v = _central_grad(a, cache)
     dw_u = _dot(b, grad_u) + 1j * _dot(axb, grad_u)
     dw_v = _dot(b, grad_v) + 1j * _dot(axb, grad_v)
 

@@ -495,12 +495,11 @@ def save_snapshot(grid, path):
         "nu": grid.nu,
         "nv": grid.nv,
         "periods": list(grid.ambient.periods) if grid.ambient.periods else None,
-        "positions": [float(x) for x in grid.positions.reshape(-1)],
+        "positions": grid.positions.reshape(-1).tolist(),
     }
     try:
         with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            fh.write(json.dumps(doc) + "\n")
     except OSError as exc:
         raise IOFailure(f"cannot write snapshot {path}: {exc}") from exc
 
@@ -527,7 +526,10 @@ def load_snapshot(path):
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"snapshot {path}: field {key!r} is not numeric: {exc}") from exc
 
-    nu, nv = numeric("nu", int), numeric("nv", int)
+    for key in ("nu", "nv"):
+        if type(doc[key]) is not int:                 # bools and 16.9 too
+            raise InputError(f"snapshot {path}: field {key!r} is not an integer: {doc[key]!r}")
+    nu, nv = doc["nu"], doc["nv"]
     if nu < MIN_GRID or nv < MIN_GRID:
         size = "empty" if min(nu, nv) < 1 else "too small"
         raise InputError(

@@ -5,6 +5,7 @@ up even under capture) and then asserts it.  The numbered budgets are
 wall-clock ceilings measured per criterion, not per test session.
 """
 
+import itertools
 import json
 import subprocess
 import sys
@@ -62,31 +63,29 @@ def caches():
 
 @pytest.fixture(scope="module")
 def converged():
-    """The desk-scale convergence experiment shared by criteria 5 and 6."""
+    """The desk-scale convergence experiment shared by criteria 5, 6 and 7.
+
+    Criterion 7's ball-volume kappa rides on the same run: it is sampled
+    at t = 0, every 500 steps and on the final state.
+    """
     cfg = FlowConfig(steps=12000, lambda1_cadence=10, max_h_below=1e-6)
+    steps = itertools.count()
+    kappa = []
+
+    def sample(rec, state):
+        kappa.append((rec.t, geodesic_ball_volumes(state.cache, radii=0.5).kappa, rec.E_accum))
+
+    def observe(rec, state):
+        if next(steps) % 500 == 0:
+            sample(rec, state)
+
     t0 = time.perf_counter()
-    series, final = run_flow(cfg, scenario("perturbed-complex-torus", 64, 64, eps=0.05))
-    return series, final, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def kappa_track(converged):
-    """Replay of the criterion-6 run sampling ball volumes every 500 steps."""
-    series, _, _ = converged
-    n_steps = len(series.records) - 1
-    state = make_state(
-        build_immersion(scenario("perturbed-complex-torus", 64, 64, eps=0.05)), TRIPLE
+    series, final = run_flow(
+        cfg, scenario("perturbed-complex-torus", 64, 64, eps=0.05), observe=observe
     )
-    cfg = FlowConfig(steps=n_steps, lambda1_cadence=10_000)
-    samples = [(0.0, geodesic_ball_volumes(state.cache, radii=0.5).kappa, 0.0)]
-    t0 = time.perf_counter()
-    t = e = 0.0
-    for k in range(n_steps):
-        state, rec = coupled_step(state, cfg, t=t, e_accum=e)
-        t, e = rec.t, rec.E_accum
-        if (k + 1) % 500 == 0 or k + 1 == n_steps:
-            samples.append((t, geodesic_ball_volumes(state.cache, radii=0.5).kappa, e))
-    return samples, state, time.perf_counter() - t0
+    if (len(series.records) - 1) % 500:
+        sample(series.records[-1], final)
+    return series, final, kappa, time.perf_counter() - t0
 
 
 def test_criterion_1_kernel_exactness(capfd):
@@ -196,7 +195,7 @@ def test_criterion_4_preservation_consistency(caches, capfd):
 
 
 def test_criterion_5_monotonicity_suite(converged, capfd):
-    series, _, wall = converged
+    series, _, _, wall = converged
     recs = series.records
     area_ok = all(b.area <= a.area * (1 + 1e-10) for a, b in zip(recs, recs[1:]))
     energy_ok = all(
@@ -229,7 +228,7 @@ def test_criterion_5_monotonicity_suite(converged, capfd):
 
 
 def test_criterion_6_convergence_experiment(converged, capfd):
-    series, _, wall = converged
+    series, _, _, wall = converged
     recs = series.records
     ratio = recs[-1].twistor_energy / recs[0].twistor_energy
     lam_late = [r.lambda1 for r in recs if r.lambda1 is not None][-1]
@@ -268,8 +267,8 @@ def test_criterion_6_convergence_experiment(converged, capfd):
     )
 
 
-def test_criterion_7_noncollapsing_suite(kappa_track, capfd):
-    samples, final_state, wall = kappa_track
+def test_criterion_7_noncollapsing_suite(converged, capfd):
+    _, final_state, samples, wall = converged
     t0 = time.perf_counter()
     kappa0 = samples[0][1]
     kappa_ok = all(k >= kappa0 * np.exp(-3.0 * e) * 0.9 for _, k, e in samples)

@@ -309,6 +309,7 @@ def test_check_rejects_non_numeric_snapshot(flat_dir, tmp_path):
     bad = tmp_path / "bad.snapshot.json"
     for key, val in (
         ("nu", "abc"),
+        ("nu", 32.5),
         ("nv", [32]),
         ("positions", ["x"] * len(good["positions"])),
         ("periods", ["a", "b", "c", "d"]),

@@ -14,6 +14,8 @@ import math
 import numpy as np
 import pytest
 
+import hkflow.flow
+from hkflow.cli import main
 from hkflow.errors import InputError, NumericalError, PreconditionError
 from hkflow.flow import (
     FlowConfig,
@@ -243,20 +245,25 @@ def test_metric_monitor_first_order_in_dt():
 
 def test_monitor_insufficient_records(pert_run):
     series, _ = pert_run
-    with pytest.raises(PreconditionError, match="insufficient-records"):
-        efa_monitor(series.records[:1], 8.0)
-    with pytest.raises(PreconditionError, match="insufficient-records"):
-        efe_monitor([r for r in series.records if r.lambda1 is not None][:1], 8.0)
+    left, right = [r for r in series.records if r.lambda1 is not None][:2]
+    unsampled = series.records[1]
+    assert unsampled.lambda1 is None
+    for monitor in (efa_monitor, efe_monitor):
+        assert monitor(left, right, 8.0) >= 0.0
+        with pytest.raises(PreconditionError, match="insufficient-records"):
+            monitor(left, unsampled, 8.0)
+        with pytest.raises(PreconditionError, match="insufficient-records"):
+            monitor(unsampled, right, 8.0)
 
 
 def test_monitors_propagate_nan(pert_run):
     # max(0, nan) is 0, which would read as "inequality held"
     series, _ = pert_run
     left, right = [r for r in series.records if r.lambda1 is not None][-2:]
-    tail = [dataclasses.replace(left, lambda1=float("nan")), right]
-    assert math.isnan(efa_monitor(tail, 8.0))
-    assert math.isnan(efe_monitor(tail, 8.0))
-    assert efa_monitor([left, right], 8.0) >= 0.0
+    nan_left = dataclasses.replace(left, lambda1=float("nan"))
+    assert math.isnan(efa_monitor(nan_left, right, 8.0))
+    assert math.isnan(efe_monitor(nan_left, right, 8.0))
+    assert efa_monitor(left, right, 8.0) >= 0.0
 
 
 # ---------------------------------------------------------------- runner
@@ -383,12 +390,51 @@ def test_consistency_cadence(pert_run):
     assert all(recs[i].consistency_error < 1e-5 for i in have)
 
 
-def test_sink_receives_every_row():
-    rows = []
+def test_observer_receives_every_row_and_state():
+    rows, states = [], []
+
+    def observe(rec, state):
+        rows.append(rec)
+        states.append(state)
+
     cfg = FlowConfig(steps=20, lambda1_cadence=1000)
-    series, _ = run_flow(cfg, scenario("clifford", 32, 32, R=1.0, r=1.0), sink=rows.append)
+    series, final = run_flow(cfg, scenario("clifford", 32, 32, R=1.0, r=1.0), observe=observe)
     assert len(rows) == len(series.records) == 21
-    assert rows[0] is series.records[0]
+    assert all(rows[k] is series.records[k] for k in range(21))
+    assert states[-1] is final
+    # each state is the one its row was measured on
+    assert all(r.max_H == np.sqrt(st.cache.norm_H_sq.max()) for r, st in zip(rows, states))
+    assert rows[0].max_H < rows[-1].max_H
+
+
+def test_lambda1_failure_names_its_step(monkeypatch, tmp_path, capsys):
+    real = hkflow.flow.lambda1
+    calls = []
+
+    def stalls_third_call(cache):
+        calls.append(cache)
+        if len(calls) == 3:
+            raise NumericalError("eigensolver stalled after 40 iterations")
+        return real(cache)
+
+    monkeypatch.setattr(hkflow.flow, "lambda1", stalls_third_call)
+    with pytest.raises(NumericalError) as info:
+        run_flow(
+            FlowConfig(steps=40, lambda1_cadence=10), scenario("clifford", 32, 32, R=1.0, r=1.0)
+        )
+    assert str(info.value) == "step 20: eigensolver stalled after 40 iterations"
+    assert info.value.step == 20
+
+    # the command layer: exit 3, with the rows of steps 0-19 already on disk
+    monkeypatch.chdir(tmp_path)
+    init = ["init", "--scenario", "clifford", "--R", "1", "--r", "1", "--nu", "32", "--nv", "32"]
+    assert main(init + ["--steps", "40", "--out", "stall"]) == 0
+    calls.clear()
+    assert main(["run", "stall.manifest"]) == 3
+    assert "numerical failure: step 20: eigensolver stalled" in capsys.readouterr().err
+    rows = (tmp_path / "stall.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + 20
+    assert float(rows[-1].split(",")[0]) > 0.0
 
 
 def test_t_final_stop():
