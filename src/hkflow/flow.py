@@ -135,7 +135,8 @@ def mcf_step(state, dt, scheme="euler"):
         disp = dt * mid.H
     else:
         raise InputError(f"unknown scheme {scheme!r}")
-    moved = float(np.linalg.norm(disp, axis=-1).max())
+    step = _planes(disp)
+    moved = float(np.sqrt(_dot(step, step)).max())
     limit = DISPLACEMENT_FRACTION * cache.min_edge
     if not moved <= limit:                      # NaN fails too
         raise NumericalError(
@@ -165,9 +166,10 @@ def phase_heat_step(pf, cache, dt):
         )
     tau = tension_field(pf, cache)
     raw = pf.a + dt * tau
-    drift = float(np.abs(np.linalg.norm(raw, axis=-1) - 1.0).max())
-    tau_sq = float((tau * tau).sum(-1).max())
-    defect = float(np.abs((pf.a * tau).sum(-1)).max())
+    raw_p, tau_p = _planes(raw), _planes(tau)
+    drift = float(np.abs(np.sqrt(_dot(raw_p, raw_p)) - 1.0).max())
+    tau_sq = float(_dot(tau_p, tau_p).max())
+    defect = float(np.abs(_dot(_planes(pf.a), tau_p)).max())
     bound = DRIFT_MARGIN * (dt**2 * tau_sq + dt * defect) + 1e-13
     if not drift <= bound:                      # NaN fails too
         raise NumericalError(

@@ -16,11 +16,15 @@ Conventions, fixed once and used everywhere downstream:
   oriented frames and is verified, not assumed.
 
 All operations are pure functions of immutable values.  The private
-per-node helpers (_dot, _apply_j, _tangent_phase, _apply_phase,
-_companion) take component planes: arrays whose FIRST axis holds the
-components, (4, nu, nv) for vectors and (3, nu, nv) for phases.
+per-node helpers (_dot, _tangent_phase, _apply_phase, _companion) take
+component planes: arrays whose FIRST axis holds the components,
+(4, nu, nv) for vectors and (3, nu, nv) for phases.  J_d acts on planes
+through TwistorTriple.terms, the nonzero (k, J_d[r, k]) entries of every
+row read once per triple, so a signed permutation (every J_d of the
+pinned triple) costs one scaled copy per plane.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +68,14 @@ class TwistorTriple:
     def as_stack(self):
         return np.stack([self.j1, self.j2, self.j3])
 
+    @functools.cached_property
+    def terms(self):
+        """terms[d][r] = ((k, J_d[r, k]), ...) over the nonzero entries, k ascending."""
+        return tuple(
+            tuple(tuple((int(k), float(row[k])) for k in np.flatnonzero(row)) for row in j)
+            for j in self.as_stack()
+        )
+
 
 def standard_twistor_triple():
     """The pinned triple: right quaternion multiplication by (-i, -j, -k)."""
@@ -95,10 +107,19 @@ class AmbientSpace:
             object.__setattr__(self, "periods", p)
 
     def wrap(self, positions):
-        """Reduce ambient coordinates to [0, period) per axis."""
+        """Reduce ambient coordinates to [0, period) per axis, as a new array.
+
+        Only coordinates outside the box go through np.mod: a flow step
+        moves a node by at most a quarter of an edge, so few ever do.  The
+        sign bit catches -0.0 (np.mod makes it +0.0) and the tiny negatives
+        np.mod rounds up to the period itself, which a later wrap reduces.
+        """
         if self.periods is None:
             return np.asarray(positions, float)
-        return np.mod(np.asarray(positions, float), np.array(self.periods))
+        out = np.array(positions, float)
+        per = np.array(self.periods)
+        np.mod(out, per, out=out, where=np.signbit(out) | (out >= per))
+        return out
 
     def displacement(self, p, q):
         """Shortest-image displacement q - p."""
@@ -138,12 +159,12 @@ def phi_field(a):
 def _dot(x, y):
     """Inner product of two stacks of component planes, x0 y0 + x1 y1 + ...
 
-    Summed left to right, the order numpy reduces a short last axis in.
+    One reduce over the short first axis, which numpy sums left to right
+    for contiguous planes and transposed views alike.  The -0.0 start
+    keeps the sign of an all -0.0 sum, as the explicit left-to-right sum
+    does; numpy's default start, +0.0, would flip it.
     """
-    out = x[0] * y[0]
-    for xk, yk in zip(x[1:], y[1:]):
-        out += xk * yk
-    return out
+    return np.multiply(x, y).sum(0, initial=-0.0)
 
 
 def _companion(a):
@@ -154,34 +175,41 @@ def _companion(a):
     return b / np.sqrt(_dot(b, b))
 
 
-def _apply_j(j, vec):
-    """j @ vec for a 4x4 matrix j and component planes vec (4, ...).
-
-    Each output plane sums only the planes its row of j touches, so a
-    signed permutation (every J_d of the pinned triple) costs one scaled
-    copy per plane; any other matrix gets the full signed sum.
-    """
-    rows = []
-    for row in j:
-        ks = np.flatnonzero(row)
-        acc = row[ks[0]] * vec[ks[0]]
-        for k in ks[1:]:
-            acc += row[k] * vec[k]
-        rows.append(acc)
-    return np.stack(rows)
+def _apply_row(terms, vec, out):
+    """out = sum_k J[r, k] vec[k] over the (k, J[r, k]) terms of one row."""
+    (k, c), *rest = terms
+    np.multiply(c, vec[k], out=out)
+    for k, c in rest:
+        out += c * vec[k]
+    return out
 
 
 def _tangent_phase(e1, e2, triple):
     """Unit a with a_d = <J_d e1, e2> on component planes: e1, e2 (4, ...) -> (3, ...)."""
-    a = np.stack([_dot(_apply_j(j, e1), e2) for j in triple.as_stack()])
+    a = np.empty((3,) + e1.shape[1:])
+    j_e1 = np.empty(e1.shape)
+    for d, rows in enumerate(triple.terms):
+        for r, terms in enumerate(rows):
+            _apply_row(terms, e1, j_e1[r])
+        a[d] = _dot(j_e1, e2)
     return a / np.sqrt(_dot(a, a))
 
 
 def _apply_phase(coeff, vec, triple):
-    """(sum_d coeff_d J_d) vec on component planes: coeff (3, ...), vec (4, ...)."""
-    out = coeff[0] * _apply_j(triple.j1, vec)
-    out += coeff[1] * _apply_j(triple.j2, vec)
-    out += coeff[2] * _apply_j(triple.j3, vec)
+    """(sum_d coeff_d J_d) vec on component planes: coeff (3, ...), vec (4, ...).
+
+    J_d is read from triple.terms, its table of nonzero row entries.  Row r
+    is coeff_1 (J_1 vec)_r + coeff_2 (J_2 vec)_r + coeff_3 (J_3 vec)_r in that
+    order, each (J_d vec)_r summed over ascending k: the term order of the
+    matrix form sum_d coeff_d (J_d vec), so skipping the zero entries
+    changes no bit for any triple, signed permutation or not.
+    """
+    out = np.empty(vec.shape)
+    part = np.empty(vec.shape[1:])
+    for r, (terms1, terms2, terms3) in enumerate(zip(*triple.terms)):
+        np.multiply(coeff[0], _apply_row(terms1, vec, out[r]), out=out[r])
+        out[r] += np.multiply(coeff[1], _apply_row(terms2, vec, part), out=part)
+        out[r] += np.multiply(coeff[2], _apply_row(terms3, vec, part), out=part)
     return out
 
 

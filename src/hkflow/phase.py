@@ -26,6 +26,7 @@ from .surface import (
     _node_major,
     _planes,
     _second_fundamental_form,
+    _shift,
     dirichlet_energy_density,
     laplace_beltrami,
     surface_integral,
@@ -98,13 +99,13 @@ def _wrap_angle(t):
 def _angle_grad(theta, cache):
     """Central gradient of an angle field with 2 pi jumps removed."""
     hu, hv = cache.hu, cache.hv
-    du = _wrap_angle(np.roll(theta, -1, axis=0) - np.roll(theta, 1, axis=0)) / (2 * hu)
-    dv = _wrap_angle(np.roll(theta, -1, axis=1) - np.roll(theta, 1, axis=1)) / (2 * hv)
+    du = _wrap_angle(_shift(theta, -1, 0) - _shift(theta, 1, 0)) / (2 * hu)
+    dv = _wrap_angle(_shift(theta, -1, 1) - _shift(theta, 1, 1)) / (2 * hv)
     return np.stack([du, dv])
 
 
 def _winding(theta, axis):
-    jumps = _wrap_angle(np.roll(theta, -1, axis=axis) - theta)
+    jumps = _wrap_angle(_shift(theta, -1, axis) - theta)
     total = jumps.sum(axis=axis)
     return int(np.round(np.mean(total) / (2 * np.pi)))
 

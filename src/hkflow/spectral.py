@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import InputError, NumericalError, PreconditionError
-from .surface import _central, _cometric, laplacian_matrix, surface_integral
+from .surface import _central, _cometric, _shift, laplacian_matrix, surface_integral
 
 RAYLEIGH_RTOL = 1e-10
 RESIDUAL_TOL = 1e-7
@@ -125,10 +125,10 @@ def _chord_graph(cache):
     pos = grid.positions
     rows, cols, data = [], [], []
     for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        nbr = np.roll(np.roll(pos, -di, axis=0), -dj, axis=1)
+        nbr = _shift(_shift(pos, -di, 0), -dj, 1)
         disp = grid.ambient.displacement(nbr, pos)
         rows.append(idx.ravel())
-        cols.append(np.roll(np.roll(idx, -di, axis=0), -dj, axis=1).ravel())
+        cols.append(_shift(_shift(idx, -di, 0), -dj, 1).ravel())
         data.append(np.linalg.norm(disp, axis=-1).ravel())
     return sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
@@ -144,6 +144,16 @@ def default_ball_centers(cache, side=4):
     )
 
 
+def _is_node(center, nu, nv):
+    """True for an (i, j) pair of integers with 0 <= i < nu and 0 <= j < nv."""
+    try:
+        i, j = center
+    except (TypeError, ValueError):
+        return False
+    integers = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (i, j))
+    return integers and 0 <= i < nu and 0 <= j < nv
+
+
 def geodesic_ball_volumes(cache, centers=None, radii=0.5):
     """Intrinsic ball areas over r^2 at the given centers and scales.
 
@@ -156,14 +166,20 @@ def geodesic_ball_volumes(cache, centers=None, radii=0.5):
     proxy exceeds 2 r_max and no radius is too large.  kappa is the
     worst sampled ratio: the noncollapsing constant in
     Vol(B(x, r)) >= kappa r^2.  Samples are (center, radius, volume,
-    ratio) tuples.
+    ratio) tuples.  A centre must be an (i, j) node index pair inside the
+    grid; any other raises InputError instead of measuring a wrapped node.
     """
     radii = tuple(np.atleast_1d(np.asarray(radii, float)))
     if any(r <= 0 for r in radii):
         raise InputError(f"ball radii must be positive, got {radii}")
     if centers is None:
         centers = default_ball_centers(cache)
-    nv = cache.grid.nv
+    nu, nv = cache.grid.nu, cache.grid.nv
+    for center in centers:
+        if not _is_node(center, nu, nv):
+            raise InputError(
+                f"ball centre {center!r} is not an integer pair inside [0, {nu}) x [0, {nv})"
+            )
     flat = [int(i) * nv + int(j) for i, j in centers]
     graph = _chord_graph(cache)
     reach = csgraph.dijkstra(graph, directed=False, indices=flat[0], limit=2 * max(radii))

@@ -229,9 +229,17 @@ class GeometryCache:
         return self.sqrt_det_g * self.hu * self.hv
 
 
+def _shift(f, k, axis):
+    """Periodic shift out[i] = f[(i - k) mod n] along one axis, a copy from
+    two slices and one concatenate: data moves, no arithmetic, so it is exact."""
+    k %= f.shape[axis]
+    lead = (slice(None),) * (axis % f.ndim)
+    return np.concatenate((f[lead + (slice(-k, None),)], f[lead + (slice(None, -k),)]), axis)
+
+
 def _central(f, axis, h):
     """Periodic central difference of a grid field along one parameter axis."""
-    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
+    return (_shift(f, -1, axis) - _shift(f, 1, axis)) / (2 * h)
 
 
 def _cometric(ginv, xu, xv):
@@ -284,10 +292,10 @@ def compute_geometry(grid):
         ij = tuple(int(k) for k in np.unravel_index(np.argmin(finite), finite.shape))
         raise NumericalError(f"non-finite position at node {ij}: {grid.positions[ij]}")
 
-    du_f = _displacement(grid.ambient, p, np.roll(p, -1, axis=1))   # F(i+1,j) - F(i,j)
-    dv_f = _displacement(grid.ambient, p, np.roll(p, -1, axis=2))
-    du_b = np.roll(du_f, 1, axis=1)              # F(i,j) - F(i-1,j)
-    dv_b = np.roll(dv_f, 1, axis=2)
+    du_f = _displacement(grid.ambient, p, _shift(p, -1, 1))   # F(i+1,j) - F(i,j)
+    dv_f = _displacement(grid.ambient, p, _shift(p, -1, 2))
+    du_b = _shift(du_f, 1, 1)                    # F(i,j) - F(i-1,j)
+    dv_b = _shift(dv_f, 1, 2)
 
     f_u = (du_f + du_b) / (2 * hu)
     f_v = (dv_f + dv_b) / (2 * hv)
@@ -364,8 +372,8 @@ def compute_geometry(grid):
         e1=_node_major(e1), e2=_node_major(e2), e3=_node_major(e3), e4=_node_major(e4),
         gs=_node_major(gs), h=_node_major(h),
         H=_node_major(big_h), norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq,
-        au=0.5 * (flux_u + np.roll(flux_u, -1, axis=0)),
-        av=0.5 * (flux_v + np.roll(flux_v, -1, axis=1)),
+        au=0.5 * (flux_u + _shift(flux_u, -1, 0)),
+        av=0.5 * (flux_v + _shift(flux_v, -1, 1)),
         cuv=sqrt_det_g * ginv[0, 1], min_edge=min_edge,
     )
 
@@ -394,12 +402,12 @@ def laplacian_matrix(cache):
     nu, nv = cache.grid.nu, cache.grid.nv
     east = -(cache.hv / cache.hu) * cache.au     # toward (i+1, j)
     north = -(cache.hu / cache.hv) * cache.av    # toward (i, j+1)
-    cuv_east = np.roll(cache.cuv, -1, axis=0)
-    north_east = -0.25 * (cuv_east + np.roll(cache.cuv, -1, axis=1))
-    south_east = 0.25 * (cuv_east + np.roll(cache.cuv, 1, axis=1))
+    cuv_east = _shift(cache.cuv, -1, 0)
+    north_east = -0.25 * (cuv_east + _shift(cache.cuv, -1, 1))
+    south_east = 0.25 * (cuv_east + _shift(cache.cuv, 1, 1))
     # toward (i-1, *) and (i, j-1): the neighbour's entry toward (i, j)
-    offdiag = [np.roll(north_east, (1, 1), axis=(0, 1)), np.roll(east, 1, axis=0),
-               np.roll(south_east, (1, -1), axis=(0, 1)), np.roll(north, 1, axis=1),
+    offdiag = [_shift(_shift(north_east, 1, 0), 1, 1), _shift(east, 1, 0),
+               _shift(_shift(south_east, 1, 0), -1, 1), _shift(north, 1, 1),
                north, south_east, east, north_east]
     data = np.stack(offdiag + [-sum(offdiag)], axis=-1).ravel()
     indptr, indices = _stencil_pattern(nu, nv)
@@ -427,12 +435,12 @@ def dirichlet_energy_density(fld, cache):
     f = np.asarray(fld, float)
     f = f[None] if f.ndim == 2 else _planes(f)
     hu, hv = cache.hu, cache.hv
-    du = (np.roll(f, -1, axis=1) - f) / hu       # forward edge differences
-    dv = (np.roll(f, -1, axis=2) - f) / hv
+    du = (_shift(f, -1, 1) - f) / hu             # forward edge differences
+    dv = (_shift(f, -1, 2) - f) / hv
     e_u = cache.au * _dot(du, du)
     e_v = cache.av * _dot(dv, dv)
     # each edge contributes half to its two endpoint nodes
-    density = 0.5 * (e_u + np.roll(e_u, 1, axis=0) + e_v + np.roll(e_v, 1, axis=1))
+    density = 0.5 * (e_u + _shift(e_u, 1, 0) + e_v + _shift(e_v, 1, 1))
     density += 2.0 * cache.cuv * _dot(_central(f, 1, hu), _central(f, 2, hv))
     return density / cache.sqrt_det_g
 
@@ -457,8 +465,8 @@ def gauss_curvature_check(cache):
     hu, hv = cache.hu, cache.hv
     dcu = lambda w: _central(w, 0, hu)
     dcv = lambda w: _central(w, 1, hv)
-    d2u = lambda w: (np.roll(w, -1, axis=0) - 2 * w + np.roll(w, 1, axis=0)) / hu**2
-    d2v = lambda w: (np.roll(w, -1, axis=1) - 2 * w + np.roll(w, 1, axis=1)) / hv**2
+    d2u = lambda w: (_shift(w, -1, 0) - 2 * w + _shift(w, 1, 0)) / hu**2
+    d2v = lambda w: (_shift(w, -1, 1) - 2 * w + _shift(w, 1, 1)) / hv**2
 
     E, F, G = cache.g[..., 0, 0], cache.g[..., 0, 1], cache.g[..., 1, 1]
     Eu, Ev = dcu(E), dcv(E)

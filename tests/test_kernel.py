@@ -11,8 +11,10 @@ import pytest
 
 from hkflow.errors import FrameError, InputError
 from hkflow.kernel import (
+    AmbientSpace,
     TwistorTriple,
     _apply_phase,
+    _dot,
     _tangent_phase,
     canonical_phase_from_frame,
     holomorphic_symplectic,
@@ -281,14 +283,22 @@ def _rotated_triple(triple, angle=0.7, axis=(1.0, 2.0, 2.0)):
 
 @pytest.mark.parametrize("which", ["standard", "pole", "rotated"])
 def test_plane_helpers_match_the_matrix_form(triple, which):
-    # the plane helpers reindex components by the nonzero entries of each
-    # J_d; they must agree with the plain products vec @ J_d^T for any triple
+    # the plane helpers apply J_d from its table of nonzero row entries;
+    # they must agree with the plain products vec @ J_d^T for any triple,
+    # exactly for signed permutations, where each row has one entry
     chosen = {
         "standard": triple,
         "pole": TwistorTriple(triple.j3, triple.j2, -triple.j1),   # test_flow.POLE_TRIPLE
         "rotated": _rotated_triple(triple),
     }[which]
+    tol = {"standard": 0.0, "pole": 0.0, "rotated": 1e-15}[which]
     js = chosen.as_stack()
+    rebuilt = np.zeros((3, 4, 4))
+    for d, rows in enumerate(chosen.terms):
+        for r, terms in enumerate(rows):
+            for k, c in terms:
+                rebuilt[d, r, k] = c
+    assert np.array_equal(rebuilt, js)
     if which == "rotated":
         assert all(np.count_nonzero(j[0]) > 1 for j in js)
         assert np.abs(js[0] @ js[1] - js[2]).max() < 1e-15
@@ -305,5 +315,49 @@ def test_plane_helpers_match_the_matrix_form(triple, which):
     def planes(x):
         return np.moveaxis(x, -1, 0)
 
-    assert np.abs(_tangent_phase(planes(e1), planes(e2), chosen) - planes(a)).max() < 1e-15
-    assert np.abs(_apply_phase(planes(coeff), planes(e1), chosen) - planes(applied)).max() < 1e-15
+    assert np.abs(_tangent_phase(planes(e1), planes(e2), chosen) - planes(a)).max() <= tol
+    assert np.abs(_apply_phase(planes(coeff), planes(e1), chosen) - planes(applied)).max() <= tol
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dot_is_the_left_to_right_sum(n):
+    # x0 y0 + x1 y1 + ... summed in that order, bit for bit, on contiguous
+    # planes and on transposed node-major views; the specials include
+    # all -0.0 products, whose sum must stay -0.0
+    special = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e300, np.inf, -np.inf, np.nan])
+    x = np.concatenate([RNG.standard_normal((n, 6, 5)) * 10.0 ** RNG.integers(-9, 9, (n, 6, 5)),
+                        RNG.choice(special, (n, 6, 5)), np.full((n, 1, 5), -0.0)], axis=1)
+    y = np.concatenate([RNG.standard_normal((n, 6, 5)), RNG.choice(special, (n, 6, 5)),
+                        np.ones((n, 1, 5))], axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expect = x[0] * y[0]
+        for xk, yk in zip(x[1:], y[1:]):
+            expect = expect + xk * yk
+        views = [np.ascontiguousarray(np.moveaxis(v, 0, -1)).transpose(2, 0, 1) for v in (x, y)]
+        for got in (_dot(x, y), _dot(*views)):
+            assert np.array_equal(_bits(got), _bits(expect))
+    assert np.signbit(expect[-1]).all()
+
+
+def test_wrap_matches_mod_bit_for_bit():
+    # wrap sends only coordinates outside [0, period) through np.mod; the
+    # result must still be np.mod's, sign bit and NaN included
+    periods = (2 * np.pi, 1.0, 3.0, 0.7)
+    ambient = AmbientSpace(periods)
+    per = np.array(periods)
+    columns = [
+        np.array([-0.0, 0.0, p, -1e-300, p - 1e-15, 3.5 * p, -2.25 * p, 7 * p + 0.1,
+                  np.nan, -np.nan, 0.5 * p, np.nextafter(p, 0), -p])
+        for p in periods
+    ]
+    x = np.stack(columns, axis=-1)
+    before = x.copy()
+    got = ambient.wrap(x)
+    assert got is not x and np.array_equal(_bits(x), _bits(before))
+    assert np.array_equal(_bits(got), _bits(np.mod(x, per)))
+    random = RNG.uniform(-3, 3, (50, 4)) * per
+    assert np.array_equal(_bits(ambient.wrap(random)), _bits(np.mod(random, per)))

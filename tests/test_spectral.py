@@ -279,6 +279,13 @@ def test_ball_volumes_validation(flat64):
         geodesic_ball_volumes(flat64, radii=3.0)
     with pytest.raises(InputError, match="positive"):
         geodesic_ball_volumes(flat64, radii=-0.5)
+    # a centre off the 64 x 64 grid used to wrap onto another node or reach
+    # scipy as a bare ValueError; it is refused by name
+    for center in [(0, 65), (-1, 0), (64, 0), (0, 64), (1.0, 2), (True, 0), (1, 2, 3), "ab", 7]:
+        with pytest.raises(InputError, match=r"ball centre .* is not an integer pair inside"):
+            geodesic_ball_volumes(flat64, centers=[(0, 0), center])
+    rep = geodesic_ball_volumes(flat64, centers=[(np.int64(63), 63)])
+    assert rep.samples[0][0] == (63, 63)
 
 
 def unbounded_ball_volumes(cache, centers=None, radii=0.5):

@@ -17,6 +17,7 @@ from hkflow.errors import InputError, IOFailure, NumericalError
 from hkflow.kernel import AmbientSpace, phi_field, standard_twistor_triple
 from hkflow.surface import (
     SurfaceGrid,
+    _shift,
     build_immersion,
     compute_geometry,
     dirichlet_energy_density,
@@ -144,6 +145,21 @@ def test_flat_torus_metric_is_exact(flat64):
     assert c.norm_A_sq.max() < 1e-26
     area = surface_integral(np.ones((64, 64)), c)
     assert abs(area - TWO_PI**2) < 1e-9
+
+
+def test_shift_is_roll():
+    # the periodic shift moves data only: equal to np.roll on every axis, for
+    # contiguous arrays and transposed views, and composed for tuple shifts
+    rng = np.random.default_rng(5)
+    fields = [rng.standard_normal((5, 7)), rng.standard_normal((4, 5, 7)),
+              rng.standard_normal((5, 7, 3)).transpose(2, 0, 1), rng.standard_normal((7, 5)).T]
+    for f in fields:
+        for axis in range(-f.ndim, f.ndim):
+            for k in (-1, 1, 0, 3, -9):
+                assert np.array_equal(_shift(f, k, axis), np.roll(f, k, axis=axis))
+        for k in ((1, 1), (1, -1), (-1, 2)):
+            both = _shift(_shift(f, k[0], -2), k[1], -1)
+            assert np.array_equal(both, np.roll(f, k, axis=(-2, -1)))
 
 
 def test_flat_torus_seam_wrap():
