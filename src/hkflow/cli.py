@@ -12,6 +12,7 @@ notation, empty cells where a cadence skipped a column).  Exit codes:
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import platform
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import HkflowError, InputError, IOFailure, NumericalError, PreconditionError
 from .flow import FlowConfig, run_flow
-from .kernel import standard_twistor_triple
+from .kernel import _dot, standard_twistor_triple
 from .phase import (
     bja_identity,
     hyper_lagrangian_residual,
@@ -32,6 +33,8 @@ from .phase import (
 )
 from .spectral import RESIDUAL_TOL, lambda1
 from .surface import (
+    _lam_min,
+    _planes,
     build_immersion,
     compute_geometry,
     gauss_curvature_check,
@@ -174,10 +177,27 @@ def _platform_tag():
 
 
 def cmd_init(args):
+    # refuse what `run` could not replay before anything is written: each
+    # config flag builds its FlowConfig field, no parameter may be non-finite,
+    # and the manifest reader cuts a value at '#', a line at a line break and
+    # the whitespace around a value
+    for name in (fld.name for fld in dataclasses.fields(FlowConfig)):
+        try:
+            FlowConfig(**{name: getattr(args, name)})
+        except InputError as exc:
+            raise InputError(f"--{name.replace('_', '-')}: {exc}") from None
+    for flag, text in (("--exprs", args.exprs), ("--out", args.out)):
+        if text is not None and (any(c in text for c in "#\r\n") or text != text.strip()):
+            raise InputError(
+                f"{flag} {text!r}: a manifest value cannot hold '#', a line break "
+                "or surrounding whitespace"
+            )
     params = {}
     for key in SCENARIO_PARAMS:
         val = getattr(args, key)
         if val is not None:
+            if not math.isfinite(val):
+                raise InputError(f"--{key} must be finite, got {val}")
             params[key] = val
     if args.exprs is not None:
         params["exprs"] = args.exprs.split(";")
@@ -239,23 +259,7 @@ def _csv_cell(val):
 
 
 def _csv_row(rec):
-    cells = (
-        rec.t,
-        rec.dt,
-        rec.area,
-        rec.twistor_energy,
-        rec.lambda1,
-        rec.max_H,
-        rec.max_A,
-        rec.min_a3,
-        rec.hdp_margin,
-        rec.efa_residual,
-        rec.efe_residual,
-        rec.metric_residual,
-        rec.E_accum,
-        rec.consistency_error,
-    )
-    return ",".join(_csv_cell(c) for c in cells)
+    return ",".join(_csv_cell(getattr(rec, name)) for name in CSV_COLUMNS.split(","))
 
 
 def _svg_line_plot(path, xs, ys, xlabel, ylabel):
@@ -386,27 +390,12 @@ def _run_checks(cache):
     tol_id = max(CHECK_TOL_64 * (h / href) ** 2, CHECK_TOL_FLOOR)
     checks = []
 
-    def residual(name, measured, tol):
-        checks.append(
-            {
-                "name": name,
-                "status": "PASS" if measured <= tol else "FAIL",
-                "measured": float(measured),
-                "tolerance": float(tol),
-                "direction": "below",
-            }
-        )
-
-    def lower_bound(name, measured, bound):
-        checks.append(
-            {
-                "name": name,
-                "status": "PASS" if measured >= bound else "FAIL",
-                "measured": float(measured),
-                "tolerance": float(bound),
-                "direction": "above",
-            }
-        )
+    def record(name, measured, tol, direction="below"):
+        held = measured <= tol if direction == "below" else measured >= tol
+        checks.append(dict(
+            name=name, status="PASS" if held else "FAIL", measured=float(measured),
+            tolerance=float(tol), direction=direction,
+        ))
 
     js = (triple.j1, triple.j2, triple.j3)
     prod = max(
@@ -414,41 +403,38 @@ def _run_checks(cache):
         np.abs(js[1] @ js[2] - js[0]).max(),
         np.abs(js[2] @ js[0] - js[1]).max(),
     )
-    residual("quaternion-product-table", prod, 1e-12)
-    residual("j-squared", max(np.abs(j @ j + np.eye(4)).max() for j in js), 1e-12)
-    residual("j-isometry", max(np.abs(j.T @ j - np.eye(4)).max() for j in js), 1e-12)
+    record("quaternion-product-table", prod, 1e-12)
+    record("j-squared", max(np.abs(j @ j + np.eye(4)).max() for j in js), 1e-12)
+    record("j-isometry", max(np.abs(j.T @ j - np.eye(4)).max() for j in js), 1e-12)
 
-    residual("metric-symmetry", np.abs(cache.g[..., 0, 1] - cache.g[..., 1, 0]).max(), 1e-12)
-    eig_min = np.linalg.eigvalsh(cache.g).min()
-    lower_bound("metric-positivity", eig_min, 1e-10)
-    frames = np.stack([cache.e1, cache.e2, cache.e3, cache.e4], axis=2)
-    gram = np.einsum("ijad,ijbd->ijab", frames, frames)
-    residual("frame-orthonormality", np.abs(gram - np.eye(4)).max(), 1e-8)
+    record("metric-symmetry", np.abs(cache.g[..., 0, 1] - cache.g[..., 1, 0]).max(), 1e-12)
+    record("metric-positivity", _lam_min(_planes(cache.g, 2)).min(), 1e-10, "above")
+    frame = [_planes(e) for e in (cache.e1, cache.e2, cache.e3, cache.e4)]
+    gram = max(
+        np.abs(_dot(frame[i], frame[j]) - (i == j)).max() for i in range(4) for j in range(i, 4)
+    )
+    record("frame-orthonormality", gram, 1e-8)
     mat, _ = laplacian_matrix(cache)
     asym = abs(mat - mat.T).max() / max(abs(mat).max(), 1e-300)
-    residual("laplacian-symmetry", asym, 1e-10)
-    residual("gauss-curvature", gauss_curvature_check(cache).max(), tol_id)
+    record("laplacian-symmetry", asym, 1e-10)
+    record("gauss-curvature", gauss_curvature_check(cache).max(), tol_id)
 
     pf = phase_field(cache, triple)
-    residual("plf-identity", plf_residual(cache, pf, triple).max(), tol_id)
+    record("plf-identity", plf_residual(cache, pf, triple).max(), tol_id)
     lhs, rhs, _ = bja_identity(cache, pf, triple)
-    residual("bja-identity", np.abs(lhs - rhs).max(), tol_id)
+    record("bja-identity", np.abs(lhs - rhs).max(), tol_id)
     try:
-        residual("etd-polar-identity", polar_identity_check(pf, cache).max(), tol_id)
+        record("etd-polar-identity", polar_identity_check(pf, cache).max(), tol_id)
     except PreconditionError as exc:
         checks.append({"name": "etd-polar-identity", "status": "SKIP", "reason": str(exc)})
-    residual(
-        "hyper-lagrangian-residual",
-        hyper_lagrangian_residual(cache, pf, triple).max(),
-        tol_id,
-    )
+    record("hyper-lagrangian-residual", hyper_lagrangian_residual(cache, pf, triple).max(), tol_id)
     margin = (2.0 * pf.energy_density - cache.norm_H_sq).min()
     slack = 10.0 * h**2 * cache.norm_A_sq.max()
-    lower_bound("hdp-margin", margin, -slack)
+    record("hdp-margin", margin, -slack, "above")
 
     spec_res = lambda1(cache)
-    lower_bound("lambda1-positive", spec_res.lambda1, 1e-10)
-    residual("lambda1-residual", spec_res.residual, RESIDUAL_TOL)
+    record("lambda1-positive", spec_res.lambda1, 1e-10, "above")
+    record("lambda1-residual", spec_res.residual, RESIDUAL_TOL)
     return checks
 
 

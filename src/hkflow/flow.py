@@ -24,7 +24,8 @@ from .kernel import _dot, standard_twistor_triple
 from .phase import PhaseField, field_from_array, phase_field, tension_field, twistor_energy
 from .spectral import lambda1
 from .surface import (
-    ScenarioSpec, SurfaceGrid, _planes, build_immersion, compute_geometry, surface_integral,
+    ScenarioSpec, SurfaceGrid, _lam_min, _planes, build_immersion, compute_geometry,
+    surface_integral,
 )
 
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
@@ -57,8 +58,9 @@ class FlowConfig:
             raise InputError(f"cfl safety must lie in (0, 1], got {self.safety}")
         if self.scheme not in ("euler", "rk2"):
             raise InputError(f"unknown scheme {self.scheme!r}")
-        if self.steps < 0 or self.lambda1_cadence < 1 or self.consistency_cadence < 0:
-            raise InputError("steps and cadences must be non-negative")
+        for name, low in (("steps", 0), ("lambda1_cadence", 1), ("consistency_cadence", 0)):
+            if not getattr(self, name) >= low:
+                raise InputError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -111,11 +113,7 @@ class DiagnosticsSeries:
 
 def metric_spacing(cache):
     """sqrt(min eigenvalue of g) x the shorter parameter step."""
-    g = cache.g
-    tr = g[..., 0, 0] + g[..., 1, 1]
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    lam_min = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0)))
-    return float(np.sqrt(lam_min.min())) * min(cache.hu, cache.hv)
+    return float(np.sqrt(_lam_min(_planes(cache.g, 2)).min())) * min(cache.hu, cache.hv)
 
 
 def cfl_dt(cache, safety=0.9):
@@ -185,8 +183,8 @@ def consistency_check(state, pf_evolved):
 
     The defect is returned raw (it scales as O(dt^2) + O(dt h^2) per step).
     """
-    frame_phase = phase_field(state.cache, state.triple)
-    return float(np.linalg.norm(frame_phase.a - pf_evolved.a, axis=-1).max())
+    gap = _planes(phase_field(state.cache, state.triple).a - pf_evolved.a)
+    return float(np.sqrt(_dot(gap, gap)).max())
 
 
 def metric_evolution_monitor(before, after, dt):
@@ -292,7 +290,7 @@ def run_flow(cfg, scenario, triple=None, observe=None):
         w0 = _mean_phase_direction(state)
 
         def emit(rec, current):
-            rec.min_alignment = float((current.phase.a @ w0).min())
+            rec.min_alignment = float(_alignment(current, w0).min())
             series.append(rec)
             if observe is not None:
                 observe(rec, current)
@@ -333,15 +331,19 @@ def run_flow(cfg, scenario, triple=None, observe=None):
 def _mean_phase_direction(state):
     w = state.cache.node_area()[..., None]
     mean = (state.phase.a * w).sum((0, 1))
-    norm = np.linalg.norm(mean)
+    norm = np.sqrt(_dot(mean, mean))
     if norm < 1e-12:
         return np.array([0.0, 0.0, 1.0])
     return mean / norm
 
 
+def _alignment(state, w):
+    """<a, w> per node for one unit direction w."""
+    return _dot(_planes(state.phase.a), w[:, None, None])
+
+
 def _phase_spread(state):
-    wstar = _mean_phase_direction(state)
-    dots = np.clip(state.phase.a @ wstar, -1.0, 1.0)
+    dots = np.clip(_alignment(state, _mean_phase_direction(state)), -1.0, 1.0)
     return float(np.arccos(dots).max())
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, PreconditionError
-from .kernel import _apply_phase, _companion, _dot, _tangent_phase, phi_field
+from .kernel import _apply_phase, _companion, _dot, _tangent_phase, phi_field  # noqa: F401
 from .surface import (
     _central,
     _cometric,
@@ -147,10 +147,8 @@ def lagrangian_angle(pf, cache):
 def _to_frame(comp_u, comp_v, cache):
     """Convert 1-form components on (f_u, f_v) to the orthonormal frame
     using the metric Gram-Schmidt rows."""
-    gs = cache.gs
-    c1 = gs[..., 0, 0] * comp_u
-    c2 = gs[..., 1, 0] * comp_u + gs[..., 1, 1] * comp_v
-    return c1, c2
+    gs = _planes(cache.gs, 2)
+    return gs[0, 0] * comp_u, gs[1, 0] * comp_u + gs[1, 1] * comp_v
 
 
 def plf_residual(cache, pf, triple, companion=None):
@@ -167,7 +165,7 @@ def plf_residual(cache, pf, triple, companion=None):
     of that choice, which the tests exercise.
     """
     a = _planes(pf.a)
-    b = _planes(phi_field(pf.a) if companion is None else np.asarray(companion, float))
+    b = _companion(a) if companion is None else _planes(np.asarray(companion, float))
     axb = np.cross(a, b, axis=0)
     f_u, f_v = _planes(cache.f_u), _planes(cache.f_v)
 
@@ -200,12 +198,14 @@ def bja_identity(cache, pf, triple):
     b = _companion(_planes(pf.a))
     normals = tuple(_apply_phase(b, _planes(e), triple) for e in (cache.e1, cache.e2))
     f_uu, f_uv, f_vv = (_planes(f) for f in (cache.f_uu, cache.f_uv, cache.f_vv))
-    hp = _node_major(_second_fundamental_form(f_uu, f_uv, f_vv, normals))
-    horth = np.einsum("...ik,...jl,...akl->...aij", cache.gs, cache.gs, hp, optimize=True)
+    hp = _second_fundamental_form(f_uu, f_uv, f_vv, normals)
+    # gs hp gs^T: the lower-triangular gs rows act on the row index, then the column index
+    rows = _to_frame(hp[:, 0], hp[:, 1], cache)
+    horth = [_to_frame(r[:, 0], r[:, 1], cache) for r in rows]   # horth[i][j][alpha]
 
-    x = horth[..., 0, 1, :] - horth[..., 1, 0, :]      # h3_{2i} - h4_{1i}
-    y = horth[..., 0, 0, :] + horth[..., 1, 1, :]      # h3_{1i} + h4_{2i}
-    rhs = 4.0 * ((x**2).sum(-1) + (y**2).sum(-1))
+    x = np.stack([horth[1][i][0] - horth[0][i][1] for i in (0, 1)])    # h3_{2i} - h4_{1i}
+    y = np.stack([horth[0][i][0] + horth[1][i][1] for i in (0, 1)])    # h3_{1i} + h4_{2i}
+    rhs = 4.0 * (_dot(x, x) + _dot(y, y))
     lhs = 4.0 * pf.energy_density
     # ratio only means something where A is above noise level; 0/0 nodes
     # (flat spots of analytic scenarios) would otherwise dominate the max

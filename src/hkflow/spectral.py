@@ -16,7 +16,10 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import InputError, NumericalError, PreconditionError
-from .surface import _central, _cometric, _shift, laplacian_matrix, surface_integral
+from .kernel import _dot
+from .surface import (
+    _central, _cometric, _displacement, _planes, _shift, laplacian_matrix, surface_integral,
+)
 
 RAYLEIGH_RTOL = 1e-10
 RESIDUAL_TOL = 1e-7
@@ -122,14 +125,13 @@ def _chord_graph(cache):
     grid = cache.grid
     nu, nv = grid.nu, grid.nv
     idx = np.arange(nu * nv).reshape(nu, nv)
-    pos = grid.positions
+    pos = np.ascontiguousarray(_planes(grid.positions))
     rows, cols, data = [], [], []
     for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-        nbr = _shift(_shift(pos, -di, 0), -dj, 1)
-        disp = grid.ambient.displacement(nbr, pos)
+        disp = _displacement(grid.ambient, _shift(_shift(pos, -di, 1), -dj, 2), pos)
         rows.append(idx.ravel())
         cols.append(_shift(_shift(idx, -di, 0), -dj, 1).ravel())
-        data.append(np.linalg.norm(disp, axis=-1).ravel())
+        data.append(np.sqrt(_dot(disp, disp)).ravel())
     return sp.csr_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nu * nv, nu * nv),

@@ -242,6 +242,18 @@ def _central(f, axis, h):
     return (_shift(f, -1, axis) - _shift(f, 1, axis)) / (2 * h)
 
 
+def _lam_min(g):
+    """Smaller eigenvalue of symmetric 2 x 2 planes g (2, 2, ...), free of cancellation.
+
+    lam_max = (g11 + g22 + sqrt((g11 - g22)^2 + 4 g12^2)) / 2 adds two
+    nonnegative terms for a positive metric, and lam_min = det / lam_max;
+    0.5 (tr - sqrt(tr^2 - 4 det)) loses half the digits at an isotropic node.
+    """
+    a, b, c = g[0, 0], g[0, 1], g[1, 1]
+    lam_max = 0.5 * (a + c + np.sqrt((a - c) ** 2 + 4 * b * b))
+    return (a * c - b * b) / lam_max
+
+
 def _cometric(ginv, xu, xv):
     """g^{ij} x_i x_j for a covector with parameter components (xu, xv)."""
     return ginv[..., 0, 0] * xu**2 + 2 * ginv[..., 0, 1] * xu * xv + ginv[..., 1, 1] * xv**2
@@ -453,46 +465,33 @@ def gauss_curvature_check(cache):
     """|K_intrinsic - K_extrinsic| per node on a flat ambient.
 
     Extrinsic side from the second fundamental form, intrinsic side from
-    the Brioschi formula applied to the discrete metric.
+    the Brioschi formula applied to the discrete metric: the difference of
+    its two 3 x 3 determinants, each expanded along the first row,
+
+        | c          Eu/2  Fu - Ev/2 |   | 0     Ev/2  Gu/2 |
+        | Fv - Gu/2  E     F         | - | Ev/2  E     F    |
+        | Gv/2       F     G         |   | Gu/2  F     G    |
+
+    with c = -Evv/2 + Fuv - Guu/2, over det^2, det = EG - F^2.
     """
-    h = cache.h
+    h = _planes(cache.h, 3)
     det = cache.sqrt_det_g**2
     k_ext = (
-        h[..., 0, 0, 0] * h[..., 0, 1, 1] - h[..., 0, 0, 1] ** 2
-        + h[..., 1, 0, 0] * h[..., 1, 1, 1] - h[..., 1, 0, 1] ** 2
+        h[0, 0, 0] * h[0, 1, 1] - h[0, 0, 1] ** 2 + h[1, 0, 0] * h[1, 1, 1] - h[1, 0, 1] ** 2
     ) / det
 
     hu, hv = cache.hu, cache.hv
-    dcu = lambda w: _central(w, 0, hu)
-    dcv = lambda w: _central(w, 1, hv)
-    d2u = lambda w: (_shift(w, -1, 0) - 2 * w + _shift(w, 1, 0)) / hu**2
-    d2v = lambda w: (_shift(w, -1, 1) - 2 * w + _shift(w, 1, 1)) / hv**2
+    g = _planes(cache.g, 2)
+    E, F, G = g[0, 0], g[0, 1], g[1, 1]
+    Eu, Ev, Fu, Fv, Gu, Gv = (_central(w, ax, hs) for w in (E, F, G) for ax, hs in ((0, hu), (1, hv)))
+    Evv = (_shift(E, -1, 1) - 2 * E + _shift(E, 1, 1)) / hv**2
+    Guu = (_shift(G, -1, 0) - 2 * G + _shift(G, 1, 0)) / hu**2
+    Fuv = _central(Fv, 0, hu)
 
-    E, F, G = cache.g[..., 0, 0], cache.g[..., 0, 1], cache.g[..., 1, 1]
-    Eu, Ev = dcu(E), dcv(E)
-    Gu, Gv = dcu(G), dcv(G)
-    Fu, Fv = dcu(F), dcv(F)
-    Evv, Guu = d2v(E), d2u(G)
-    Fuv = dcu(dcv(F))
-
-    m1 = np.stack(
-        [
-            np.stack([-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev], -1),
-            np.stack([Fv - 0.5 * Gu, E, F], -1),
-            np.stack([0.5 * Gv, F, G], -1),
-        ],
-        -2,
-    )
-    zero = np.zeros_like(E)
-    m2 = np.stack(
-        [
-            np.stack([zero, 0.5 * Ev, 0.5 * Gu], -1),
-            np.stack([0.5 * Ev, E, F], -1),
-            np.stack([0.5 * Gu, F, G], -1),
-        ],
-        -2,
-    )
-    k_int = (np.linalg.det(m1) - np.linalg.det(m2)) / det**2
+    c, r2, r3 = -0.5 * Evv + Fuv - 0.5 * Guu, Fv - 0.5 * Gu, 0.5 * Gv
+    det1 = c * det - 0.5 * Eu * (r2 * G - F * r3) + (Fu - 0.5 * Ev) * (r2 * F - E * r3)
+    det2 = -0.5 * Ev * (0.5 * Ev * G - 0.5 * Gu * F) + 0.5 * Gu * (0.5 * Ev * F - 0.5 * Gu * E)
+    k_int = (det1 - det2) / det**2
     return np.abs(k_int - k_ext)
 
 

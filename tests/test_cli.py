@@ -118,6 +118,39 @@ def test_init_rejects_hostile_expression(tmp_path, expr):
     assert list(tmp_path.iterdir()) == []
 
 
+# each of these used to write a manifest that `run` refused or misread:
+# the config flags failed FlowConfig only at replay, and the reader cuts a
+# value at '#', a line at a line break and strips the value
+UNREPLAYABLE_INIT_FLAGS = (
+    (["--steps", "-1"], "--steps: steps must be >= 0"),
+    (["--safety", "5"], "--safety: cfl safety must lie in"),
+    (["--lambda1-cadence", "0"], "--lambda1-cadence: lambda1_cadence must be >= 1"),
+    (["--consistency-cadence", "-1"], "--consistency-cadence: consistency_cadence must be >= 0"),
+    (["--dt", "-1"], "--dt: fixed dt must be positive"),
+    (["--c-mon", "nan"], "--c-mon: c_mon must be finite"),
+    (["--max-h-below", "inf"], "--max-h-below: max_h_below must be finite"),
+    (["--t-final", "nan"], "--t-final: t_final must be finite"),
+    (["--eps", "nan"], "--eps must be finite"),
+    (["--out", "exp#1"], "--out 'exp#1': a manifest value cannot hold '#'"),
+    (["--out", "exp\n1"], "--out 'exp\\n1': a manifest value cannot hold"),
+    (["--out", " exp"], "--out ' exp': a manifest value cannot hold"),
+    (["--exprs", "u;v;0*u;0*u#note"], "--exprs 'u;v;0*u;0*u#note': a manifest value"),
+    (["--exprs", "u;v;0*u;\n0*u"], "--exprs 'u;v;0*u;\\n0*u': a manifest value"),
+    (["--exprs", "u;v;0*u;0*u\r"], "--exprs 'u;v;0*u;0*u\\r': a manifest value"),
+)
+
+
+@pytest.mark.parametrize("flags, message", UNREPLAYABLE_INIT_FLAGS)
+def test_init_refuses_unreplayable_manifest(tmp_path, flags, message):
+    out = run_cli(
+        "init", "--scenario", "custom-expression", "--nu", "8", "--nv", "8",
+        "--exprs", "u;v;0*u;0*u", "--periods", "6.283185307179586," * 3 + "6.283185307179586",
+        *flags, cwd=tmp_path,
+    )
+    assert_validation_failure(out)
+    assert message in out.stderr
+    assert list(tmp_path.iterdir()) == []
+
 def test_init_unwritable_path(tmp_path):
     out = run_cli(
         "init", "--scenario", "flat-plane-torus", "--nu", "8", "--nv", "8",

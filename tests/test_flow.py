@@ -78,11 +78,16 @@ def test_config_validation():
     with pytest.raises(InputError):
         FlowConfig(scheme="leapfrog")
     with pytest.raises(InputError):
-        FlowConfig(steps=-1)
-    with pytest.raises(InputError):
         FlowConfig(safety=0.0)
-    with pytest.raises(InputError):
-        FlowConfig(lambda1_cadence=-2)
+    # each bound names its field; 0 is a valid step count but no cadence
+    with pytest.raises(InputError, match=r"steps must be >= 0, got -1"):
+        FlowConfig(steps=-1)
+    for cadence in (0, -2):
+        with pytest.raises(InputError, match=rf"lambda1_cadence must be >= 1, got {cadence}"):
+            FlowConfig(lambda1_cadence=cadence)
+    with pytest.raises(InputError, match=r"consistency_cadence must be >= 0, got -1"):
+        FlowConfig(consistency_cadence=-1)
+    FlowConfig(steps=0, consistency_cadence=0)
     # NaN passes every ordering test (dt <= 0, max_H < stop), so it is named
     for name in ("c_mon", "dt", "max_h_below", "t_final"):
         with pytest.raises(InputError, match=f"{name} must be finite"):
@@ -91,10 +96,16 @@ def test_config_validation():
 
 
 def test_cfl_formula(pert64):
+    # the flat and Clifford metrics are isotropic at every node, where
+    # 0.5 (tr - sqrt(tr^2 - 4 det)) would lose half the digits
+    for state in (state_for("flat-plane-torus", 64), state_for("clifford", 64, R=1.0, r=1.0)):
+        eigs = np.linalg.eigvalsh(state.cache.g)
+        expect = np.sqrt(eigs.min()) * min(state.cache.hu, state.cache.hv)
+        assert metric_spacing(state.cache) == pytest.approx(expect, rel=1e-14)
     cache = pert64.cache
     hg = metric_spacing(cache)
     eigs = np.linalg.eigvalsh(cache.g)
-    assert hg == pytest.approx(np.sqrt(eigs.min()) * min(cache.hu, cache.hv), rel=1e-9)
+    assert hg == pytest.approx(np.sqrt(eigs.min()) * min(cache.hu, cache.hv), rel=1e-14)
     expect = 0.9 * hg**2 / (4.0 * (1.0 + cache.norm_A_sq.max() * hg**2))
     assert cfl_dt(cache, 0.9) == pytest.approx(expect, rel=1e-14)
     assert cfl_dt(cache, 0.45) == pytest.approx(expect / 2, rel=1e-14)

@@ -13,10 +13,14 @@ import warnings
 import numpy as np
 import pytest
 
+from hkflow.cli import _run_checks
 from hkflow.errors import InputError, IOFailure, NumericalError
 from hkflow.kernel import AmbientSpace, phi_field, standard_twistor_triple
+from hkflow.phase import bja_identity, phase_field
 from hkflow.surface import (
     SurfaceGrid,
+    _lam_min,
+    _planes,
     _shift,
     build_immersion,
     compute_geometry,
@@ -108,6 +112,64 @@ def node_major_geometry(grid):
         min_edge=float(
             min(np.sqrt((du_f**2).sum(-1)).min(), np.sqrt((dv_f**2).sum(-1)).min())
         ),
+    )
+
+
+def node_major_meters(cache, pf):
+    """Reference: the pointwise algebra of the check suite written node-major
+    with generic numpy.  Returns the Brioschi Gauss defect from two stacked
+    3 x 3 determinants, the metric eigenvalues from eigvalsh, the bja
+    right-hand side with h rotated into the orthonormal frame by an einsum,
+    and the largest entry of |Gram - I| of the frame, also by an einsum."""
+    hu, hv = cache.hu, cache.hv
+
+    def central(w, axis, h):
+        return (np.roll(w, -1, axis=axis) - np.roll(w, 1, axis=axis)) / (2 * h)
+
+    def second(w, axis, h):
+        return (np.roll(w, -1, axis=axis) - 2 * w + np.roll(w, 1, axis=axis)) / h**2
+
+    h, det = cache.h, cache.sqrt_det_g**2
+    k_ext = (
+        h[..., 0, 0, 0] * h[..., 0, 1, 1] - h[..., 0, 0, 1] ** 2
+        + h[..., 1, 0, 0] * h[..., 1, 1, 1] - h[..., 1, 0, 1] ** 2
+    ) / det
+    E, F, G = cache.g[..., 0, 0], cache.g[..., 0, 1], cache.g[..., 1, 1]
+    Eu, Ev, Fu, Fv = central(E, 0, hu), central(E, 1, hv), central(F, 0, hu), central(F, 1, hv)
+    Gu, Gv = central(G, 0, hu), central(G, 1, hv)
+    corner = -0.5 * second(E, 1, hv) + central(Fv, 0, hu) - 0.5 * second(G, 0, hu)
+    m1 = np.stack([
+        np.stack([corner, 0.5 * Eu, Fu - 0.5 * Ev], -1),
+        np.stack([Fv - 0.5 * Gu, E, F], -1),
+        np.stack([0.5 * Gv, F, G], -1),
+    ], -2)
+    m2 = np.stack([
+        np.stack([np.zeros_like(E), 0.5 * Ev, 0.5 * Gu], -1),
+        np.stack([0.5 * Ev, E, F], -1),
+        np.stack([0.5 * Gu, F, G], -1),
+    ], -2)
+    k_int = (np.linalg.det(m1) - np.linalg.det(m2)) / det**2
+
+    js = standard_twistor_triple().as_stack()
+    b = phi_field(pf.a)
+    normals = [
+        sum(b[..., d, None] * (e @ j.T) for d, j in enumerate(js)) for e in (cache.e1, cache.e2)
+    ]
+    hp = np.empty(det.shape + (2, 2, 2))
+    for alpha, n in enumerate(normals):
+        hp[..., alpha, 0, 0] = (cache.f_uu * n).sum(-1)
+        hp[..., alpha, 0, 1] = hp[..., alpha, 1, 0] = (cache.f_uv * n).sum(-1)
+        hp[..., alpha, 1, 1] = (cache.f_vv * n).sum(-1)
+    horth = np.einsum("...ik,...jl,...akl->...aij", cache.gs, cache.gs, hp)
+    x = horth[..., 0, 1, :] - horth[..., 1, 0, :]
+    y = horth[..., 0, 0, :] + horth[..., 1, 1, :]
+
+    frames = np.stack([cache.e1, cache.e2, cache.e3, cache.e4], axis=2)
+    gram = np.einsum("ijad,ijbd->ijab", frames, frames)
+    return dict(
+        gauss=np.abs(k_int - k_ext), gauss_scale=np.abs(k_int).max() + np.abs(k_ext).max(),
+        eig=np.linalg.eigvalsh(cache.g), bja_rhs=4.0 * ((x**2).sum(-1) + (y**2).sum(-1)),
+        gram=np.abs(gram - np.eye(4)).max(),
     )
 
 
@@ -457,8 +519,9 @@ def test_node_area_definition(perturbed48):
     assert np.array_equal(c.node_area(), c.sqrt_det_g * c.hu * c.hv)
 
 
-@pytest.mark.parametrize("nu, nv", [(32, 32), (5, 9), (7, 4)])
-@pytest.mark.parametrize(
+# odd and non-square grids put every roll and reindexing next to a different neighbour
+ORACLE_GRIDS = pytest.mark.parametrize("nu, nv", [(32, 32), (5, 9), (7, 4)])
+ORACLE_SURFACES = pytest.mark.parametrize(
     "name, params",
     [
         ("perturbed-complex-torus", {"eps": 0.05}),
@@ -469,9 +532,12 @@ def test_node_area_definition(perturbed48):
         ("custom-expression", SHEARED),
     ],
 )
+
+
+@ORACLE_GRIDS
+@ORACLE_SURFACES
 def test_plane_core_matches_node_major_oracle(name, params, nu, nv):
-    # odd and non-square grids put every roll and reindexing next to a
-    # different neighbour; all fields but |A|^2 come out bit for bit
+    # all fields but |A|^2 come out bit for bit
     grid = build_immersion(scenario(name, nu, nv, **params))
     cache, ref = compute_geometry(grid), node_major_geometry(grid)
     for key, want in ref.items():
@@ -482,3 +548,31 @@ def test_plane_core_matches_node_major_oracle(name, params, nu, nv):
     # |A|^2 is a closed-form trace instead of the contraction
     scale = np.abs(ref["norm_A_sq"]).max()
     assert np.abs(cache.norm_A_sq - ref["norm_A_sq"]).max() <= 1e-14 * scale
+
+
+@ORACLE_GRIDS
+@ORACLE_SURFACES
+def test_pointwise_closed_forms_match_node_major_oracle(name, params, nu, nv):
+    # the closed forms on planes against the generic numpy they replaced:
+    # equal up to the rounding of a different evaluation order
+    cache = compute_geometry(build_immersion(scenario(name, nu, nv, **params)))
+    pf = phase_field(cache, standard_twistor_triple())
+    ref = node_major_meters(cache, pf)
+    checks = {c["name"]: c for c in _run_checks(cache)}
+
+    lam, eig = _lam_min(_planes(cache.g, 2)), ref["eig"]
+    assert np.all(np.abs(lam - eig[..., 0]) <= 1e-15 * eig[..., 1])
+    assert checks["metric-positivity"]["measured"] == pytest.approx(eig[..., 0].min(), rel=1e-15)
+
+    # zero scale (constant metric, flat frame) demands exact zeros on both sides
+    gauss_tol = 1e-13 * ref["gauss_scale"]
+    assert np.abs(gauss_curvature_check(cache) - ref["gauss"]).max() <= gauss_tol
+    assert abs(checks["gauss-curvature"]["measured"] - ref["gauss"].max()) <= gauss_tol
+
+    lhs, rhs, _ = bja_identity(cache, pf, standard_twistor_triple())
+    bja_tol = 1e-14 * ref["bja_rhs"].max()
+    assert np.abs(rhs - ref["bja_rhs"]).max() <= bja_tol
+    assert abs(checks["bja-identity"]["measured"] - np.abs(lhs - ref["bja_rhs"]).max()) <= bja_tol
+
+    # both sum the four component products in order, so the Gram agrees to the bit
+    assert checks["frame-orthonormality"]["measured"] == ref["gram"]
