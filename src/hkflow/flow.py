@@ -112,8 +112,15 @@ class DiagnosticsSeries:
 
 
 def metric_spacing(cache):
-    """sqrt(min eigenvalue of g) x the shorter parameter step."""
-    return float(np.sqrt(_lam_min(_planes(cache.g, 2)).min())) * min(cache.hu, cache.hv)
+    """sqrt(min eigenvalue of g) x the shorter parameter step.
+
+    Computed once per cache: the phase step reads it on the moved cache,
+    and the next step's cfl_dt on that same cache.
+    """
+    return cache._memoized(
+        "metric_spacing",
+        lambda: float(np.sqrt(_lam_min(_planes(cache.g, 2)).min())) * min(cache.hu, cache.hv),
+    )
 
 
 def cfl_dt(cache, safety=0.9):

@@ -8,6 +8,7 @@ in the W inner product, preconditioned by the exact FFT inverse of the
 shifted pencil at the mean metric, so no matrix is factorized.
 """
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -168,12 +169,18 @@ def geodesic_ball_volumes(cache, centers=None, radii=0.5):
     proxy exceeds 2 r_max and no radius is too large.  kappa is the
     worst sampled ratio: the noncollapsing constant in
     Vol(B(x, r)) >= kappa r^2.  Samples are (center, radius, volume,
-    ratio) tuples.  A centre must be an (i, j) node index pair inside the
-    grid; any other raises InputError instead of measuring a wrapped node.
+    ratio) tuples.  Radii must be finite and positive, and a centre an
+    (i, j) node index pair inside the grid; anything else raises
+    InputError instead of measuring NaN or a wrapped node.
+
+    The report depends on the geometry alone, so it is computed once per
+    cache and centres/radii pair and returned from the cache's memo on
+    every later call: it describes cache.grid.positions as they were on
+    the first call.  Errors are not stored, so they raise on every call.
     """
     radii = tuple(np.atleast_1d(np.asarray(radii, float)))
-    if any(r <= 0 for r in radii):
-        raise InputError(f"ball radii must be positive, got {radii}")
+    if not radii or not all(math.isfinite(r) and r > 0 for r in radii):
+        raise InputError(f"ball radii must be finite and positive, got {radii}")
     if centers is None:
         centers = default_ball_centers(cache)
     nu, nv = cache.grid.nu, cache.grid.nv
@@ -182,7 +189,17 @@ def geodesic_ball_volumes(cache, centers=None, radii=0.5):
             raise InputError(
                 f"ball centre {center!r} is not an integer pair inside [0, {nu}) x [0, {nv})"
             )
-    flat = [int(i) * nv + int(j) for i, j in centers]
+    centers = tuple((int(i), int(j)) for i, j in centers)
+    if not centers:
+        raise InputError("no ball centres given")
+    return cache._memoized(
+        ("ball_volumes", centers, radii), lambda: _ball_volumes(cache, centers, radii)
+    )
+
+
+def _ball_volumes(cache, centers, radii):
+    """geodesic_ball_volumes on validated int-pair centres and radii."""
+    flat = [i * cache.grid.nv + j for i, j in centers]
     graph = _chord_graph(cache)
     reach = csgraph.dijkstra(graph, directed=False, indices=flat[0], limit=2 * max(radii))
     proxy = float(reach.max())
@@ -197,7 +214,7 @@ def geodesic_ball_volumes(cache, centers=None, radii=0.5):
         for r in radii:
             r = float(r)
             vol = float(w[dist[k] <= r].sum())
-            samples.append((tuple(center), r, vol, vol / r**2))
+            samples.append((center, r, vol, vol / r**2))
     kappa = min(s[3] for s in samples)
     return CollapseReport(kappa, max(radii), tuple(samples))
 
@@ -207,11 +224,22 @@ def c0_from_l2_validator(sigma, lam, cache, radius=0.5):
 
     eps is the L2 mass of sigma; the bound only claims anything when
     eps <= radius^4 and Lam really dominates the measured gradient, so
-    both preconditions are enforced rather than assumed.
+    both preconditions are enforced rather than assumed.  A non-finite
+    sigma, lam or radius, or a radius <= 0, raises InputError: an inf Lam
+    would certify nothing.
     """
     sigma = np.asarray(sigma, float)
     if sigma.shape != cache.sqrt_det_g.shape:
         raise InputError(f"field shape {sigma.shape} does not match the grid")
+    finite = np.isfinite(sigma)
+    if not finite.all():
+        ij = tuple(int(k) for k in np.argwhere(~finite)[0])
+        raise InputError(f"sigma must be finite, got {sigma[ij]} at node {ij}")
+    for name, value in (("lam", lam), ("radius", radius)):
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value}")
+    if radius <= 0:
+        raise InputError(f"radius must be positive, got {radius}")
     grad_sq = _cometric(cache.ginv, _central(sigma, 0, cache.hu), _central(sigma, 1, cache.hv))
     measured = float(np.sqrt(grad_sq.max()))
     if lam < measured * (1 - 1e-9):

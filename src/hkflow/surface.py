@@ -23,8 +23,8 @@ Layout: the geometry is computed on component planes, a contiguous
 (4, nu, nv) array per vector field and (2, 2, nu, nv) per metric-like
 tensor, so an inner product is the plane sum x0 y0 + x1 y1 + x2 y2 + x3 y3
 and J_d acts by reindexing planes.  GeometryCache exposes every field in
-the (nu, nv, 4) / (nu, nv, 2, 2) layout as a transposed view of those
-planes; the phase fields of the phase module follow the same rule.
+the (nu, nv, 4) / (nu, nv, 2, 2) layout as a read-only transposed view of
+those planes; the phase fields of the phase module follow the same layout.
 """
 
 import ast
@@ -190,8 +190,14 @@ def build_immersion(spec):
 
 @dataclass
 class GeometryCache:
-    """Every array field is a (nu, nv, ...) view of the component planes
-    compute_geometry works on; index [..., k] reads a contiguous plane."""
+    """Every array field is a read-only (nu, nv, ...) view of the component
+    planes compute_geometry works on; index [..., k] reads a contiguous plane.
+
+    A cache is a value: what depends on the geometry alone (ball volume
+    reports, the metric spacing) is computed on the first call and kept
+    in a private memo, so it describes grid.positions as they were then.
+    dataclasses.replace builds a new cache with an empty memo.
+    """
 
     grid: SurfaceGrid
     g: np.ndarray                # (nu, nv, 2, 2) induced metric
@@ -216,6 +222,7 @@ class GeometryCache:
     av: np.ndarray               # sqrt(g) g^vv averaged onto edge (j, j+1)
     cuv: np.ndarray              # sqrt(g) g^uv at the nodes
     min_edge: float              # shortest ambient grid edge, stability proxy
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def hu(self):
@@ -227,6 +234,13 @@ class GeometryCache:
 
     def node_area(self):
         return self.sqrt_det_g * self.hu * self.hv
+
+    def _memoized(self, key, compute):
+        """compute() on the first call with this key, the stored value after;
+        an exception is never stored, so it is raised again on the next call."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 def _shift(f, k, axis):
@@ -377,16 +391,20 @@ def compute_geometry(grid):
 
     min_edge = float(min(np.sqrt(_dot(du_f, du_f)).min(), np.sqrt(_dot(dv_f, dv_f)).min()))
 
-    return GeometryCache(
-        grid=grid, g=_node_major(g), ginv=_node_major(ginv), sqrt_det_g=sqrt_det_g,
-        f_u=_node_major(f_u), f_v=_node_major(f_v), f_uu=_node_major(f_uu),
-        f_uv=_node_major(f_uv), f_vv=_node_major(f_vv),
-        e1=_node_major(e1), e2=_node_major(e2), e3=_node_major(e3), e4=_node_major(e4),
-        gs=_node_major(gs), h=_node_major(h),
-        H=_node_major(big_h), norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq,
+    planes = dict(
+        g=g, ginv=ginv, sqrt_det_g=sqrt_det_g, f_u=f_u, f_v=f_v, f_uu=f_uu, f_uv=f_uv,
+        f_vv=f_vv, e1=e1, e2=e2, e3=e3, e4=e4, gs=gs, h=h,
+        H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq,
         au=0.5 * (flux_u + _shift(flux_u, -1, 0)),
         av=0.5 * (flux_v + _shift(flux_v, -1, 1)),
-        cuv=sqrt_det_g * ginv[0, 1], min_edge=min_edge,
+        cuv=sqrt_det_g * ginv[0, 1],
+    )
+    # read-only before the views are taken, so they inherit it and no
+    # memoized result can drift from the arrays it was computed from
+    for plane in planes.values():
+        plane.flags.writeable = False
+    return GeometryCache(
+        grid=grid, min_edge=min_edge, **{name: _node_major(p) for name, p in planes.items()}
     )
 
 

@@ -34,7 +34,7 @@ from hkflow.flow import (
 )
 from hkflow.kernel import TwistorTriple, standard_twistor_triple
 from hkflow.phase import field_from_array, phase_field, tension_field, twistor_energy
-from hkflow.surface import build_immersion, scenario
+from hkflow.surface import _lam_min, build_immersion, scenario
 
 TRIPLE = standard_twistor_triple()
 # same structure conjugated so the flat-plane phase sits at the north
@@ -109,6 +109,26 @@ def test_cfl_formula(pert64):
     expect = 0.9 * hg**2 / (4.0 * (1.0 + cache.norm_A_sq.max() * hg**2))
     assert cfl_dt(cache, 0.9) == pytest.approx(expect, rel=1e-14)
     assert cfl_dt(cache, 0.45) == pytest.approx(expect / 2, rel=1e-14)
+
+
+def test_metric_spacing_once_per_cache(monkeypatch):
+    # the phase step reads the moved cache's spacing, and the next step's
+    # cfl_dt the same cache's; both used to compute it
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return _lam_min(g)
+
+    st = state_for("perturbed-complex-torus", 16, eps=0.05)
+    expect = [metric_spacing(st.cache)]
+    monkeypatch.setattr(hkflow.flow, "_lam_min", counted)
+    for _ in range(3):
+        st, _ = coupled_step(st, FlowConfig())
+        expect.append(metric_spacing(st.cache))
+    assert len(calls) == 3                       # one per moved cache
+    for k, g in enumerate(calls):
+        assert expect[k + 1] == float(np.sqrt(_lam_min(g).min())) * (TWO_PI / 16)
 
 
 # ---------------------------------------------------------------- stepping

@@ -8,6 +8,8 @@ at machine precision, against a rolled flux stencil kept here as an
 independent oracle.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -277,8 +279,13 @@ def test_ball_volumes_custom_centers_and_radii(flat64):
 def test_ball_volumes_validation(flat64):
     with pytest.raises(InputError, match="radius-too-large"):
         geodesic_ball_volumes(flat64, radii=3.0)
-    with pytest.raises(InputError, match="positive"):
-        geodesic_ball_volumes(flat64, radii=-0.5)
+    # NaN slipped past `r <= 0`: nan gave kappa = nan, and [0.5, nan]
+    # gave the 0.5 ball's kappa, as max and min skip a NaN by order
+    for radii in (-0.5, 0.0, np.nan, [0.5, np.nan], np.inf, []):
+        with pytest.raises(InputError, match="ball radii must be finite and positive"):
+            geodesic_ball_volumes(flat64, radii=radii)
+    with pytest.raises(InputError, match="no ball centres"):
+        geodesic_ball_volumes(flat64, centers=[])
     # a centre off the 64 x 64 grid used to wrap onto another node or reach
     # scipy as a bare ValueError; it is refused by name
     for center in [(0, 65), (-1, 0), (64, 0), (0, 64), (1.0, 2), (True, 0), (1, 2, 3), "ab", 7]:
@@ -286,6 +293,70 @@ def test_ball_volumes_validation(flat64):
             geodesic_ball_volumes(flat64, centers=[(0, 0), center])
     rep = geodesic_ball_volumes(flat64, centers=[(np.int64(63), 63)])
     assert rep.samples[0][0] == (63, 63)
+
+
+def counting_chord_graph(monkeypatch):
+    """Count the chord graphs geodesic_ball_volumes builds: one per memo miss."""
+    built = []
+
+    def counted(cache):
+        built.append(cache)
+        return _chord_graph(cache)
+
+    monkeypatch.setattr(spectral, "_chord_graph", counted)
+    return built
+
+
+def test_ball_volumes_memo_matches_a_cold_cache(monkeypatch):
+    def fresh():
+        return cache_for("perturbed-complex-torus", 48, eps=0.05)
+
+    warm = fresh()
+    built = counting_chord_graph(monkeypatch)
+    cases = [
+        dict(),
+        dict(centers=[(0, 0), (17, 30), (47, 5)]),
+        dict(radii=0.3),
+        dict(centers=[(0, 0), (17, 30), (47, 5)], radii=[0.3, 0.5]),
+    ]
+    for kw in cases:
+        first = geodesic_ball_volumes(warm, **kw)
+        again = geodesic_ball_volumes(warm, **kw)
+        assert again is first, kw
+        cold = geodesic_ball_volumes(fresh(), **kw)
+        assert repr(again) == repr(cold) and again == cold, kw
+    # each case missed once on the warm cache and once on its cold twin
+    assert len(built) == 2 * len(cases)
+    # the key is the int centre pairs and float radii, whatever their types
+    assert geodesic_ball_volumes(warm, centers=[(np.int64(17), 30), (0, 0)], radii=[0.5]) is (
+        geodesic_ball_volumes(warm, centers=((17, 30), (0, 0)), radii=np.float64(0.5))
+    )
+    assert len(built) == 2 * len(cases) + 1
+
+
+def test_ball_volumes_memo_keeps_no_error(monkeypatch, flat64):
+    rep = geodesic_ball_volumes(flat64)
+    built = counting_chord_graph(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(InputError, match="radius-too-large"):
+            geodesic_ball_volumes(flat64, radii=3.0)
+        with pytest.raises(InputError, match=r"ball centre \(64, 0\) is not"):
+            geodesic_ball_volumes(flat64, centers=[(0, 0), (64, 0)])
+        with pytest.raises(InputError, match="finite and positive"):
+            geodesic_ball_volumes(flat64, radii=[0.5, np.nan])
+    # the oversized radius built its graph each time, the bad inputs none
+    assert len(built) == 2
+    assert geodesic_ball_volumes(flat64) is rep
+
+
+def test_replaced_cache_starts_with_an_empty_memo(monkeypatch):
+    c = cache_for("perturbed-complex-torus", 32, eps=0.05)
+    geodesic_ball_volumes(c)
+    built = counting_chord_graph(monkeypatch)
+    moved = dataclasses.replace(c, H=2 * c.H)
+    assert moved._memo == {} and c._memo != {}
+    assert geodesic_ball_volumes(moved) == geodesic_ball_volumes(c)
+    assert len(built) == 1 and built[0] is moved
 
 
 def unbounded_ball_volumes(cache, centers=None, radii=0.5):
@@ -371,6 +442,21 @@ def test_validator_enforces_preconditions(flat64):
         c0_from_l2_validator(sigma, 1.1e-3, flat64, radius=0.05)
     with pytest.raises(InputError, match="shape"):
         c0_from_l2_validator(np.zeros((8, 8)), 1.0, flat64)
+    # each used to return a report: nan bounds, and inf lam held vacuously
+    for lam in (np.nan, np.inf):
+        with pytest.raises(InputError, match="lam must be finite"):
+            c0_from_l2_validator(sigma, lam, flat64)
+    spoiled = sigma.copy()
+    spoiled[5, 9] = np.nan
+    with pytest.raises(InputError, match=r"sigma must be finite, got nan at node \(5, 9\)"):
+        c0_from_l2_validator(spoiled, 1.1e-3, flat64)
+    for radius in (np.nan, np.inf):
+        with pytest.raises(InputError, match="radius must be finite"):
+            c0_from_l2_validator(sigma, 1.1e-3, flat64, radius=radius)
+    # radius 0 used to read as epsilon-too-large
+    for radius in (0.0, -0.5):
+        with pytest.raises(InputError, match="radius must be positive"):
+            c0_from_l2_validator(sigma, 1.1e-3, flat64, radius=radius)
 
 
 def test_validator_random_bandlimited_fields():

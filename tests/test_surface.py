@@ -7,6 +7,7 @@ and frozen with a margin, together with a refinement ratio that pins the
 convergence order.
 """
 
+import dataclasses
 import json
 import warnings
 
@@ -18,6 +19,7 @@ from hkflow.errors import InputError, IOFailure, NumericalError
 from hkflow.kernel import AmbientSpace, phi_field, standard_twistor_triple
 from hkflow.phase import bja_identity, phase_field
 from hkflow.surface import (
+    GeometryCache,
     SurfaceGrid,
     _lam_min,
     _planes,
@@ -517,6 +519,21 @@ def test_snapshot_validation(tmp_path):
 def test_node_area_definition(perturbed48):
     c = perturbed48
     assert np.array_equal(c.node_area(), c.sqrt_det_g * c.hu * c.hv)
+
+
+def test_cache_arrays_are_read_only(perturbed48):
+    # a memoized report must not drift from the arrays it was computed from
+    c = perturbed48
+    names = [f.name for f in dataclasses.fields(GeometryCache) if f.type is np.ndarray]
+    assert names == [k for k, v in vars(c).items() if isinstance(v, np.ndarray)]
+    for name in names:
+        arr = getattr(c, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            _planes(arr, arr.ndim - 2)[(0,) * arr.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 0.0
 
 
 # odd and non-square grids put every roll and reindexing next to a different neighbour
