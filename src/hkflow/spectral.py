@@ -9,6 +9,7 @@ shifted pencil at the mean metric, so no matrix is factorized.
 """
 
 import math
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -91,8 +92,12 @@ def lambda1(cache, rtol=RAYLEIGH_RTOL, residual_tol=RESIDUAL_TOL):
     def orthonormalize(block):
         # the constants lead the QR, so the rest is W-orthogonal to them;
         # a QR cannot fail on a block that lost rank after convergence
-        q = np.linalg.qr(sqrt_w * np.column_stack([np.ones(len(w)), block]))[0]
-        return q[:, 1:] / sqrt_w
+        buf = np.empty((len(w), block.shape[1] + 1), order="F")
+        buf[:, :1] = sqrt_w
+        np.multiply(sqrt_w, block, out=buf[:, 1:])
+        q = sla.qr(buf, mode="economic", overwrite_a=True, check_finite=False)[0]
+        # C order: the products with an F-ordered Q round differently
+        return np.divide(q[:, 1:], sqrt_w, order="C")
 
     lam_prev = np.inf
     x = orthonormalize(x)
@@ -169,16 +174,17 @@ def geodesic_ball_volumes(cache, centers=None, radii=0.5):
     proxy exceeds 2 r_max and no radius is too large.  kappa is the
     worst sampled ratio: the noncollapsing constant in
     Vol(B(x, r)) >= kappa r^2.  Samples are (center, radius, volume,
-    ratio) tuples.  Radii must be finite and positive, and a centre an
-    (i, j) node index pair inside the grid; anything else raises
-    InputError instead of measuring NaN or a wrapped node.
+    ratio) tuples.  Radii must be a real number or a 1-D sequence of real
+    numbers, each finite and positive, and a centre an (i, j) node index
+    pair inside the grid; anything else raises InputError instead of
+    measuring NaN or a wrapped node.
 
     The report depends on the geometry alone, so it is computed once per
     cache and centres/radii pair and returned from the cache's memo on
     every later call: it describes cache.grid.positions as they were on
     the first call.  Errors are not stored, so they raise on every call.
     """
-    radii = tuple(np.atleast_1d(np.asarray(radii, float)))
+    radii = _radii(radii)
     if not radii or not all(math.isfinite(r) and r > 0 for r in radii):
         raise InputError(f"ball radii must be finite and positive, got {radii}")
     if centers is None:
@@ -195,6 +201,20 @@ def geodesic_ball_volumes(cache, centers=None, radii=0.5):
     return cache._memoized(
         ("ball_volumes", centers, radii), lambda: _ball_volumes(cache, centers, radii)
     )
+
+
+def _radii(radii):
+    """Radii as a tuple of float64, or InputError unless radii is a real
+    number or a 1-D sequence of real numbers (bools and strings are not)."""
+    try:
+        arr = np.asarray(radii)
+    except ValueError:                  # a ragged nesting
+        arr = None
+    if arr is None or arr.ndim > 1 or arr.dtype.kind not in "iuf":
+        raise InputError(
+            f"ball radii must be a real number or a 1-D sequence of real numbers, got {radii!r}"
+        )
+    return tuple(np.atleast_1d(arr).astype(float))
 
 
 def _ball_volumes(cache, centers, radii):
@@ -225,8 +245,8 @@ def c0_from_l2_validator(sigma, lam, cache, radius=0.5):
     eps is the L2 mass of sigma; the bound only claims anything when
     eps <= radius^4 and Lam really dominates the measured gradient, so
     both preconditions are enforced rather than assumed.  A non-finite
-    sigma, lam or radius, or a radius <= 0, raises InputError: an inf Lam
-    would certify nothing.
+    sigma, a lam or radius that is not a finite real number, or a
+    radius <= 0, raises InputError: an inf Lam would certify nothing.
     """
     sigma = np.asarray(sigma, float)
     if sigma.shape != cache.sqrt_det_g.shape:
@@ -236,6 +256,8 @@ def c0_from_l2_validator(sigma, lam, cache, radius=0.5):
         ij = tuple(int(k) for k in np.argwhere(~finite)[0])
         raise InputError(f"sigma must be finite, got {sigma[ij]} at node {ij}")
     for name, value in (("lam", lam), ("radius", radius)):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise InputError(f"{name} must be a real number, got {value!r}")
         if not math.isfinite(value):
             raise InputError(f"{name} must be finite, got {value}")
     if radius <= 0:

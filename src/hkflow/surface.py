@@ -28,6 +28,7 @@ those planes; the phase fields of the phase module follow the same layout.
 """
 
 import ast
+import base64
 import functools
 import json
 import operator
@@ -43,7 +44,7 @@ from .kernel import (
 
 DET_FLOOR_REL = 1e-10
 MIN_GRID = 4              # fewest nodes per parameter axis, sampled or loaded
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2       # written; version 1 (positions as a JSON list) is still read
 _TRIPLE = standard_twistor_triple()
 
 
@@ -514,13 +515,19 @@ def gauss_curvature_check(cache):
 
 
 def save_snapshot(grid, path):
-    """Versioned JSON snapshot; floats round-trip bit exactly."""
+    """Write a version-2 JSON snapshot of the grid; positions round-trip bit exactly.
+
+    The document holds version, nu, nv, periods (null in R^4) and
+    positions: the base64 text of the little-endian float64 ("<f8")
+    bytes of the (nu, nv, 4) node-major positions.
+    """
+    payload = np.asarray(grid.positions, dtype="<f8").tobytes()
     doc = {
         "version": SNAPSHOT_VERSION,
         "nu": grid.nu,
         "nv": grid.nv,
         "periods": list(grid.ambient.periods) if grid.ambient.periods else None,
-        "positions": grid.positions.reshape(-1).tolist(),
+        "positions": base64.b64encode(payload).decode("ascii"),
     }
     try:
         with open(path, "w") as fh:
@@ -529,7 +536,41 @@ def save_snapshot(grid, path):
         raise IOFailure(f"cannot write snapshot {path}: {exc}") from exc
 
 
+def _decode_positions(path, version, positions):
+    """The flat float64 coordinates of a snapshot's positions field."""
+    if version == 1:                     # a JSON list of numbers
+        if isinstance(positions, str):   # numpy reads "1.5" as one coordinate
+            raise InputError(
+                f"snapshot {path}: field 'positions' must be a list under version 1, got str"
+            )
+        try:
+            return np.array(positions, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"snapshot {path}: field 'positions' is not numeric: {exc}") from exc
+    if not isinstance(positions, str):
+        raise InputError(
+            f"snapshot {path}: field 'positions' must be base64 text under version 2, "
+            f"got {type(positions).__name__}"
+        )
+    try:
+        payload = base64.b64decode(positions, validate=True)
+    except ValueError as exc:            # binascii.Error and non-ASCII text
+        raise InputError(f"snapshot {path}: field 'positions' is not base64: {exc}") from exc
+    if len(payload) % 8:
+        raise InputError(
+            f"snapshot {path}: field 'positions' holds {len(payload)} bytes, "
+            "not a whole number of float64 values"
+        )
+    return np.frombuffer(payload, dtype="<f8").astype(float)
+
+
 def load_snapshot(path):
+    """Read a version-2 or version-1 snapshot; anything malformed raises InputError.
+
+    Version 2 is what save_snapshot writes.  Version 1 holds the same
+    coordinates as a JSON list of numbers and is still read.  The grid's
+    positions are a fresh, writeable, C-contiguous float64 array.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -542,14 +583,9 @@ def load_snapshot(path):
     for key in ("version", "nu", "nv", "periods", "positions"):
         if key not in doc:
             raise InputError(f"snapshot {path} is missing field {key!r}")
-    if doc["version"] != SNAPSHOT_VERSION:
-        raise InputError(f"snapshot version {doc['version']} is not supported")
-
-    def numeric(key, convert):
-        try:
-            return convert(doc[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"snapshot {path}: field {key!r} is not numeric: {exc}") from exc
+    version = doc["version"]
+    if type(version) is not int or version not in (1, SNAPSHOT_VERSION):
+        raise InputError(f"snapshot version {version!r} is not supported")
 
     for key in ("nu", "nv"):
         if type(doc[key]) is not int:                 # bools and 16.9 too
@@ -560,12 +596,16 @@ def load_snapshot(path):
         raise InputError(
             f"snapshot {path}: grid {nu} x {nv} is {size}, need {MIN_GRID} x {MIN_GRID}"
         )
-    pos = numeric("positions", lambda x: np.array(x, dtype=float))
-    periods = numeric("periods", lambda x: tuple(float(p) for p in x) if x else None)
+    pos = _decode_positions(path, version, doc["positions"])
+    try:
+        periods = tuple(float(p) for p in doc["periods"]) if doc["periods"] else None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"snapshot {path}: field 'periods' is not numeric: {exc}") from exc
     if pos.size != nu * nv * 4:
         raise InputError(
-            f"snapshot {path}: expected {nu * nv * 4} coordinates, got {pos.size}"
+            f"snapshot {path}: field 'positions': expected {nu * nv * 4} coordinates, "
+            f"got {pos.size}"
         )
     if not np.all(np.isfinite(pos)):
-        raise InputError(f"snapshot {path} contains non-finite positions")
+        raise InputError(f"snapshot {path}: field 'positions' holds non-finite coordinates")
     return SurfaceGrid(nu, nv, pos.reshape(nu, nv, 4), AmbientSpace(periods))

@@ -1,13 +1,18 @@
-"""Shared harness for the tests that start ``python -m hkflow.cli``.
+"""Shared harness: the ``python -m hkflow.cli`` environment and snapshot edits.
 
-Those tests run the real entry point as a subprocess with ``cwd`` set to
+The CLI tests run the real entry point as a subprocess with ``cwd`` set to
 a temp directory.  A relative ``PYTHONPATH`` such as ``src`` does not
 resolve there, and an unrelated installed ``hkflow`` would be picked up
 in its place.  The child therefore gets the directory that holds the
 ``hkflow`` package this test process imported at the front of its
 ``PYTHONPATH``, whatever directory pytest was started from.
+
+A version-2 snapshot stores its positions as base64 text of ``<f8``
+bytes; tests that corrupt a written snapshot edit the decoded
+coordinates through ``snapshot_positions`` and ``with_positions``.
 """
 
+import base64
 import functools
 import os
 import subprocess
@@ -15,6 +20,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hkflow
@@ -47,3 +53,14 @@ def cli_env():
             pytrace=False,
         )
     return env
+
+
+def snapshot_positions(doc):
+    """The flat float64 coordinates of a version-2 snapshot document."""
+    return np.frombuffer(base64.b64decode(doc["positions"]), "<f8").copy()
+
+
+def with_positions(doc, positions):
+    """A copy of a version-2 snapshot document carrying these coordinates."""
+    payload = np.asarray(positions, "<f8").tobytes()
+    return {**doc, "positions": base64.b64encode(payload).decode("ascii")}

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import cli_env
+from conftest import cli_env, snapshot_positions, with_positions
 
 from hkflow.surface import compute_geometry, load_snapshot
 
@@ -316,14 +316,16 @@ def test_check_tolerance_scales_with_grid(tmp_path):
 
 def test_check_corrupt_snapshot(flat_dir, tmp_path):
     doc = json.loads((flat_dir / "flat-plane-torus-32x32.snapshot.json").read_text())
-    doc["positions"][7] = float("nan")
+    pos = snapshot_positions(doc)
+    pos[7] = float("nan")
     bad = tmp_path / "bad.snapshot.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(with_positions(doc, pos)))
     out = run_cli("check", str(bad), cwd=tmp_path)
     assert out.returncode == 2
     assert "validation failure" in out.stderr
 
-    doc["positions"][7] = 0.0
+    pos[7] = 0.0
+    doc = with_positions(doc, pos)
     doc["version"] = 99
     bad.write_text(json.dumps(doc))
     out = run_cli("check", str(bad), cwd=tmp_path)
@@ -339,6 +341,8 @@ def test_check_corrupt_snapshot(flat_dir, tmp_path):
 
 def test_check_rejects_non_numeric_snapshot(flat_dir, tmp_path):
     good = json.loads((flat_dir / "flat-plane-torus-32x32.snapshot.json").read_text())
+    # version 1 holds the positions as a JSON list, whose entries can be non-numeric
+    good = {**good, "version": 1, "positions": snapshot_positions(good).tolist()}
     bad = tmp_path / "bad.snapshot.json"
     for key, val in (
         ("nu", "abc"),
@@ -395,9 +399,9 @@ def test_spectrum_rectangular_torus(tmp_path):
 def test_spectrum_degenerate_snapshot(flat_dir, tmp_path):
     doc = json.loads((flat_dir / "flat-plane-torus-32x32.snapshot.json").read_text())
     # collapse the v direction: every row of nodes maps to one point
-    pos = np.array(doc["positions"]).reshape(32, 32, 4)
+    pos = snapshot_positions(doc).reshape(32, 32, 4)
     pos[:, :, 1] = 0.0
-    doc["positions"] = [float(x) for x in pos.reshape(-1)]
+    doc = with_positions(doc, pos)
     bad = tmp_path / "degenerate.json"
     bad.write_text(json.dumps(doc))
     out = run_cli("spectrum", str(bad), cwd=tmp_path)

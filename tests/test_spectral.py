@@ -158,6 +158,21 @@ def test_lambda1_deterministic(perturbed64):
     assert 0.99 < r1.lambda1 < 1.0                 # 0.99795 measured
 
 
+@pytest.mark.parametrize("name, n, params", [
+    ("lagrangian-graph", 64, dict(eps=0.3)),       # 5 iterations
+    ("perturbed-complex-torus", 32, dict(eps=0.05)),
+])
+def test_lambda1_qr_matches_numpy_qr(monkeypatch, name, n, params):
+    # the economic LAPACK QR on an F-ordered buffer gives numpy's QR bit for bit
+    def outcome(res):
+        return res.lambda1, res.iterations, res.residual, res.vector.tobytes()
+
+    cache = cache_for(name, n, **params)
+    fast = outcome(lambda1(cache))
+    monkeypatch.setattr(spectral.sla, "qr", lambda a, **kw: np.linalg.qr(a))
+    assert outcome(lambda1(cache)) == fast
+
+
 def inverse_iteration_reference(cache, rtol=1e-10, residual_tol=1e-7):
     """Reference: shifted inverse iteration on the same 4-column start
     block, one sparse LU of A + gamma W and a Rayleigh-Ritz step per
@@ -283,6 +298,10 @@ def test_ball_volumes_validation(flat64):
     # gave the 0.5 ball's kappa, as max and min skip a NaN by order
     for radii in (-0.5, 0.0, np.nan, [0.5, np.nan], np.inf, []):
         with pytest.raises(InputError, match="ball radii must be finite and positive"):
+            geodesic_ball_volumes(flat64, radii=radii)
+    # a nested list or a string used to escape as a bare TypeError or ValueError
+    for radii in ([[0.3, 0.5]], [[0.5]], [[0.3], [0.5, 0.7]], ["a"], "x", "0.5", True, [0.5, None]):
+        with pytest.raises(InputError, match="ball radii must be a real number or a 1-D sequence"):
             geodesic_ball_volumes(flat64, radii=radii)
     with pytest.raises(InputError, match="no ball centres"):
         geodesic_ball_volumes(flat64, centers=[])
@@ -453,6 +472,12 @@ def test_validator_enforces_preconditions(flat64):
     for radius in (np.nan, np.inf):
         with pytest.raises(InputError, match="radius must be finite"):
             c0_from_l2_validator(sigma, 1.1e-3, flat64, radius=radius)
+    # a string used to escape as a bare TypeError
+    for lam in ("1", None):
+        with pytest.raises(InputError, match="lam must be a real number"):
+            c0_from_l2_validator(sigma, lam, flat64)
+    with pytest.raises(InputError, match="radius must be a real number"):
+        c0_from_l2_validator(sigma, 1.1e-3, flat64, radius="0.5")
     # radius 0 used to read as epsilon-too-large
     for radius in (0.0, -0.5):
         with pytest.raises(InputError, match="radius must be positive"):

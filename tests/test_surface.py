@@ -13,8 +13,9 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import snapshot_positions, with_positions
 
-from hkflow.cli import _run_checks
+from hkflow.cli import _run_checks, main
 from hkflow.errors import InputError, IOFailure, NumericalError
 from hkflow.kernel import AmbientSpace, phi_field, standard_twistor_triple
 from hkflow.phase import bja_identity, phase_field
@@ -469,13 +470,54 @@ def test_laplacian_shape_mismatch(flat64):
 
 def test_snapshot_roundtrip(tmp_path):
     grid = build_immersion(scenario("perturbed-complex-torus", 16, 16, eps=0.03))
+    pos = grid.positions.copy()
+    pos[0, 0, 2], pos[3, 5, 1] = -0.0, 5e-324          # a signed zero and a subnormal
+    grid = SurfaceGrid(16, 16, pos, grid.ambient)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_snapshot(grid, p1)
+    assert json.loads(p1.read_text())["version"] == 2
     back = load_snapshot(p1)
-    assert np.array_equal(back.positions, grid.positions)
+    assert back.positions.tobytes() == pos.tobytes()
+    assert back.positions.dtype == np.float64
+    assert back.positions.flags.c_contiguous and back.positions.flags.writeable
     assert back.ambient.periods == grid.ambient.periods
     save_snapshot(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_snapshot_version_1_still_loads(tmp_path):
+    grid = build_immersion(scenario("clifford", 8, 8, R=1.0, r=1.0))
+    save_snapshot(grid, tmp_path / "v2.json")
+    v1 = {"version": 1, "nu": 8, "nv": 8, "periods": None,
+          "positions": grid.positions.ravel().tolist()}
+    (tmp_path / "v1.json").write_text(json.dumps(v1))
+    old, new = load_snapshot(tmp_path / "v1.json"), load_snapshot(tmp_path / "v2.json")
+    assert old.positions.tobytes() == new.positions.tobytes() == grid.positions.tobytes()
+    assert old.ambient.periods == new.ambient.periods is None
+
+
+def test_hostile_snapshot_positions_exit_2(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    save_snapshot(build_immersion(scenario("flat-plane-torus", 8, 8)), good)
+    doc = json.loads(good.read_text())
+    pos = snapshot_positions(doc)
+    spoiled = pos.copy()
+    spoiled[9] = np.nan
+    hostile = [
+        ("not base64", {**doc, "positions": "@@not base64@@"}),
+        ("2046 bytes", {**doc, "positions": doc["positions"][:-4]}),
+        ("expected 256 coordinates, got 252", with_positions(doc, pos[:-4])),
+        ("non-finite", with_positions(doc, spoiled)),
+        ("base64 text under version 2, got list", {**doc, "positions": pos.tolist()}),
+        ("list under version 1, got str", {**doc, "version": 1}),
+    ]
+    bad = tmp_path / "bad.json"
+    for message, bad_doc in hostile:
+        bad.write_text(json.dumps(bad_doc))
+        assert main(["check", str(bad)]) == 2, message
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure:") and "'positions'" in err, err
+        assert message in err, err
 
 
 def test_snapshot_validation(tmp_path):
@@ -495,12 +537,12 @@ def test_snapshot_validation(tmp_path):
     with pytest.raises(InputError, match="missing field"):
         load_snapshot(tmp_path / "m.json")
 
-    short = dict(doc, positions=doc["positions"][:5])
+    short = with_positions(doc, snapshot_positions(doc)[:5])
     (tmp_path / "s.json").write_text(json.dumps(short))
     with pytest.raises(InputError, match="expected"):
         load_snapshot(tmp_path / "s.json")
 
-    nan = dict(doc, positions=[float("nan")] * (8 * 8 * 4))
+    nan = with_positions(doc, [float("nan")] * (8 * 8 * 4))
     (tmp_path / "n.json").write_text(json.dumps(nan, allow_nan=True))
     with pytest.raises(InputError, match="non-finite"):
         load_snapshot(tmp_path / "n.json")
