@@ -6,6 +6,10 @@ semidefinite and W is the diagonal of node areas.  The first nonzero
 eigenvalue comes from a block iteration with the constants projected out
 in the W inner product, preconditioned by the exact FFT inverse of the
 shifted pencil at the mean metric, so no matrix is factorized.
+
+scipy is imported inside the functions that use it: scipy.linalg at the
+first eigen-solve, the CSR chord graph's scipy.sparse and the Dijkstra
+search's scipy.sparse.csgraph at the first ball volume.
 """
 
 import math
@@ -13,9 +17,6 @@ import numbers
 from collections import namedtuple
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .errors import InputError, NumericalError, PreconditionError
 from .kernel import _dot
@@ -72,6 +73,8 @@ def lambda1(cache, rtol=RAYLEIGH_RTOL, residual_tol=RESIDUAL_TOL):
     and P the previous update outside X.  No matrix is factorized; the
     fixed start block keeps the result deterministic.
     """
+    import scipy.linalg as sla
+
     a, w = laplacian_matrix(cache)
     gamma = SHIFT_FRACTION * 4 * np.pi**2 / w.sum()
     precondition = _fft_inverse(cache, w, gamma)
@@ -128,6 +131,8 @@ def lambda1(cache, rtol=RAYLEIGH_RTOL, residual_tol=RESIDUAL_TOL):
 
 def _chord_graph(cache):
     """8-neighbor graph weighted by ambient chord lengths (shortest image)."""
+    import scipy.sparse as sp
+
     grid = cache.grid
     nu, nv = grid.nu, grid.nv
     idx = np.arange(nu * nv).reshape(nu, nv)
@@ -219,6 +224,8 @@ def _radii(radii):
 
 def _ball_volumes(cache, centers, radii):
     """geodesic_ball_volumes on validated int-pair centres and radii."""
+    import scipy.sparse.csgraph as csgraph
+
     flat = [i * cache.grid.nv + j for i, j in centers]
     graph = _chord_graph(cache)
     reach = csgraph.dijkstra(graph, directed=False, indices=flat[0], limit=2 * max(radii))

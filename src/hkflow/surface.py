@@ -17,7 +17,9 @@ The normal frame (e3, e4) = (J_b e1, J_b e2) is adapted to the tangent
 phase a and its companion b = kernel.phi_field(a), positive by construction.
 
 The one surface Laplacian is laplacian_matrix: a nine-point stencil filled
-from the edge fluxes into a CSR pattern cached per grid size.
+from the edge fluxes into a CSR pattern cached per grid size.  It imports
+scipy.sparse at its first call, not with this module: sampling, geometry
+and snapshots need numpy alone.
 
 Layout: the geometry is computed on component planes, a contiguous
 (4, nu, nv) array per vector field and (2, 2, nu, nv) per metric-like
@@ -35,7 +37,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError, IOFailure, NumericalError
 from .kernel import (
@@ -331,9 +332,12 @@ def compute_geometry(grid):
     # cross derivative: central difference of the (seam-free) tangent field
     f_uv = _central(f_u, 2, hv)
 
+    # squared forward edge lengths; a backward square is the shift of a forward one
+    du_sq = _dot(du_f, du_f)
+    dv_sq = _dot(dv_f, dv_f)
     g = np.empty((2, 2) + finite.shape)
-    g[0, 0] = 0.5 * (_dot(du_f, du_f) + _dot(du_b, du_b)) / hu**2
-    g[1, 1] = 0.5 * (_dot(dv_f, dv_f) + _dot(dv_b, dv_b)) / hv**2
+    g[0, 0] = 0.5 * (du_sq + _shift(du_sq, 1, 0)) / hu**2
+    g[1, 1] = 0.5 * (dv_sq + _shift(dv_sq, 1, 1)) / hv**2
     g[0, 1] = g[1, 0] = _dot(f_u, f_v)
 
     det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
@@ -390,7 +394,9 @@ def compute_geometry(grid):
     flux_u = sqrt_det_g * ginv[0, 0]
     flux_v = sqrt_det_g * ginv[1, 1]
 
-    min_edge = float(min(np.sqrt(_dot(du_f, du_f)).min(), np.sqrt(_dot(dv_f, dv_f)).min()))
+    # sqrt is monotone and correctly rounded: the root of the least square
+    # is the least root, bit for bit
+    min_edge = float(np.sqrt(min(du_sq.min(), dv_sq.min())))
 
     planes = dict(
         g=g, ginv=ginv, sqrt_det_g=sqrt_det_g, f_u=f_u, f_v=f_v, f_uu=f_uu, f_uv=f_uv,
@@ -430,6 +436,8 @@ def laplacian_matrix(cache):
     negated left-to-right sum of the eight entries before it: the sparse
     product adds a row in that order, so A @ 1 is exactly 0.
     """
+    import scipy.sparse as sp
+
     nu, nv = cache.grid.nu, cache.grid.nv
     east = -(cache.hv / cache.hu) * cache.au     # toward (i+1, j)
     north = -(cache.hu / cache.hv) * cache.av    # toward (i, j+1)
@@ -536,17 +544,29 @@ def save_snapshot(grid, path):
         raise IOFailure(f"cannot write snapshot {path}: {exc}") from exc
 
 
+def _number_list(path, key, value, expected):
+    """A flat JSON list of numbers as float64; anything else, a nested list,
+    a bool or a string among them, raises InputError naming the field."""
+    if not isinstance(value, list):
+        raise InputError(
+            f"snapshot {path}: field {key!r} must be {expected}, got {type(value).__name__}"
+        )
+    for k, x in enumerate(value):
+        if type(x) not in (int, float):      # bool subclasses int, so isinstance would pass it
+            raise InputError(
+                f"snapshot {path}: field {key!r} is not a flat list of numbers: "
+                f"entry {k} is {type(x).__name__}"
+            )
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError as exc:             # an integer beyond float64
+        raise InputError(f"snapshot {path}: field {key!r} is not numeric: {exc}") from exc
+
+
 def _decode_positions(path, version, positions):
     """The flat float64 coordinates of a snapshot's positions field."""
-    if version == 1:                     # a JSON list of numbers
-        if isinstance(positions, str):   # numpy reads "1.5" as one coordinate
-            raise InputError(
-                f"snapshot {path}: field 'positions' must be a list under version 1, got str"
-            )
-        try:
-            return np.array(positions, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"snapshot {path}: field 'positions' is not numeric: {exc}") from exc
+    if version == 1:
+        return _number_list(path, "positions", positions, "a list under version 1")
     if not isinstance(positions, str):
         raise InputError(
             f"snapshot {path}: field 'positions' must be base64 text under version 2, "
@@ -568,8 +588,10 @@ def load_snapshot(path):
     """Read a version-2 or version-1 snapshot; anything malformed raises InputError.
 
     Version 2 is what save_snapshot writes.  Version 1 holds the same
-    coordinates as a JSON list of numbers and is still read.  The grid's
-    positions are a fresh, writeable, C-contiguous float64 array.
+    coordinates as a flat JSON list of numbers and is still read.  Under
+    either version periods is null or a list of numbers; a bool is not a
+    number.  The grid's positions are a fresh, writeable, C-contiguous
+    float64 array.
     """
     try:
         with open(path) as fh:
@@ -597,10 +619,10 @@ def load_snapshot(path):
             f"snapshot {path}: grid {nu} x {nv} is {size}, need {MIN_GRID} x {MIN_GRID}"
         )
     pos = _decode_positions(path, version, doc["positions"])
-    try:
-        periods = tuple(float(p) for p in doc["periods"]) if doc["periods"] else None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"snapshot {path}: field 'periods' is not numeric: {exc}") from exc
+    periods = doc["periods"]
+    if periods is not None:
+        periods = _number_list(path, "periods", periods, "null or a list of numbers")
+        periods = tuple(periods.tolist())
     if pos.size != nu * nv * 4:
         raise InputError(
             f"snapshot {path}: field 'positions': expected {nu * nv * 4} coordinates, "

@@ -444,3 +444,48 @@ def test_small_snapshot_grid_exits_2(tmp_path):
         assert "grid 2 x 16 is too small, need 4 x 4" in out.stderr
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
+
+
+# One fresh interpreter: which scipy modules are loaded after each step.
+LEAN_START = """
+import json, sys
+import hkflow, hkflow.cli
+from hkflow import cli, spectral, surface
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report, codes = {"import": scipy_modules()}, []
+codes.append(cli.main(["init", "--scenario", "flat-plane-torus", "--nu", "16", "--nv", "16"]))
+report["init"] = scipy_modules()
+with open("bad.json", "w") as fh:
+    fh.write("{ not json")
+codes.append(cli.main(["check", "bad.json"]))
+report["refusal"] = scipy_modules()
+snap = "flat-plane-torus-16x16.snapshot.json"
+codes.append(cli.main(["spectrum", snap]))
+report["spectrum"] = scipy_modules()
+cache = surface.compute_geometry(surface.load_snapshot(snap))
+report["kappa"] = spectral.geodesic_ball_volumes(cache, radii=0.5).kappa
+report["balls"] = scipy_modules()
+report["codes"] = codes
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loads_at_first_use(tmp_path):
+    # init and an exit-2 refusal never load scipy; spectrum loads what its
+    # Laplacian and eigen-solve need, but the ball search's csgraph waits
+    # for the first ball volume
+    out = subprocess.run(
+        [sys.executable, "-c", LEAN_START], cwd=tmp_path, env=cli_env(),
+        capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 2, 0]
+    assert report["import"] == report["init"] == report["refusal"] == []
+    assert {"scipy.sparse", "scipy.linalg"} <= set(report["spectrum"])
+    assert not {"scipy.sparse.csgraph", "scipy.sparse.linalg"} & set(report["spectrum"])
+    assert "scipy.sparse.csgraph" in report["balls"]
+    assert 0 < report["kappa"] < float("inf")

@@ -496,6 +496,42 @@ def test_snapshot_version_1_still_loads(tmp_path):
     assert old.ambient.periods == new.ambient.periods is None
 
 
+def test_malformed_version_1_snapshot_is_refused(tmp_path, capsys):
+    # version 1 was only ever written as a flat list (positions.reshape(-1).tolist())
+    grid = build_immersion(scenario("flat-plane-torus", 8, 8))
+    flat = grid.positions.ravel().tolist()
+    v1 = {"version": 1, "nu": 8, "nv": 8, "periods": list(grid.ambient.periods),
+          "positions": flat}
+    spoiled = flat.copy()
+    spoiled[5] = True
+    hostile = [
+        ("'positions' is not a flat list of numbers: entry 0 is list",
+         {**v1, "positions": grid.positions.reshape(64, 4).tolist()}),
+        ("'positions' is not a flat list of numbers: entry 5 is bool", {**v1, "positions": spoiled}),
+        ("'periods' is not a flat list of numbers: entry 0 is bool",
+         {**v1, "periods": [True, 1, 1, 1]}),
+        ("'periods' must be null or a list of numbers, got int", {**v1, "periods": 1}),
+    ]
+    bad = tmp_path / "bad.json"
+    for message, doc in hostile:
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=message):
+            load_snapshot(bad)
+        assert main(["check", str(bad)]) == 2, message
+        assert message in capsys.readouterr().err
+    # periods take the same rule under version 2
+    save_snapshot(grid, bad)
+    doc = json.loads(bad.read_text())
+    bad.write_text(json.dumps({**doc, "periods": [True, 1, 1, 1]}))
+    with pytest.raises(InputError, match="'periods' is not a flat list of numbers"):
+        load_snapshot(bad)
+    # a valid flat version-1 document still loads bit for bit
+    bad.write_text(json.dumps(v1))
+    back = load_snapshot(bad)
+    assert back.positions.tobytes() == grid.positions.tobytes()
+    assert back.ambient.periods == grid.ambient.periods
+
+
 def test_hostile_snapshot_positions_exit_2(tmp_path, capsys):
     good = tmp_path / "good.json"
     save_snapshot(build_immersion(scenario("flat-plane-torus", 8, 8)), good)
@@ -596,17 +632,24 @@ ORACLE_SURFACES = pytest.mark.parametrize(
 @ORACLE_GRIDS
 @ORACLE_SURFACES
 def test_plane_core_matches_node_major_oracle(name, params, nu, nv):
-    # all fields but |A|^2 come out bit for bit
-    grid = build_immersion(scenario(name, nu, nv, **params))
-    cache, ref = compute_geometry(grid), node_major_geometry(grid)
-    for key, want in ref.items():
-        got = getattr(cache, key)
-        assert np.shape(got) == np.shape(want), key
-        if key != "norm_A_sq":
-            assert np.array_equal(got, want), key
-    # |A|^2 is a closed-form trace instead of the contraction
-    scale = np.abs(ref["norm_A_sq"]).max()
-    assert np.abs(cache.norm_A_sq - ref["norm_A_sq"]).max() <= 1e-14 * scale
+    # all fields but |A|^2 come out bit for bit, also with every node moved
+    # off the sampled surface, so no two edges share a length: g's diagonal
+    # and min_edge read squared forward edges once, against the oracle's
+    # recomputed backward squares and its least edge length
+    sampled = build_immersion(scenario(name, nu, nv, **params))
+    jitter = 0.02 * np.random.default_rng(nu * nv).standard_normal(sampled.positions.shape)
+    jittered = SurfaceGrid(nu, nv, sampled.ambient.wrap(sampled.positions + jitter),
+                           sampled.ambient)
+    for grid in (sampled, jittered):
+        cache, ref = compute_geometry(grid), node_major_geometry(grid)
+        for key, want in ref.items():
+            got = getattr(cache, key)
+            assert np.shape(got) == np.shape(want), key
+            if key != "norm_A_sq":
+                assert np.array_equal(got, want), key
+        # |A|^2 is a closed-form trace instead of the contraction
+        scale = np.abs(ref["norm_A_sq"]).max()
+        assert np.abs(cache.norm_A_sq - ref["norm_A_sq"]).max() <= 1e-14 * scale
 
 
 @ORACLE_GRIDS
