@@ -7,12 +7,15 @@ one snapshot, `spectrum` reports the first nonzero eigenvalue.
 
 The manifest is flat key = value text so that runs diff cleanly; the CSV
 is the interface of record (fixed 17-significant-digit scientific
-notation, empty cells where a cadence skipped a column).  Exit codes:
-0 success, 2 validation failure, 3 numerical failure, 4 I/O failure.
+notation, empty cells where a cadence skipped a column).  Its run
+settings are the rows of RUN_KEYS: each pairs a manifest key with the
+FlowConfig field of the same meaning, so a key the manifest leaves out
+takes FlowConfig's default.  Exit codes: 0 success, 2 validation failure,
+3 numerical failure, 4 I/O failure; files are read and written through
+errors._read_text and errors._write_text, apart from the streamed CSV.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import platform
@@ -21,8 +24,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import HkflowError, InputError, IOFailure, NumericalError, PreconditionError
-from .flow import FlowConfig, run_flow
+from .errors import (
+    HkflowError, InputError, IOFailure, NumericalError, PreconditionError, _read_text, _write_text,
+)
+from .flow import SCHEMES, FlowConfig, run_flow
 from .kernel import _dot, standard_twistor_triple
 from .phase import (
     bja_identity,
@@ -33,6 +38,7 @@ from .phase import (
 )
 from .spectral import RESIDUAL_TOL, lambda1
 from .surface import (
+    SCENARIO_NAMES,
     _lam_min,
     _planes,
     build_immersion,
@@ -57,14 +63,21 @@ CSV_COLUMNS = (
 CHECK_TOL_64 = 5e-3
 CHECK_TOL_FLOOR = 1e-9
 
-SCENARIO_NAMES = (
-    "flat-plane-torus",
-    "clifford",
-    "perturbed-complex-torus",
-    "lagrangian-graph",
-    "custom-expression",
-)
 SCENARIO_PARAMS = ("eps", "R", "r", "Lu", "Lv")
+
+# manifest key, FlowConfig field (also the `init --<field>` flag) and type;
+# a None dt is written as cfl and a None stop is left out
+RUN_KEYS = (
+    ("dt_flow_time", "dt", float),
+    ("cfl_safety", "safety", float),
+    ("scheme", "scheme", str),
+    ("steps", "steps", int),
+    ("lambda1_cadence", "lambda1_cadence", int),
+    ("consistency_cadence", "consistency_cadence", int),
+    ("c_mon", "c_mon", float),
+    ("stop_max_h_below", "max_h_below", float),
+    ("stop_t_final_flow_time", "t_final", float),
+)
 
 
 # ---------------------------------------------------------------- manifest
@@ -77,22 +90,13 @@ def _fmt_value(val):
 
 
 def write_manifest(path, entries):
-    try:
-        with open(path, "w") as fh:
-            for key, val in entries:
-                fh.write(f"{key} = {_fmt_value(val)}\n")
-    except OSError as exc:
-        raise IOFailure(f"cannot write manifest {path}: {exc}") from exc
+    _write_text(path, "manifest", "".join(f"{key} = {_fmt_value(val)}\n" for key, val in entries))
 
 
 def read_manifest(path):
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IOFailure(f"cannot read manifest {path}: {exc}") from exc
     doc = {}
-    for n, line in enumerate(lines, 1):
+    # split at \n alone, as readlines does: str.splitlines also splits at \f, \v, \x1c-\x1e
+    for n, line in enumerate(_read_text(path, "manifest").split("\n"), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -106,15 +110,15 @@ def read_manifest(path):
     return doc
 
 
-def _manifest_number(doc, key, kind, default=None):
-    raw = doc.get(key, default)
+def _manifest_number(doc, key, kind):
+    raw = doc.get(key)
     if raw is None:
         raise InputError(f"manifest is missing {key}")
     try:
         val = kind(raw)
     except ValueError:
         raise InputError(f"manifest key {key} must be {kind.__name__}, got {raw!r}") from None
-    if not math.isfinite(val):
+    if kind is float and not math.isfinite(val):
         raise InputError(f"manifest key {key} must be finite, got {raw!r}")
     return val
 
@@ -148,21 +152,11 @@ def _config_from_manifest(doc):
     for key, val in doc.items():
         if val == "false":
             raise InputError(f"manifest key {key} = false is not supported; it is always on")
-    dt_raw = doc.get("dt_flow_time", "cfl")
-    dt = None if dt_raw == "cfl" else _manifest_number(doc, "dt_flow_time", float)
-    kw = dict(
-        dt=dt,
-        safety=_manifest_number(doc, "cfl_safety", float, "0.9"),
-        scheme=doc.get("scheme", "euler"),
-        steps=_manifest_number(doc, "steps", int, "5000"),
-        lambda1_cadence=_manifest_number(doc, "lambda1_cadence", int, "10"),
-        consistency_cadence=_manifest_number(doc, "consistency_cadence", int, "0"),
-        c_mon=_manifest_number(doc, "c_mon", float, "8.0"),
-    )
-    if "stop_max_h_below" in doc:
-        kw["max_h_below"] = _manifest_number(doc, "stop_max_h_below", float)
-    if "stop_t_final_flow_time" in doc:
-        kw["t_final"] = _manifest_number(doc, "stop_t_final_flow_time", float)
+    kw = {}
+    for key, name, kind in RUN_KEYS:
+        if key not in doc or (name == "dt" and doc[key] == "cfl"):
+            continue
+        kw[name] = doc[key] if kind is str else _manifest_number(doc, key, kind)
     return FlowConfig(**kw)
 
 
@@ -181,7 +175,7 @@ def cmd_init(args):
     # config flag builds its FlowConfig field, no parameter may be non-finite,
     # and the manifest reader cuts a value at '#', a line at a line break and
     # the whitespace around a value
-    for name in (fld.name for fld in dataclasses.fields(FlowConfig)):
+    for _, name, _ in RUN_KEYS:
         try:
             FlowConfig(**{name: getattr(args, name)})
         except InputError as exc:
@@ -225,19 +219,10 @@ def cmd_init(args):
         entries.append(("exprs", ";".join(params["exprs"])))
     if "periods" in params:
         entries.append(("periods", ",".join(repr(x) for x in params["periods"])))
-    entries += [
-        ("dt_flow_time", "cfl" if args.dt is None else args.dt),
-        ("cfl_safety", args.safety),
-        ("scheme", args.scheme),
-        ("steps", args.steps),
-        ("lambda1_cadence", args.lambda1_cadence),
-        ("consistency_cadence", args.consistency_cadence),
-        ("c_mon", args.c_mon),
-    ]
-    if args.max_h_below is not None:
-        entries.append(("stop_max_h_below", args.max_h_below))
-    if args.t_final is not None:
-        entries.append(("stop_t_final_flow_time", args.t_final))
+    for key, name, _ in RUN_KEYS:
+        val = getattr(args, name)
+        if val is not None or name == "dt":
+            entries.append((key, "cfl" if val is None else val))
     entries += [
         ("triple", TRIPLE_TAG),
         ("tool_version", __version__),
@@ -325,11 +310,7 @@ def _svg_line_plot(path, xs, ys, xlabel, ylabel):
         f'transform="rotate(-90 16 {(mt + height - mb) / 2})">{ylabel}</text>'
     )
     parts.append("</svg>")
-    try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IOFailure(f"cannot write plot {path}: {exc}") from exc
+    _write_text(path, "plot", "\n".join(parts) + "\n")
 
 
 def cmd_run(args):
@@ -454,12 +435,7 @@ def cmd_check(args):
     all_pass = all(chk["status"] != "FAIL" for chk in checks)
     if args.json:
         doc = {"snapshot": args.snapshot, "all_pass": all_pass, "checks": checks}
-        try:
-            with open(args.json, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise IOFailure(f"cannot write report {args.json}: {exc}") from exc
+        _write_text(args.json, "report", json.dumps(doc, indent=2) + "\n")
     print("all checks passed" if all_pass else "CHECK FAILURES")
     return 0 if all_pass else 2
 
@@ -481,11 +457,7 @@ def cmd_spectrum(args):
             "lambda1": res.lambda1,
             "values": res.vector.reshape(-1).tolist(),
         }
-        try:
-            with open(args.eigenfunction, "w") as fh:
-                fh.write(json.dumps(doc) + "\n")
-        except OSError as exc:
-            raise IOFailure(f"cannot write eigenfunction {args.eigenfunction}: {exc}") from exc
+        _write_text(args.eigenfunction, "eigenfunction", json.dumps(doc) + "\n")
     return 0
 
 
@@ -507,15 +479,13 @@ def build_parser():
     p_init.add_argument("--exprs", default=None, help="4 expressions joined with ;")
     p_init.add_argument("--periods", default=None, help="ambient periods, comma separated")
     p_init.add_argument("--out", default=None, help="output stem (default scenario-NUxNV)")
-    p_init.add_argument("--dt", type=float, default=None, help="fixed step (default: cfl)")
-    p_init.add_argument("--safety", type=float, default=0.9)
-    p_init.add_argument("--scheme", default="euler", choices=("euler", "rk2"))
-    p_init.add_argument("--steps", type=int, default=5000)
-    p_init.add_argument("--lambda1-cadence", type=int, default=10)
-    p_init.add_argument("--consistency-cadence", type=int, default=0)
-    p_init.add_argument("--c-mon", type=float, default=8.0)
-    p_init.add_argument("--max-h-below", type=float, default=1e-6)
-    p_init.add_argument("--t-final", type=float, default=None)
+    for _, name, kind in RUN_KEYS:
+        p_init.add_argument(
+            f"--{name.replace('_', '-')}", type=kind,
+            # init's one default of its own: a run stops once max|H| < 1e-6
+            default=1e-6 if name == "max_h_below" else getattr(FlowConfig, name),
+            choices=SCHEMES if name == "scheme" else None,
+        )
     p_init.set_defaults(func=cmd_init)
 
     p_run = sub.add_parser("run", help="execute a manifest into a CSV series")

@@ -1,7 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one file boundary.
 
 The CLI maps these onto exit codes: input/validation problems exit 2,
-numerical failures during a run exit 3, I/O problems exit 4.
+numerical failures during a run exit 3, I/O problems exit 4.  Every file
+the package reads or writes whole goes through _read_text and
+_write_text, so a failure to open, read or write becomes IOFailure and
+bytes that are not UTF-8 become InputError, both naming the file.
 """
 
 
@@ -34,3 +37,23 @@ class NumericalError(HkflowError):
 
 class IOFailure(HkflowError):
     """File could not be read or written."""
+
+
+def _read_text(path, what):
+    """The UTF-8 text of the `what` file at path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IOFailure(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
+def _write_text(path, what, text):
+    """Write text to the `what` file at path as UTF-8."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IOFailure(f"cannot write {what} {path}: {exc}") from exc

@@ -31,6 +31,7 @@ from .surface import (
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
 DRIFT_MARGIN = 1.5              # on the predicted pre-projection unit drift
 DEFAULT_C_MON = 8.0             # calibrated stand-in for the frame constant
+SCHEMES = ("euler", "rk2")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class FlowConfig:
     dt: float | None = None
     safety: float = 0.9
     scheme: str = "euler"
-    steps: int = 100
+    steps: int = 5000
     lambda1_cadence: int = 10
     consistency_cadence: int = 0      # 0 disables the per-step check
     c_mon: float = DEFAULT_C_MON
@@ -56,7 +57,7 @@ class FlowConfig:
             raise InputError(f"fixed dt must be positive, got {self.dt}")
         if not 0 < self.safety <= 1:
             raise InputError(f"cfl safety must lie in (0, 1], got {self.safety}")
-        if self.scheme not in ("euler", "rk2"):
+        if self.scheme not in SCHEMES:
             raise InputError(f"unknown scheme {self.scheme!r}")
         for name, low in (("steps", 0), ("lambda1_cadence", 1), ("consistency_cadence", 0)):
             if not getattr(self, name) >= low:

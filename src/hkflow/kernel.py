@@ -130,13 +130,13 @@ class AmbientSpace:
         return d - per * np.round(d / per)
 
 
-def as_unit_coefficient(a, tol=UNIT_TOL):
+def as_unit_coefficient(a):
     """Validate a twistor coefficient (unit 3-vector) and return it as float64."""
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise InputError(f"twistor coefficient must be a 3-vector, got shape {a.shape}")
     n = np.linalg.norm(a)
-    if abs(n - 1.0) > tol:
+    if abs(n - 1.0) > UNIT_TOL:
         raise InputError(f"twistor coefficient is not unit: |a| = {n!r}")
     return a / n
 

@@ -61,7 +61,7 @@ def _fft_inverse(cache, w, gamma):
     return apply
 
 
-def lambda1(cache, rtol=RAYLEIGH_RTOL, residual_tol=RESIDUAL_TOL):
+def lambda1(cache, residual_tol=RESIDUAL_TOL):
     """First nonzero eigenvalue of the surface Laplacian.
 
     Preconditioned block iteration (LOBPCG, Knyazev 2001) on a 4-column
@@ -117,7 +117,7 @@ def lambda1(cache, rtol=RAYLEIGH_RTOL, residual_tol=RESIDUAL_TOL):
         r = a @ v - lam * (w * v)
         residual = float(np.sqrt((r * r / w).sum()))
         if (
-            abs(lam - lam_prev) <= rtol * max(abs(lam), 1e-30)
+            abs(lam - lam_prev) <= RAYLEIGH_RTOL * max(abs(lam), 1e-30)
             and residual <= residual_tol * max(1.0, abs(lam))
         ):
             shape = (cache.grid.nu, cache.grid.nv)
@@ -149,12 +149,10 @@ def _chord_graph(cache):
     )
 
 
-def default_ball_centers(cache, side=4):
-    """Evenly spaced lattice of (i, j) sample centers."""
+def default_ball_centers(cache):
+    """Evenly spaced 4 x 4 lattice of (i, j) sample centers."""
     nu, nv = cache.grid.nu, cache.grid.nv
-    return tuple(
-        ((nu * a) // side, (nv * b) // side) for a in range(side) for b in range(side)
-    )
+    return tuple(((nu * a) // 4, (nv * b) // 4) for a in range(4) for b in range(4))
 
 
 def _is_node(center, nu, nv):

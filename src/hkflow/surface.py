@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, IOFailure, NumericalError
+from .errors import InputError, NumericalError, _read_text, _write_text
 from .kernel import (
     AmbientSpace, _apply_phase, _companion, _dot, _tangent_phase, standard_twistor_triple,
 )
@@ -46,6 +46,13 @@ from .kernel import (
 DET_FLOOR_REL = 1e-10
 MIN_GRID = 4              # fewest nodes per parameter axis, sampled or loaded
 SNAPSHOT_VERSION = 2       # written; version 1 (positions as a JSON list) is still read
+SCENARIO_NAMES = (
+    "flat-plane-torus",
+    "clifford",
+    "perturbed-complex-torus",
+    "lagrangian-graph",
+    "custom-expression",
+)
 _TRIPLE = standard_twistor_triple()
 
 
@@ -134,6 +141,13 @@ def build_immersion(spec):
         raise InputError(
             f"grid too small: nu={spec.nu}, nv={spec.nv}, need {MIN_GRID} x {MIN_GRID}"
         )
+    if 9 * spec.nu * spec.nv > np.iinfo(np.int32).max:
+        raise InputError(
+            f"grid too large: nu={spec.nu}, nv={spec.nv}, the nine-point stencil's "
+            "9 * nu * nv entries exceed int32 indexing"
+        )
+    if spec.name not in SCENARIO_NAMES:
+        raise InputError(f"unknown scenario {spec.name!r}")
     hu = 2.0 * np.pi / spec.nu
     hv = 2.0 * np.pi / spec.nv
     u = np.arange(spec.nu)[:, None] * hu * np.ones((1, spec.nv))
@@ -175,15 +189,13 @@ def build_immersion(spec):
             axis=-1,
         )
         ambient = AmbientSpace((2 * np.pi,) * 4)
-    elif spec.name == "custom-expression":
+    else:  # custom-expression
         exprs = p.get("exprs")
         if not exprs or len(exprs) != 4:
             raise InputError("custom-expression needs exprs = 4 strings")
         pos = np.stack([_eval_expr(e, u, v) for e in exprs], axis=-1)
         periods = p.get("periods")
         ambient = AmbientSpace(tuple(periods) if periods else None)
-    else:
-        raise InputError(f"unknown scenario {spec.name!r}")
 
     if not np.all(np.isfinite(pos)):
         raise InputError(f"scenario {spec.name!r} produced non-finite positions")
@@ -537,11 +549,7 @@ def save_snapshot(grid, path):
         "periods": list(grid.ambient.periods) if grid.ambient.periods else None,
         "positions": base64.b64encode(payload).decode("ascii"),
     }
-    try:
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc) + "\n")
-    except OSError as exc:
-        raise IOFailure(f"cannot write snapshot {path}: {exc}") from exc
+    _write_text(path, "snapshot", json.dumps(doc) + "\n")
 
 
 def _number_list(path, key, value, expected):
@@ -594,12 +602,11 @@ def load_snapshot(path):
     float64 array.
     """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IOFailure(f"cannot read snapshot {path}: {exc}") from exc
+        doc = json.loads(_read_text(path, "snapshot"))
     except json.JSONDecodeError as exc:
         raise InputError(f"snapshot {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"snapshot {path} nests its JSON too deeply") from None
     if not isinstance(doc, dict):
         raise InputError(f"snapshot {path} is not a JSON object")
     for key in ("version", "nu", "nv", "periods", "positions"):

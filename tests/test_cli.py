@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from conftest import cli_env, snapshot_positions, with_positions
 
+from hkflow import cli
+from hkflow.flow import FlowConfig
 from hkflow.surface import compute_geometry, load_snapshot
 
 CLI = [sys.executable, "-m", "hkflow.cli"]
@@ -444,6 +446,63 @@ def test_small_snapshot_grid_exits_2(tmp_path):
         assert "grid 2 x 16 is too small, need 4 x 4" in out.stderr
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
+
+
+def test_manifest_replays_the_init_settings(tmp_path, monkeypatch):
+    # each run setting is written by init and read back by run from one
+    # table; a key the manifest leaves out takes FlowConfig's default
+    monkeypatch.chdir(tmp_path)
+    base = ["init", "--scenario", "flat-plane-torus", "--nu", "8", "--nv", "8"]
+    assert cli.main(base + ["--out", "plain"]) == 0
+    assert cli._config_from_manifest(cli.read_manifest("plain.manifest")) == FlowConfig(
+        max_h_below=1e-6
+    )
+    flags = ["--dt", "0.001", "--safety", "0.5", "--scheme", "rk2", "--steps", "7",
+             "--lambda1-cadence", "3", "--consistency-cadence", "2", "--c-mon", "4",
+             "--max-h-below", "1e-3", "--t-final", "2"]
+    assert cli.main(base + flags + ["--out", "set"]) == 0
+    assert cli._config_from_manifest(cli.read_manifest("set.manifest")) == FlowConfig(
+        dt=0.001, safety=0.5, scheme="rk2", steps=7, lambda1_cadence=3,
+        consistency_cadence=2, c_mon=4.0, max_h_below=1e-3, t_final=2.0,
+    )
+    assert cli._config_from_manifest({}) == FlowConfig()
+    assert FlowConfig().steps == 5000
+
+
+def test_huge_integers_exit_cleanly(tmp_path, capsys, monkeypatch):
+    # a 400-digit integer used to overflow math.isfinite or the grid arrays
+    monkeypatch.chdir(tmp_path)
+    huge = "9" * 400
+    base = ["init", "--scenario", "flat-plane-torus", "--nv", "8"]
+    assert cli.main(base + ["--nu", huge]) == 2
+    assert f"grid too large: nu={huge}, nv=8" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    # a huge step count is written and replayed: the flat torus stops at once
+    assert cli.main(base + ["--nu", "8", "--steps", huge]) == 0
+    man = (tmp_path / "flat-plane-torus-8x8.manifest").read_text()
+    assert f"\nsteps = {huge}\n" in man
+    assert cli.main(["run", "flat-plane-torus-8x8.manifest"]) == 0
+    (tmp_path / "nu.manifest").write_text(man.replace("\nnu = 8\n", f"\nnu = {huge}\n"))
+    capsys.readouterr()
+    assert cli.main(["run", "nu.manifest"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: grid too large") and "Traceback" not in err
+
+
+def test_hostile_bytes_exit_2(tmp_path, capsys, monkeypatch):
+    # bytes that are not UTF-8, and JSON nested beyond the parser's recursion
+    monkeypatch.chdir(tmp_path)
+    files = {
+        "bytes.manifest": b"scenario = flat-plane-torus\nnu = 8\xff\n",
+        "bytes.snapshot.json": b'{"version": 2, "nu": "\xff"}',
+        "deep.snapshot.json": b"[" * 200000,
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+        assert cli.main(["run" if name.endswith(".manifest") else "check", name]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure:") and name in err, err
+        assert "Traceback" not in err
 
 
 # One fresh interpreter: which scipy modules are loaded after each step.

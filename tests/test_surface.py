@@ -9,6 +9,7 @@ convergence order.
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -405,6 +406,20 @@ def test_scenario_validation():
         build_immersion(
             scenario("custom-expression", 16, 16, exprs=["__import__('os')", "v", "u", "v"])
         )
+
+
+def test_oversized_grid_is_refused_before_allocation():
+    # the nine-point CSR pattern is indexed by int32: 9 * nu * nv entries at most
+    huge = int("9" * 400)
+    tracemalloc.start()
+    try:
+        for nu, nv in ((huge, 8), (2**16, 2**16)):
+            with pytest.raises(InputError, match=f"grid too large: nu={nu}, nv={nv}"):
+                build_immersion(scenario("flat-plane-torus", nu, nv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_custom_expression_matches_direct_numpy():
