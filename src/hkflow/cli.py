@@ -3,7 +3,9 @@
 Four subcommands: `init` samples a scenario onto a grid and writes a
 snapshot plus a run manifest, `run` replays a manifest into a CSV series
 (and optional SVG plots), `check` executes the whole invariant suite on
-one snapshot, `spectrum` reports the first nonzero eigenvalue.
+one snapshot, `spectrum` reports the first nonzero eigenvalue.  `main`
+builds its argument parser once per process, on its first call, and
+looks each subcommand up by name when it runs.
 
 The manifest is flat key = value text so that runs diff cleanly; the CSV
 is the interface of record (fixed 17-significant-digit scientific
@@ -16,6 +18,7 @@ errors._read_text and errors._write_text, apart from the streamed CSV.
 """
 
 import argparse
+import functools
 import json
 import math
 import platform
@@ -28,7 +31,7 @@ from .errors import (
     HkflowError, InputError, IOFailure, NumericalError, PreconditionError, _read_text, _write_text,
 )
 from .flow import SCHEMES, FlowConfig, run_flow
-from .kernel import _dot, standard_twistor_triple
+from .kernel import _dot
 from .phase import (
     bja_identity,
     hyper_lagrangian_residual,
@@ -38,9 +41,12 @@ from .phase import (
 )
 from .spectral import RESIDUAL_TOL, lambda1
 from .surface import (
+    _STENCIL_OFFSETS,
+    _TRIPLE,
     SCENARIO_NAMES,
     _lam_min,
     _planes,
+    _shift,
     build_immersion,
     compute_geometry,
     gauss_curvature_check,
@@ -363,8 +369,25 @@ def cmd_run(args):
 # ---------------------------------------------------------------- check
 
 
+def _laplacian_asymmetry(mat, nu, nv):
+    """abs(mat - mat.T).max() / abs(mat).max() of a laplacian_matrix, read
+    off its (nu, nv, 9) stencil rows without a sparse transpose.
+
+    The transpose partner of slot k at a node is slot 7 - k of the
+    neighbour at slot k's offset; slot 8, the diagonal, is its own.  Each
+    difference is the one the sparse subtraction forms, and a max does not
+    depend on order, so the value is the same bit for bit.
+    """
+    rows = mat.data.reshape(nu, nv, len(_STENCIL_OFFSETS))
+    # np.max, not the builtin: a NaN must reach the report, as it does sparse
+    asym = np.max([
+        np.abs(rows[..., k] - _shift(_shift(rows[..., 7 - k], -di, 0), -dj, 1)).max()
+        for k, (di, dj) in enumerate(_STENCIL_OFFSETS[:-1])
+    ])
+    return asym / max(np.abs(rows).max(), 1e-300)
+
+
 def _run_checks(cache):
-    triple = standard_twistor_triple()
     nu, nv = cache.grid.nu, cache.grid.nv
     h = 2.0 * np.pi / min(nu, nv)
     href = 2.0 * np.pi / 64.0
@@ -378,7 +401,7 @@ def _run_checks(cache):
             tolerance=float(tol), direction=direction,
         ))
 
-    js = (triple.j1, triple.j2, triple.j3)
+    js = (_TRIPLE.j1, _TRIPLE.j2, _TRIPLE.j3)
     prod = max(
         np.abs(js[0] @ js[1] - js[2]).max(),
         np.abs(js[1] @ js[2] - js[0]).max(),
@@ -396,19 +419,18 @@ def _run_checks(cache):
     )
     record("frame-orthonormality", gram, 1e-8)
     mat, _ = laplacian_matrix(cache)
-    asym = abs(mat - mat.T).max() / max(abs(mat).max(), 1e-300)
-    record("laplacian-symmetry", asym, 1e-10)
+    record("laplacian-symmetry", _laplacian_asymmetry(mat, nu, nv), 1e-10)
     record("gauss-curvature", gauss_curvature_check(cache).max(), tol_id)
 
-    pf = phase_field(cache, triple)
-    record("plf-identity", plf_residual(cache, pf, triple).max(), tol_id)
-    lhs, rhs, _ = bja_identity(cache, pf, triple)
+    pf = phase_field(cache, _TRIPLE)
+    record("plf-identity", plf_residual(cache, pf, _TRIPLE).max(), tol_id)
+    lhs, rhs, _ = bja_identity(cache, pf, _TRIPLE)
     record("bja-identity", np.abs(lhs - rhs).max(), tol_id)
     try:
         record("etd-polar-identity", polar_identity_check(pf, cache).max(), tol_id)
     except PreconditionError as exc:
         checks.append({"name": "etd-polar-identity", "status": "SKIP", "reason": str(exc)})
-    record("hyper-lagrangian-residual", hyper_lagrangian_residual(cache, pf, triple).max(), tol_id)
+    record("hyper-lagrangian-residual", hyper_lagrangian_residual(cache, pf, _TRIPLE).max(), tol_id)
     margin = (2.0 * pf.energy_density - cache.norm_H_sq).min()
     slack = 10.0 * h**2 * cache.norm_A_sq.max()
     record("hdp-margin", margin, -slack, "above")
@@ -464,7 +486,9 @@ def cmd_spectrum(args):
 # ---------------------------------------------------------------- entry
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process, built on the first call."""
     parser = argparse.ArgumentParser(
         prog="hkflow", description="mean curvature flow laboratory for tori in flat R^4/T^4"
     )
@@ -486,29 +510,28 @@ def build_parser():
             default=1e-6 if name == "max_h_below" else getattr(FlowConfig, name),
             choices=SCHEMES if name == "scheme" else None,
         )
-    p_init.set_defaults(func=cmd_init)
 
     p_run = sub.add_parser("run", help="execute a manifest into a CSV series")
     p_run.add_argument("manifest")
     p_run.add_argument("--plot", action="store_true", help="also write SVG line plots")
-    p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="run the invariant suite on a snapshot")
     p_check.add_argument("snapshot")
     p_check.add_argument("--json", default=None, help="also write a JSON report")
-    p_check.set_defaults(func=cmd_check)
 
     p_spec = sub.add_parser("spectrum", help="first nonzero eigenvalue of a snapshot")
     p_spec.add_argument("snapshot")
     p_spec.add_argument("--eigenfunction", default=None, help="dump the eigenfunction as JSON")
-    p_spec.set_defaults(func=cmd_spectrum)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # looked up at each call, not stored in the parser that outlives it,
+    # so a cmd_* replaced after the first call is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except IOFailure as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4

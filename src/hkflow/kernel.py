@@ -114,9 +114,9 @@ class AmbientSpace:
         sign bit catches -0.0 (np.mod makes it +0.0) and the tiny negatives
         np.mod rounds up to the period itself, which a later wrap reduces.
         """
-        if self.periods is None:
-            return np.asarray(positions, float)
         out = np.array(positions, float)
+        if self.periods is None:
+            return out
         per = np.array(self.periods)
         np.mod(out, per, out=out, where=np.signbit(out) | (out >= per))
         return out

@@ -5,13 +5,17 @@ operator the phase heat step applies: A = -W Lap is symmetric positive
 semidefinite and W is the diagonal of node areas.  The first nonzero
 eigenvalue comes from a block iteration with the constants projected out
 in the W inner product, preconditioned by the exact FFT inverse of the
-shifted pencil at the mean metric, so no matrix is factorized.
+shifted pencil at the mean metric, so no matrix is factorized.  What
+depends on the grid size alone, the start block and the Fourier factors
+of that inverse, is computed once per grid and cached read-only, like
+the Laplacian's stencil pattern.
 
 scipy is imported inside the functions that use it: scipy.linalg at the
 first eigen-solve, the CSR chord graph's scipy.sparse and the Dijkstra
 search's scipy.sparse.csgraph at the first ball volume.
 """
 
+import functools
 import math
 import numbers
 from collections import namedtuple
@@ -34,6 +38,38 @@ CollapseReport = namedtuple("CollapseReport", "kappa radius samples")
 ValidatorReport = namedtuple("ValidatorReport", "bound max_observed holds epsilon kappa")
 
 
+@functools.lru_cache(maxsize=8)
+def _start_block(nu, nv):
+    """lambda1's fixed (nu * nv, 4) start block on the parameter grid.
+    Read-only and shared by every call on an nu x nv grid."""
+    hu, hv = 2.0 * np.pi / nu, 2.0 * np.pi / nv
+    uu, vv = np.meshgrid(np.arange(nu) * hu, np.arange(nv) * hv, indexing="ij")
+    x = np.stack(
+        [
+            np.cos(uu).ravel(),
+            np.sin(vv).ravel(),
+            np.cos(uu + 2 * vv).ravel(),
+            np.sin(2 * uu - vv).ravel(),
+        ],
+        axis=1,
+    )
+    x.flags.writeable = False
+    return x
+
+
+@functools.lru_cache(maxsize=8)
+def _fft_factors(nu, nv):
+    """The grid's Fourier factors 2 - 2 cos(t_u), 2 - 2 cos(t_v), sin(t_u),
+    sin(t_v), shaped (nu, 1) and (1, nv // 2 + 1) for the rfft2 half plane.
+    Read-only and shared by every call on an nu x nv grid."""
+    tu = 2 * np.pi * np.fft.fftfreq(nu)[:, None]
+    tv = 2 * np.pi * np.fft.rfftfreq(nv)[None, :]
+    factors = (2 - 2 * np.cos(tu), 2 - 2 * np.cos(tv), np.sin(tu), np.sin(tv))
+    for f in factors:
+        f.flags.writeable = False
+    return factors
+
+
 def _fft_inverse(cache, w, gamma):
     """Exact inverse of A0 + gamma W0, applied to the columns of a block.
 
@@ -44,12 +80,11 @@ def _fft_inverse(cache, w, gamma):
     """
     nu, nv = cache.grid.nu, cache.grid.nv
     hu, hv = cache.hu, cache.hv
-    tu = 2 * np.pi * np.fft.fftfreq(nu)[:, None]
-    tv = 2 * np.pi * np.fft.rfftfreq(nv)[None, :]
+    cos_u, cos_v, sin_u, sin_v = _fft_factors(nu, nv)
     symbol = (
-        cache.au.mean() * (2 - 2 * np.cos(tu)) * hv / hu
-        + cache.av.mean() * (2 - 2 * np.cos(tv)) * hu / hv
-        + 2 * cache.cuv.mean() * np.sin(tu) * np.sin(tv)
+        cache.au.mean() * cos_u * hv / hu
+        + cache.av.mean() * cos_v * hu / hv
+        + 2 * cache.cuv.mean() * sin_u * sin_v
     )
     inverse = 1.0 / (symbol + gamma * w.mean())
 
@@ -80,24 +115,18 @@ def lambda1(cache, residual_tol=RESIDUAL_TOL):
     precondition = _fft_inverse(cache, w, gamma)
     sqrt_w = np.sqrt(w)[:, None]
 
-    uu, vv = cache.grid.param_axes()
-    x = np.stack(
-        [
-            np.cos(uu).ravel(),
-            np.sin(vv).ravel(),
-            np.cos(uu + 2 * vv).ravel(),
-            np.sin(2 * uu - vv).ravel(),
-        ],
-        axis=1,
-    )
+    x = _start_block(cache.grid.nu, cache.grid.nv)
     k = x.shape[1]
 
-    def orthonormalize(block):
+    def orthonormalize(*blocks):
         # the constants lead the QR, so the rest is W-orthogonal to them;
         # a QR cannot fail on a block that lost rank after convergence
-        buf = np.empty((len(w), block.shape[1] + 1), order="F")
+        buf = np.empty((len(w), 1 + sum(b.shape[1] for b in blocks)), order="F")
         buf[:, :1] = sqrt_w
-        np.multiply(sqrt_w, block, out=buf[:, 1:])
+        start = 1
+        for b in blocks:
+            np.multiply(sqrt_w, b, out=buf[:, start:start + b.shape[1]])
+            start += b.shape[1]
         q = sla.qr(buf, mode="economic", overwrite_a=True, check_finite=False)[0]
         # C order: the products with an F-ordered Q round differently
         return np.divide(q[:, 1:], sqrt_w, order="C")
@@ -107,7 +136,7 @@ def lambda1(cache, residual_tol=RESIDUAL_TOL):
     ax, p = a @ x, x[:, :0]
     for iteration in range(1, MAX_ITERATIONS + 1):
         rx = ax - w[:, None] * (x @ (x.T @ ax))
-        s = orthonormalize(np.column_stack([x, precondition(rx), p]))
+        s = orthonormalize(x, precondition(rx), p)
         a_s = a @ s
         small = s.T @ a_s
         theta, rot = sla.eigh(0.5 * (small + small.T))

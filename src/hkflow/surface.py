@@ -427,14 +427,20 @@ def compute_geometry(grid):
     )
 
 
+# the (di, dj) neighbour offsets of a stencil row in storage order: slot
+# 7 - k is the opposite of slot k, and the node itself comes last
+_STENCIL_OFFSETS = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1), (0, 0))
+
+
 @functools.lru_cache(maxsize=8)
 def _stencil_pattern(nu, nv):
     """int32 CSR indptr, indices of the periodic nine-point stencil, node last.
     Read-only: scipy sorts a matrix's indices in place, so each matrix copies them."""
     i, j = np.indices((nu, nv), dtype=np.int32)
-    offsets = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1), (0, 0))
-    indices = np.stack([(i + di) % nu * nv + (j + dj) % nv for di, dj in offsets], -1).ravel()
-    indptr = np.arange(0, indices.size + 1, len(offsets), dtype=np.int32)
+    indices = np.stack(
+        [(i + di) % nu * nv + (j + dj) % nv for di, dj in _STENCIL_OFFSETS], -1
+    ).ravel()
+    indptr = np.arange(0, indices.size + 1, len(_STENCIL_OFFSETS), dtype=np.int32)
     indices.flags.writeable = indptr.flags.writeable = False
     return indptr, indices
 

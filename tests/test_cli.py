@@ -1,4 +1,4 @@
-"""End-to-end command line tests, all through subprocess.
+"""End-to-end command line tests, through subprocess and in-process `cli.main`.
 
 The CSV golden bytes pin the column order and the fixed 17-digit
 scientific formatting; everything else would silently survive a
@@ -16,7 +16,9 @@ from conftest import cli_env, snapshot_positions, with_positions
 
 from hkflow import cli
 from hkflow.flow import FlowConfig
-from hkflow.surface import compute_geometry, load_snapshot
+from hkflow.surface import (
+    build_immersion, compute_geometry, laplacian_matrix, load_snapshot, scenario,
+)
 
 CLI = [sys.executable, "-m", "hkflow.cli"]
 
@@ -503,6 +505,84 @@ def test_hostile_bytes_exit_2(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("validation failure:") and name in err, err
         assert "Traceback" not in err
+
+
+# init, check, a refused flag, --help, check again, spectrum and run; the
+# grid is small and the run stops after a few steps
+ONE_PROCESS_CALLS = (
+    ["init", "--scenario", "perturbed-complex-torus", "--nu", "16", "--nv", "16",
+     "--eps", "0.05", "--steps", "4", "--out", "p"],
+    ["check", "p.snapshot.json", "--json", "first.json"],
+    ["check", "--no-such-flag"],
+    ["--help"],
+    ["check", "p.snapshot.json", "--json", "again.json"],
+    ["spectrum", "p.snapshot.json"],
+    ["run", "p.manifest"],
+)
+
+
+def test_one_parser_serves_independent_calls(tmp_path, capsys, monkeypatch):
+    # main parses with one parser per process; every call behaves as the
+    # first call of a fresh interpreter does, byte for byte
+    assert cli.build_parser() is cli.build_parser()
+    (tmp_path / "inproc").mkdir()
+    (tmp_path / "child").mkdir()
+    monkeypatch.chdir(tmp_path / "inproc")
+    monkeypatch.setenv("COLUMNS", "80")           # argparse wraps help to the terminal
+    env = {**cli_env(), "COLUMNS": "80"}
+    codes = []
+    for argv in ONE_PROCESS_CALLS:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        child = subprocess.run(
+            CLI + argv, cwd=tmp_path / "child", env=env, capture_output=True, text=True,
+            timeout=600,
+        )
+        assert (code, got.out, got.err) == (child.returncode, child.stdout, child.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0, 0, 0, 0]
+    inproc, child = tmp_path / "inproc", tmp_path / "child"
+    first = (inproc / "first.json").read_bytes()
+    assert (inproc / "again.json").read_bytes() == first == (child / "again.json").read_bytes()
+    for name in ("p.csv", "p.final.json"):
+        assert (inproc / name).read_bytes() == (child / name).read_bytes()
+
+
+def perturbed_laplacian(cache):
+    """laplacian_matrix with one off-diagonal entry scaled by 1.001."""
+    mat, w = laplacian_matrix(cache)
+    mat.data[9 * 5 + 4] *= 1.001                  # node 5 toward (i, j + 1)
+    return mat, w
+
+
+def sparse_asymmetry(mat):
+    return abs(mat - mat.T).max() / max(abs(mat).max(), 1e-300)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("clifford", dict(R=1.0, r=1.0)),
+    ("perturbed-complex-torus", dict(eps=0.05)),
+    ("lagrangian-graph", dict(eps=0.3)),
+])
+def test_laplacian_symmetry_meter_matches_the_sparse_formula(monkeypatch, name, params):
+    # the meter reads the stencil rows instead of forming mat - mat.T; it
+    # must report the sparse formula's value bit for bit, and FAIL on a
+    # matrix with one entry off its mirror
+    cache = compute_geometry(build_immersion(scenario(name, 16, 16, **params)))
+
+    def meter():
+        return next(c for c in cli._run_checks(cache) if c["name"] == "laplacian-symmetry")
+
+    clean = meter()
+    assert clean["measured"] == float(sparse_asymmetry(laplacian_matrix(cache)[0]))
+    assert clean["status"] == "PASS"
+    monkeypatch.setattr(cli, "laplacian_matrix", perturbed_laplacian)
+    broken = meter()
+    assert broken["measured"] == float(sparse_asymmetry(perturbed_laplacian(cache)[0]))
+    assert broken["measured"] > 1e-6 and broken["status"] == "FAIL"
 
 
 # One fresh interpreter: which scipy modules are loaded after each step.

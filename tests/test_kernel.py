@@ -343,6 +343,17 @@ def test_dot_is_the_left_to_right_sum(n):
     assert np.signbit(expect[-1]).all()
 
 
+@pytest.mark.parametrize("periods", [None, (2 * np.pi,) * 4])
+def test_wrap_returns_a_new_array(periods):
+    # in R^4 too: the result never shares memory with its input, and
+    # coordinates inside the box keep their bits
+    x = RNG.uniform(0, 2 * np.pi, (6, 5, 4))
+    before = x.copy()
+    got = AmbientSpace(periods).wrap(x)
+    assert not np.shares_memory(got, x)
+    assert np.array_equal(_bits(got), _bits(before)) and np.array_equal(_bits(x), _bits(before))
+
+
 def test_wrap_matches_mod_bit_for_bit():
     # wrap sends only coordinates outside [0, period) through np.mod; the
     # result must still be np.mod's, sign bit and NaN included

@@ -173,6 +173,46 @@ def test_lambda1_qr_matches_numpy_qr(monkeypatch, name, n, params):
     assert outcome(lambda1(cache)) == fast
 
 
+def test_lambda1_grid_tables_are_read_only_and_exact():
+    # the start block and the Fourier factors are cached per grid size;
+    # each equals its formula evaluated afresh on the grid's param_axes
+    nu, nv = 40, 24
+    uu, vv = build_immersion(scenario("flat-plane-torus", nu, nv)).param_axes()
+    block = np.stack(
+        [np.cos(uu).ravel(), np.sin(vv).ravel(), np.cos(uu + 2 * vv).ravel(),
+         np.sin(2 * uu - vv).ravel()],
+        axis=1,
+    )
+    tu = 2 * np.pi * np.fft.fftfreq(nu)[:, None]
+    tv = 2 * np.pi * np.fft.rfftfreq(nv)[None, :]
+    fresh = [block, 2 - 2 * np.cos(tu), 2 - 2 * np.cos(tv), np.sin(tu), np.sin(tv)]
+    cached = [spectral._start_block(nu, nv), *spectral._fft_factors(nu, nv)]
+    assert spectral._start_block(nu, nv) is cached[0]
+    for got, expect in zip(cached, fresh):
+        assert not got.flags.writeable
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+def test_lambda1_grid_tables_do_not_leak_between_grids():
+    # 32^2, then 40 x 24, then 32^2 on warm tables: each result is the
+    # one computed with the tables built afresh for its grid
+    def outcome(cache):
+        res = lambda1(cache)
+        return res.lambda1, res.iterations, res.residual, res.vector.tobytes()
+
+    square = cache_for("perturbed-complex-torus", 32, eps=0.05)
+    oblong = compute_geometry(
+        build_immersion(scenario("perturbed-complex-torus", 40, 24, eps=0.05))
+    )
+    cold = {}
+    for key, cache in (("square", square), ("oblong", oblong)):
+        spectral._start_block.cache_clear()
+        spectral._fft_factors.cache_clear()
+        cold[key] = outcome(cache)
+    for key, cache in (("square", square), ("oblong", oblong), ("square", square)):
+        assert outcome(cache) == cold[key], key
+
+
 def inverse_iteration_reference(cache, rtol=1e-10, residual_tol=1e-7):
     """Reference: shifted inverse iteration on the same 4-column start
     block, one sparse LU of A + gamma W and a Rayleigh-Ritz step per
