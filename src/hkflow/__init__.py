@@ -1,5 +1,9 @@
 """hkflow: a numerical laboratory for mean curvature flow coupled with the
-complex-phase heat flow on surfaces in flat hyperkahler R^4 and T^4."""
+complex-phase heat flow on surfaces in flat hyperkahler R^4 and T^4.
+
+The package root exports the entry points the README and the demos use;
+the stepper, the operators and the data types import from their modules.
+"""
 
 __version__ = "0.1.0"
 
@@ -12,34 +16,21 @@ from .errors import (
     IOFailure,
 )
 from .kernel import (
-    TwistorTriple,
     standard_twistor_triple,
-    AmbientSpace,
     phase_operator,
     symplectic_form,
-    HolomorphicSymplecticForm,
     holomorphic_symplectic,
     canonical_phase_from_frame,
 )
 from .surface import (
-    ScenarioSpec,
     scenario,
-    SurfaceGrid,
     build_immersion,
-    GeometryCache,
     compute_geometry,
-    laplacian_matrix,
-    laplace_beltrami,
-    dirichlet_energy_density,
     surface_integral,
     gauss_curvature_check,
-    save_snapshot,
-    load_snapshot,
 )
 from .phase import (
-    PhaseField,
     phase_field,
-    field_from_array,
     twistor_energy,
     tension_field,
     kahler_angle,
@@ -51,25 +42,11 @@ from .phase import (
 )
 from .spectral import (
     lambda1,
-    default_ball_centers,
     geodesic_ball_volumes,
     c0_from_l2_validator,
 )
 from .flow import (
     FlowConfig,
-    SurfaceState,
-    make_state,
-    DiagnosticsRecord,
-    DiagnosticsSeries,
-    metric_spacing,
-    cfl_dt,
-    mcf_step,
-    phase_heat_step,
-    consistency_check,
-    metric_evolution_monitor,
-    coupled_step,
-    efa_monitor,
-    efe_monitor,
     run_flow,
     decay_fit,
 )
@@ -82,30 +59,17 @@ __all__ = [
     "PreconditionError",
     "NumericalError",
     "IOFailure",
-    "TwistorTriple",
     "standard_twistor_triple",
-    "AmbientSpace",
     "phase_operator",
     "symplectic_form",
-    "HolomorphicSymplecticForm",
     "holomorphic_symplectic",
     "canonical_phase_from_frame",
-    "ScenarioSpec",
     "scenario",
-    "SurfaceGrid",
     "build_immersion",
-    "GeometryCache",
     "compute_geometry",
-    "laplacian_matrix",
-    "laplace_beltrami",
-    "dirichlet_energy_density",
     "surface_integral",
     "gauss_curvature_check",
-    "save_snapshot",
-    "load_snapshot",
-    "PhaseField",
     "phase_field",
-    "field_from_array",
     "twistor_energy",
     "tension_field",
     "kahler_angle",
@@ -115,23 +79,9 @@ __all__ = [
     "polar_identity_check",
     "hyper_lagrangian_residual",
     "lambda1",
-    "default_ball_centers",
     "geodesic_ball_volumes",
     "c0_from_l2_validator",
     "FlowConfig",
-    "SurfaceState",
-    "make_state",
-    "DiagnosticsRecord",
-    "DiagnosticsSeries",
-    "metric_spacing",
-    "cfl_dt",
-    "mcf_step",
-    "phase_heat_step",
-    "consistency_check",
-    "metric_evolution_monitor",
-    "coupled_step",
-    "efa_monitor",
-    "efe_monitor",
     "run_flow",
     "decay_fit",
 ]

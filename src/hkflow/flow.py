@@ -105,10 +105,12 @@ class DiagnosticsSeries:
     final_phase_spread: float | None = None
 
     def append(self, rec):
+        # the run broke the series, not its input: a step that no longer
+        # advances t, or a surface whose area reached 0
         if self.records and rec.t <= self.records[-1].t:
-            raise InputError(f"time must increase, got {rec.t} after {self.records[-1].t}")
+            raise NumericalError(f"time must increase, got {rec.t} after {self.records[-1].t}")
         if rec.area <= 0:
-            raise InputError(f"non-positive area {rec.area} at t = {rec.t}")
+            raise NumericalError(f"non-positive area {rec.area} at t = {rec.t}")
         self.records.append(rec)
 
 

@@ -96,7 +96,7 @@ def _fft_inverse(cache, w, gamma):
     return apply
 
 
-def lambda1(cache, residual_tol=RESIDUAL_TOL):
+def lambda1(cache):
     """First nonzero eigenvalue of the surface Laplacian.
 
     Preconditioned block iteration (LOBPCG, Knyazev 2001) on a 4-column
@@ -147,7 +147,7 @@ def lambda1(cache, residual_tol=RESIDUAL_TOL):
         residual = float(np.sqrt((r * r / w).sum()))
         if (
             abs(lam - lam_prev) <= RAYLEIGH_RTOL * max(abs(lam), 1e-30)
-            and residual <= residual_tol * max(1.0, abs(lam))
+            and residual <= RESIDUAL_TOL * max(1.0, abs(lam))
         ):
             shape = (cache.grid.nu, cache.grid.nv)
             return SpectralResult(lam, v.reshape(shape), iteration, residual)

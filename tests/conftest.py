@@ -1,9 +1,13 @@
 """Shared harness: the ``python -m hkflow.cli`` environment and snapshot edits.
 
-The CLI tests run the real entry point as a subprocess with ``cwd`` set to
-a temp directory.  A relative ``PYTHONPATH`` such as ``src`` does not
-resolve there, and an unrelated installed ``hkflow`` would be picked up
-in its place.  The child therefore gets the directory that holds the
+The CLI tests call ``cli.main`` in process.  A few need a fresh
+interpreter and run the real entry point as a subprocess with ``cwd`` set
+to a temp directory: one parser serving independent calls, scipy loading
+at first use, the no-traceback checks for exit codes 2, 3 and 4 (a
+warning printed to stderr shows only there), and acceptance criterion 8.
+A relative ``PYTHONPATH`` such as ``src`` does not resolve in the temp
+directory, and an unrelated installed ``hkflow`` would be picked up in
+its place.  The child therefore gets the directory that holds the
 ``hkflow`` package this test process imported at the front of its
 ``PYTHONPATH``, whatever directory pytest was started from.
 

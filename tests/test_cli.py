@@ -1,4 +1,8 @@
-"""End-to-end command line tests, through subprocess and in-process `cli.main`.
+"""End-to-end command line tests, in process through the `run_cli` fixture.
+
+Tests that need a fresh interpreter start `python -m hkflow.cli`: one
+parser serving independent calls, scipy loading at first use, and one
+check per failure exit code that stderr shows no traceback or warning.
 
 The CSV golden bytes pin the column order and the fixed 17-digit
 scientific formatting; everything else would silently survive a
@@ -38,9 +42,43 @@ FLAT_ROW = (
 )
 
 
-def run_cli(*argv, cwd):
+@pytest.fixture
+def run_cli(tmp_path, capsys, monkeypatch):
+    """`run_cli(*argv)` runs `cli.main(argv)` in tmp_path and returns
+    (exit code, stdout, stderr); argparse's SystemExit is its exit code."""
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2, 3, 4), code
+        got = capsys.readouterr()
+        return code, got.out, got.err
+
+    return run
+
+
+def succeeded(result):
+    """Exit 0; returns stdout."""
+    code, out, err = result
+    assert code == 0, err
+    return out
+
+
+def assert_validation_failure(result):
+    """Exit 2 with a validation message and no traceback; returns stderr."""
+    code, _, err = result
+    assert code == 2, err
+    assert "validation failure:" in err
+    assert "Traceback" not in err
+    return err
+
+
+def run_child(*argv, cwd, env=None):
     return subprocess.run(
-        CLI + list(argv), cwd=cwd, env=cli_env(), capture_output=True, text=True,
+        CLI + list(argv), cwd=cwd, env=env or cli_env(), capture_output=True, text=True,
         timeout=600,
     )
 
@@ -48,8 +86,10 @@ def run_cli(*argv, cwd):
 @pytest.fixture(scope="module")
 def flat_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("flat")
-    out = run_cli("init", "--scenario", "flat-plane-torus", "--nu", "32", "--nv", "32", cwd=d)
-    assert out.returncode == 0, out.stderr
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(d)
+        code = cli.main(["init", "--scenario", "flat-plane-torus", "--nu", "32", "--nv", "32"])
+    assert code == 0
     return d
 
 
@@ -66,12 +106,10 @@ def test_init_writes_snapshot_and_manifest(flat_dir):
     assert "dt_flow_time = cfl" in text
 
 
-def test_init_clifford_area(tmp_path):
-    out = run_cli(
-        "init", "--scenario", "clifford", "--R", "1", "--r", "1",
-        "--nu", "64", "--nv", "64", cwd=tmp_path,
-    )
-    assert out.returncode == 0, out.stderr
+def test_init_clifford_area(tmp_path, run_cli):
+    succeeded(run_cli(
+        "init", "--scenario", "clifford", "--R", "1", "--r", "1", "--nu", "64", "--nv", "64",
+    ))
     grid = load_snapshot(tmp_path / "clifford-64x64.snapshot.json")
     cache = compute_geometry(grid)
     h = 2 * np.pi / 64
@@ -81,21 +119,13 @@ def test_init_clifford_area(tmp_path):
     assert cache.node_area().sum() == pytest.approx(expect, abs=1e-9)
 
 
-def test_init_rejects_bad_flags(tmp_path):
-    out = run_cli("init", "--scenario", "clifford", "--R", "-1", cwd=tmp_path)
-    assert out.returncode == 2
-    assert "validation failure" in out.stderr
-    out = run_cli("init", "--scenario", "nonsense", cwd=tmp_path)
-    assert out.returncode == 2  # argparse choice rejection
-    out = run_cli("init", "--scenario", "flat-plane-torus", "--periods", "1,two", cwd=tmp_path)
-    assert out.returncode == 2
-    assert "--periods must be comma separated numbers" in out.stderr
-
-
-def assert_validation_failure(out):
-    assert out.returncode == 2, out.stderr
-    assert "validation failure:" in out.stderr
-    assert "Traceback" not in out.stderr
+def test_init_rejects_bad_flags(run_cli):
+    assert_validation_failure(run_cli("init", "--scenario", "clifford", "--R", "-1"))
+    assert run_cli("init", "--scenario", "nonsense")[0] == 2  # argparse choice rejection
+    err = assert_validation_failure(
+        run_cli("init", "--scenario", "flat-plane-torus", "--periods", "1,two")
+    )
+    assert "--periods must be comma separated numbers" in err
 
 
 HOSTILE_EXPRESSIONS = (
@@ -112,13 +142,12 @@ HOSTILE_EXPRESSIONS = (
 
 
 @pytest.mark.parametrize("expr", HOSTILE_EXPRESSIONS)
-def test_init_rejects_hostile_expression(tmp_path, expr):
-    out = run_cli(
+def test_init_rejects_hostile_expression(tmp_path, run_cli, expr):
+    err = assert_validation_failure(run_cli(
         "init", "--scenario", "custom-expression", "--nu", "8", "--nv", "8",
-        "--exprs", f"{expr};v;0*u;0*u", "--out", "hostile", cwd=tmp_path,
-    )
-    assert_validation_failure(out)
-    assert "cannot evaluate expression" in out.stderr
+        "--exprs", f"{expr};v;0*u;0*u", "--out", "hostile",
+    ))
+    assert "cannot evaluate expression" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -145,47 +174,46 @@ UNREPLAYABLE_INIT_FLAGS = (
 
 
 @pytest.mark.parametrize("flags, message", UNREPLAYABLE_INIT_FLAGS)
-def test_init_refuses_unreplayable_manifest(tmp_path, flags, message):
-    out = run_cli(
+def test_init_refuses_unreplayable_manifest(tmp_path, run_cli, flags, message):
+    err = assert_validation_failure(run_cli(
         "init", "--scenario", "custom-expression", "--nu", "8", "--nv", "8",
         "--exprs", "u;v;0*u;0*u", "--periods", "6.283185307179586," * 3 + "6.283185307179586",
-        *flags, cwd=tmp_path,
-    )
-    assert_validation_failure(out)
-    assert message in out.stderr
+        *flags,
+    ))
+    assert message in err
     assert list(tmp_path.iterdir()) == []
 
+
 def test_init_unwritable_path(tmp_path):
-    out = run_cli(
+    # a fresh interpreter: the exit-4 path prints no traceback
+    out = run_child(
         "init", "--scenario", "flat-plane-torus", "--nu", "8", "--nv", "8",
         "--out", "no-such-dir/stem", cwd=tmp_path,
     )
     assert out.returncode == 4
     assert "i/o failure" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
-def test_run_flat_golden_csv(flat_dir):
-    out = run_cli("run", "flat-plane-torus-32x32.manifest", cwd=flat_dir)
-    assert out.returncode == 0, out.stderr
-    text = (flat_dir / "flat-plane-torus-32x32.csv").read_text()
+def test_run_flat_golden_csv(flat_dir, tmp_path, run_cli):
+    # the manifest names its outputs relative to the working directory
+    succeeded(run_cli("run", str(flat_dir / "flat-plane-torus-32x32.manifest")))
+    text = (tmp_path / "flat-plane-torus-32x32.csv").read_text()
     assert text == CSV_HEADER + "\n" + FLAT_ROW + "\n"
-    assert (flat_dir / "flat-plane-torus-32x32.final.json").exists()
+    assert (tmp_path / "flat-plane-torus-32x32.final.json").exists()
     h = 2 * np.pi / 32
     symbol = 4 * np.sin(h / 2) ** 2 / h**2
     assert float(FLAT_ROW.split(",")[4]) == pytest.approx(symbol, rel=1e-14, abs=0)
 
 
-def test_run_is_byte_deterministic(tmp_path):
-    out = run_cli(
+def test_run_is_byte_deterministic(tmp_path, run_cli):
+    succeeded(run_cli(
         "init", "--scenario", "clifford", "--R", "1", "--r", "1",
         "--nu", "32", "--nv", "32", "--steps", "25", "--lambda1-cadence", "5",
-        cwd=tmp_path,
-    )
-    assert out.returncode == 0, out.stderr
+    ))
     blobs = []
     for _ in range(2):
-        out = run_cli("run", "clifford-32x32.manifest", cwd=tmp_path)
-        assert out.returncode == 0, out.stderr
+        succeeded(run_cli("run", "clifford-32x32.manifest"))
         blobs.append((tmp_path / "clifford-32x32.csv").read_bytes())
     assert blobs[0] == blobs[1]
     rows = blobs[0].decode().strip().split("\n")
@@ -195,47 +223,55 @@ def test_run_is_byte_deterministic(tmp_path):
     assert rows[6].split(",")[4] != ""
 
 
-def test_run_plot_writes_svgs(tmp_path):
-    out = run_cli(
+def test_run_plot_writes_svgs(tmp_path, run_cli):
+    succeeded(run_cli(
         "init", "--scenario", "perturbed-complex-torus", "--eps", "0.05",
-        "--nu", "32", "--nv", "32", "--steps", "40", cwd=tmp_path,
-    )
-    assert out.returncode == 0, out.stderr
-    out = run_cli("run", "perturbed-complex-torus-32x32.manifest", "--plot", cwd=tmp_path)
-    assert out.returncode == 0, out.stderr
+        "--nu", "32", "--nv", "32", "--steps", "40",
+    ))
+    succeeded(run_cli("run", "perturbed-complex-torus-32x32.manifest", "--plot"))
     for name in ("energy", "lambda1"):
         svg = (tmp_path / f"perturbed-complex-torus-32x32_{name}.svg").read_text()
         assert svg.startswith("<svg")
         assert "<polyline" in svg
 
 
-def test_run_collapse_exits_3_with_partial_series(tmp_path):
-    out = run_cli(
+def test_run_collapse_exits_3_with_partial_series(tmp_path, run_cli):
+    succeeded(run_cli(
         "init", "--scenario", "clifford", "--R", "0.4", "--r", "0.4",
-        "--nu", "32", "--nv", "32", "--dt", "1e-3", "--steps", "10000",
-        "--out", "shrink", cwd=tmp_path,
-    )
-    assert out.returncode == 0, out.stderr
-    out = run_cli("run", "shrink.manifest", cwd=tmp_path)
-    assert out.returncode == 3
-    assert "numerical failure" in out.stderr and "step" in out.stderr
+        "--nu", "32", "--nv", "32", "--dt", "1e-3", "--steps", "10000", "--out", "shrink",
+    ))
+    code, _, err = run_cli("run", "shrink.manifest")
+    assert code == 3
+    assert "numerical failure" in err and "step" in err
     rows = (tmp_path / "shrink.csv").read_text().strip().split("\n")
     assert rows[0] == CSV_HEADER
     assert len(rows) > 10  # partial series flushed before the failure
 
 
-def test_run_bad_manifest(tmp_path):
+def test_run_that_stops_advancing_time_exits_3(tmp_path, run_cli):
+    # under the CFL step the collapsing torus shrinks dt until t + dt == t:
+    # the run broke its series, so it is a numerical failure at a step
+    succeeded(run_cli(
+        "init", "--scenario", "clifford", "--R", "1", "--r", "1",
+        "--nu", "12", "--nv", "12", "--steps", "20000",
+    ))
+    code, _, err = run_cli("run", "clifford-12x12.manifest")
+    assert code == 3, err
+    assert err.startswith("numerical failure: step ") and "time must increase" in err
+    rows = (tmp_path / "clifford-12x12.csv").read_text().strip().split("\n")
+    assert rows[0] == CSV_HEADER
+    assert len(rows) > 100  # partial series flushed before the failure
+
+
+def test_run_bad_manifest(tmp_path, run_cli):
     (tmp_path / "dup.manifest").write_text("scenario = clifford\nscenario = clifford\n")
-    out = run_cli("run", "dup.manifest", cwd=tmp_path)
-    assert out.returncode == 2
+    assert run_cli("run", "dup.manifest")[0] == 2
     (tmp_path / "junk.manifest").write_text("this is not a key value line\n")
-    out = run_cli("run", "junk.manifest", cwd=tmp_path)
-    assert out.returncode == 2
-    out = run_cli("run", "missing.manifest", cwd=tmp_path)
-    assert out.returncode == 4
+    assert run_cli("run", "junk.manifest")[0] == 2
+    assert run_cli("run", "missing.manifest")[0] == 4
 
 
-def test_run_rejects_malformed_numbers(flat_dir, tmp_path):
+def test_run_rejects_malformed_numbers(flat_dir, tmp_path, run_cli):
     man = (flat_dir / "flat-plane-torus-32x32.manifest").read_text()
     assert "\nnu = 32\n" in man
     for name, text, message in (
@@ -246,44 +282,36 @@ def test_run_rejects_malformed_numbers(flat_dir, tmp_path):
         ("nan", man.replace("\nc_mon = ", "\nc_mon = nan # "), "manifest key c_mon must be finite"),
     ):
         (tmp_path / f"{name}.manifest").write_text(text)
-        out = run_cli("run", f"{name}.manifest", cwd=tmp_path)
-        assert_validation_failure(out)
-        assert message in out.stderr
+        assert message in assert_validation_failure(run_cli("run", f"{name}.manifest"))
 
 
-def test_run_old_renormalize_switch(flat_dir, tmp_path):
+def test_run_old_renormalize_switch(flat_dir, tmp_path, run_cli):
     # the phase is always projected back to the sphere: a manifest written
     # when that was a switch replays when it is on and is refused when off
     man = (flat_dir / "flat-plane-torus-32x32.manifest").read_text()
     assert "renormalize_phase" not in man
     (tmp_path / "off.manifest").write_text(man + "renormalize_phase = false\n")
-    out = run_cli("run", "off.manifest", cwd=tmp_path)
-    assert_validation_failure(out)
-    assert "renormalize_phase" in out.stderr
+    assert "renormalize_phase" in assert_validation_failure(run_cli("run", "off.manifest"))
     (tmp_path / "on.manifest").write_text(man + "renormalize_phase = true\n")
-    out = run_cli("run", "on.manifest", cwd=tmp_path)
-    assert out.returncode == 0, out.stderr
+    succeeded(run_cli("run", "on.manifest"))
     assert (tmp_path / "flat-plane-torus-32x32.csv").read_text().split("\n")[1] == FLAT_ROW
 
 
-def test_run_unwritable_csv(flat_dir, tmp_path):
+def test_run_unwritable_csv(flat_dir, tmp_path, run_cli):
     man = (flat_dir / "flat-plane-torus-32x32.manifest").read_text()
     man = man.replace(
         "csv_path = flat-plane-torus-32x32.csv", "csv_path = no-such-dir/out.csv"
     )
     (tmp_path / "bad.manifest").write_text(man)
-    out = run_cli("run", "bad.manifest", cwd=tmp_path)
-    assert out.returncode == 4
+    assert run_cli("run", "bad.manifest")[0] == 4
 
 
-def test_check_passes_on_flat(flat_dir):
-    out = run_cli(
-        "check", "flat-plane-torus-32x32.snapshot.json", "--json", "report.json",
-        cwd=flat_dir,
-    )
-    assert out.returncode == 0, out.stderr
-    assert "all checks passed" in out.stdout
-    doc = json.loads((flat_dir / "report.json").read_text())
+def test_check_passes_on_flat(flat_dir, tmp_path, run_cli):
+    out = succeeded(run_cli(
+        "check", str(flat_dir / "flat-plane-torus-32x32.snapshot.json"), "--json", "report.json",
+    ))
+    assert "all checks passed" in out
+    doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["all_pass"] is True
     names = {c["name"] for c in doc["checks"]}
     assert {"quaternion-product-table", "plf-identity", "bja-identity",
@@ -294,18 +322,13 @@ def test_check_passes_on_flat(flat_dir):
             assert chk["measured"] <= 1e-10
 
 
-def test_check_tolerance_scales_with_grid(tmp_path):
+def test_check_tolerance_scales_with_grid(tmp_path, run_cli):
     for n in (64, 128):
-        out = run_cli(
+        succeeded(run_cli(
             "init", "--scenario", "clifford", "--R", "1", "--r", "1",
-            "--nu", str(n), "--nv", str(n), cwd=tmp_path,
-        )
-        assert out.returncode == 0, out.stderr
-        out = run_cli(
-            "check", f"clifford-{n}x{n}.snapshot.json", "--json", f"rep{n}.json",
-            cwd=tmp_path,
-        )
-        assert out.returncode == 0, out.stderr
+            "--nu", str(n), "--nv", str(n),
+        ))
+        succeeded(run_cli("check", f"clifford-{n}x{n}.snapshot.json", "--json", f"rep{n}.json"))
     rep64 = json.loads((tmp_path / "rep64.json").read_text())
     rep128 = json.loads((tmp_path / "rep128.json").read_text())
 
@@ -318,32 +341,27 @@ def test_check_tolerance_scales_with_grid(tmp_path):
     assert skip["status"] == "SKIP" and "pole-proximity" in skip["reason"]
 
 
-def test_check_corrupt_snapshot(flat_dir, tmp_path):
+def test_check_corrupt_snapshot(flat_dir, tmp_path, run_cli):
     doc = json.loads((flat_dir / "flat-plane-torus-32x32.snapshot.json").read_text())
     pos = snapshot_positions(doc)
     pos[7] = float("nan")
     bad = tmp_path / "bad.snapshot.json"
     bad.write_text(json.dumps(with_positions(doc, pos)))
-    out = run_cli("check", str(bad), cwd=tmp_path)
-    assert out.returncode == 2
-    assert "validation failure" in out.stderr
+    assert_validation_failure(run_cli("check", str(bad)))
 
     pos[7] = 0.0
     doc = with_positions(doc, pos)
     doc["version"] = 99
     bad.write_text(json.dumps(doc))
-    out = run_cli("check", str(bad), cwd=tmp_path)
-    assert out.returncode == 2
+    assert run_cli("check", str(bad))[0] == 2
 
     bad.write_text("{not json")
-    out = run_cli("check", str(bad), cwd=tmp_path)
-    assert out.returncode == 2
+    assert run_cli("check", str(bad))[0] == 2
 
-    out = run_cli("check", "never-written.json", cwd=tmp_path)
-    assert out.returncode == 4
+    assert run_cli("check", "never-written.json")[0] == 4
 
 
-def test_check_rejects_non_numeric_snapshot(flat_dir, tmp_path):
+def test_check_rejects_non_numeric_snapshot(flat_dir, tmp_path, run_cli):
     good = json.loads((flat_dir / "flat-plane-torus-32x32.snapshot.json").read_text())
     # version 1 holds the positions as a JSON list, whose entries can be non-numeric
     good = {**good, "version": 1, "positions": snapshot_positions(good).tolist()}
@@ -356,51 +374,40 @@ def test_check_rejects_non_numeric_snapshot(flat_dir, tmp_path):
         ("periods", ["a", "b", "c", "d"]),
     ):
         bad.write_text(json.dumps({**good, key: val}))
-        out = run_cli("check", str(bad), cwd=tmp_path)
-        assert_validation_failure(out)
-        assert repr(key) in out.stderr
+        assert repr(key) in assert_validation_failure(run_cli("check", str(bad)))
     bad.write_text(json.dumps({**good, "nu": float("inf")}))    # int() overflows
-    assert_validation_failure(run_cli("check", str(bad), cwd=tmp_path))
+    assert_validation_failure(run_cli("check", str(bad)))
     bad.write_text(json.dumps({**good, "nu": -2, "nv": -2, "positions": [0.0] * 16}))
-    out = run_cli("check", str(bad), cwd=tmp_path)
-    assert_validation_failure(out)
-    assert "empty" in out.stderr
+    assert "empty" in assert_validation_failure(run_cli("check", str(bad)))
     bad.write_text("[1, 2, 3]")
-    assert_validation_failure(run_cli("check", str(bad), cwd=tmp_path))
+    assert_validation_failure(run_cli("check", str(bad)))
     bad.write_text(json.dumps({**good, "periods": [float("nan")] + good["periods"][1:]}))
-    out = run_cli("check", str(bad), cwd=tmp_path)
-    assert_validation_failure(out)
-    assert "periods" in out.stderr
+    assert "periods" in assert_validation_failure(run_cli("check", str(bad)))
 
 
-def test_spectrum_flat(flat_dir):
-    out = run_cli("spectrum", "flat-plane-torus-32x32.snapshot.json", cwd=flat_dir)
-    assert out.returncode == 0, out.stderr
-    lines = dict(l.split(" ", 1) for l in out.stdout.strip().split("\n"))
+def test_spectrum_flat(flat_dir, run_cli):
+    out = succeeded(run_cli("spectrum", str(flat_dir / "flat-plane-torus-32x32.snapshot.json")))
+    lines = dict(l.split(" ", 1) for l in out.strip().split("\n"))
     assert float(lines["lambda1"]) == pytest.approx(1.0, abs=5e-3)
     assert float(lines["residual"]) < 1e-7
     assert int(lines["iterations"]) >= 1
 
 
-def test_spectrum_rectangular_torus(tmp_path):
+def test_spectrum_rectangular_torus(tmp_path, run_cli):
     lv = repr(4 * np.pi)
-    out = run_cli(
+    succeeded(run_cli(
         "init", "--scenario", "flat-plane-torus", "--Lv", lv,
-        "--nu", "64", "--nv", "64", "--out", "rect", cwd=tmp_path,
-    )
-    assert out.returncode == 0, out.stderr
-    out = run_cli(
-        "spectrum", "rect.snapshot.json", "--eigenfunction", "ef.json", cwd=tmp_path
-    )
-    assert out.returncode == 0, out.stderr
-    lam = float(out.stdout.split("\n")[0].split(" ")[1])
+        "--nu", "64", "--nv", "64", "--out", "rect",
+    ))
+    out = succeeded(run_cli("spectrum", "rect.snapshot.json", "--eigenfunction", "ef.json"))
+    lam = float(out.split("\n")[0].split(" ")[1])
     assert lam == pytest.approx(0.25, abs=1e-3)
     ef = json.loads((tmp_path / "ef.json").read_text())
     assert len(ef["values"]) == 64 * 64
     assert ef["lambda1"] == lam
 
 
-def test_spectrum_degenerate_snapshot(flat_dir, tmp_path):
+def test_spectrum_degenerate_snapshot(flat_dir, tmp_path, run_cli):
     doc = json.loads((flat_dir / "flat-plane-torus-32x32.snapshot.json").read_text())
     # collapse the v direction: every row of nodes maps to one point
     pos = snapshot_positions(doc).reshape(32, 32, 4)
@@ -408,15 +415,16 @@ def test_spectrum_degenerate_snapshot(flat_dir, tmp_path):
     doc = with_positions(doc, pos)
     bad = tmp_path / "degenerate.json"
     bad.write_text(json.dumps(doc))
-    out = run_cli("spectrum", str(bad), cwd=tmp_path)
-    assert out.returncode == 3
-    assert "metric-degenerate" in out.stderr
+    code, _, err = run_cli("spectrum", str(bad))
+    assert code == 3
+    assert "metric-degenerate" in err
 
 
 @pytest.mark.parametrize("nu", [16])
 def test_vanishing_central_tangent_exits_3(tmp_path, nu):
     # rows of nodes alternate between two parallel unit circles: every
-    # edge is long, so the det floor passes, but F(i+1) - F(i-1) = 0
+    # edge is long, so the det floor passes, but F(i+1) - F(i-1) = 0; a
+    # fresh interpreter, whose stderr would show a RuntimeWarning
     t = 2 * np.pi * np.arange(16) / 16
     pos = np.zeros((nu, 16, 4))
     pos[..., 0], pos[..., 1] = np.cos(t), np.sin(t)
@@ -425,7 +433,7 @@ def test_vanishing_central_tangent_exits_3(tmp_path, nu):
     doc = {"version": 1, "nu": nu, "nv": 16, "periods": None, "positions": pos.ravel().tolist()}
     snap.write_text(json.dumps(doc))
     for cmd in ("check", "spectrum"):
-        out = run_cli(cmd, str(snap), cwd=tmp_path)
+        out = run_child(cmd, str(snap), cwd=tmp_path)
         assert out.returncode == 3, out.stderr
         assert "tangent-degenerate at node (0, 0)" in out.stderr
         assert "Traceback" not in out.stderr and "RuntimeWarning" not in out.stderr
@@ -434,7 +442,8 @@ def test_vanishing_central_tangent_exits_3(tmp_path, nu):
 
 def test_small_snapshot_grid_exits_2(tmp_path):
     # a 2 x 16 grid is refused at load, as build_immersion refuses it,
-    # before its coinciding neighbours read as a numerical failure
+    # before its coinciding neighbours read as a numerical failure; a fresh
+    # interpreter, whose stderr would show a traceback
     t = 2 * np.pi * np.arange(16) / 16
     pos = np.zeros((2, 16, 4))
     pos[..., 0], pos[..., 1] = np.cos(t), np.sin(t)
@@ -443,26 +452,25 @@ def test_small_snapshot_grid_exits_2(tmp_path):
     doc = {"version": 1, "nu": 2, "nv": 16, "periods": None, "positions": pos.ravel().tolist()}
     snap.write_text(json.dumps(doc))
     for cmd in ("check", "spectrum"):
-        out = run_cli(cmd, str(snap), cwd=tmp_path)
+        out = run_child(cmd, str(snap), cwd=tmp_path)
         assert out.returncode == 2, out.stderr
         assert "grid 2 x 16 is too small, need 4 x 4" in out.stderr
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
 
-def test_manifest_replays_the_init_settings(tmp_path, monkeypatch):
+def test_manifest_replays_the_init_settings(run_cli):
     # each run setting is written by init and read back by run from one
     # table; a key the manifest leaves out takes FlowConfig's default
-    monkeypatch.chdir(tmp_path)
     base = ["init", "--scenario", "flat-plane-torus", "--nu", "8", "--nv", "8"]
-    assert cli.main(base + ["--out", "plain"]) == 0
+    succeeded(run_cli(*base, "--out", "plain"))
     assert cli._config_from_manifest(cli.read_manifest("plain.manifest")) == FlowConfig(
         max_h_below=1e-6
     )
     flags = ["--dt", "0.001", "--safety", "0.5", "--scheme", "rk2", "--steps", "7",
              "--lambda1-cadence", "3", "--consistency-cadence", "2", "--c-mon", "4",
              "--max-h-below", "1e-3", "--t-final", "2"]
-    assert cli.main(base + flags + ["--out", "set"]) == 0
+    succeeded(run_cli(*base, *flags, "--out", "set"))
     assert cli._config_from_manifest(cli.read_manifest("set.manifest")) == FlowConfig(
         dt=0.001, safety=0.5, scheme="rk2", steps=7, lambda1_cadence=3,
         consistency_cadence=2, c_mon=4.0, max_h_below=1e-3, t_final=2.0,
@@ -471,29 +479,27 @@ def test_manifest_replays_the_init_settings(tmp_path, monkeypatch):
     assert FlowConfig().steps == 5000
 
 
-def test_huge_integers_exit_cleanly(tmp_path, capsys, monkeypatch):
+def test_huge_integers_exit_cleanly(tmp_path, run_cli):
     # a 400-digit integer used to overflow math.isfinite or the grid arrays
-    monkeypatch.chdir(tmp_path)
     huge = "9" * 400
     base = ["init", "--scenario", "flat-plane-torus", "--nv", "8"]
-    assert cli.main(base + ["--nu", huge]) == 2
-    assert f"grid too large: nu={huge}, nv=8" in capsys.readouterr().err
+    code, _, err = run_cli(*base, "--nu", huge)
+    assert code == 2
+    assert f"grid too large: nu={huge}, nv=8" in err
     assert list(tmp_path.iterdir()) == []
     # a huge step count is written and replayed: the flat torus stops at once
-    assert cli.main(base + ["--nu", "8", "--steps", huge]) == 0
+    succeeded(run_cli(*base, "--nu", "8", "--steps", huge))
     man = (tmp_path / "flat-plane-torus-8x8.manifest").read_text()
     assert f"\nsteps = {huge}\n" in man
-    assert cli.main(["run", "flat-plane-torus-8x8.manifest"]) == 0
+    succeeded(run_cli("run", "flat-plane-torus-8x8.manifest"))
     (tmp_path / "nu.manifest").write_text(man.replace("\nnu = 8\n", f"\nnu = {huge}\n"))
-    capsys.readouterr()
-    assert cli.main(["run", "nu.manifest"]) == 2
-    err = capsys.readouterr().err
+    code, _, err = run_cli("run", "nu.manifest")
+    assert code == 2
     assert err.startswith("validation failure: grid too large") and "Traceback" not in err
 
 
-def test_hostile_bytes_exit_2(tmp_path, capsys, monkeypatch):
+def test_hostile_bytes_exit_2(tmp_path, run_cli):
     # bytes that are not UTF-8, and JSON nested beyond the parser's recursion
-    monkeypatch.chdir(tmp_path)
     files = {
         "bytes.manifest": b"scenario = flat-plane-torus\nnu = 8\xff\n",
         "bytes.snapshot.json": b'{"version": 2, "nu": "\xff"}',
@@ -501,8 +507,8 @@ def test_hostile_bytes_exit_2(tmp_path, capsys, monkeypatch):
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
-        assert cli.main(["run" if name.endswith(".manifest") else "check", name]) == 2, name
-        err = capsys.readouterr().err
+        code, _, err = run_cli("run" if name.endswith(".manifest") else "check", name)
+        assert code == 2, name
         assert err.startswith("validation failure:") and name in err, err
         assert "Traceback" not in err
 
@@ -521,30 +527,21 @@ ONE_PROCESS_CALLS = (
 )
 
 
-def test_one_parser_serves_independent_calls(tmp_path, capsys, monkeypatch):
+def test_one_parser_serves_independent_calls(tmp_path, run_cli, monkeypatch):
     # main parses with one parser per process; every call behaves as the
     # first call of a fresh interpreter does, byte for byte
     assert cli.build_parser() is cli.build_parser()
-    (tmp_path / "inproc").mkdir()
-    (tmp_path / "child").mkdir()
-    monkeypatch.chdir(tmp_path / "inproc")
+    inproc, child = tmp_path, tmp_path / "child"
+    child.mkdir()
     monkeypatch.setenv("COLUMNS", "80")           # argparse wraps help to the terminal
     env = {**cli_env(), "COLUMNS": "80"}
     codes = []
     for argv in ONE_PROCESS_CALLS:
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        got = capsys.readouterr()
-        child = subprocess.run(
-            CLI + argv, cwd=tmp_path / "child", env=env, capture_output=True, text=True,
-            timeout=600,
-        )
-        assert (code, got.out, got.err) == (child.returncode, child.stdout, child.stderr), argv
-        codes.append(code)
+        got = run_cli(*argv)
+        out = run_child(*argv, cwd=child, env=env)
+        assert got == (out.returncode, out.stdout, out.stderr), argv
+        codes.append(got[0])
     assert codes == [0, 0, 2, 0, 0, 0, 0]
-    inproc, child = tmp_path / "inproc", tmp_path / "child"
     first = (inproc / "first.json").read_bytes()
     assert (inproc / "again.json").read_bytes() == first == (child / "again.json").read_bytes()
     for name in ("p.csv", "p.final.json"):

@@ -293,8 +293,9 @@ def test_lambda1_stall_raises(monkeypatch, name, params):
     # a residual tolerance of zero is never met, so every sweep runs,
     # including those after the block has lost rank
     monkeypatch.setattr(spectral, "MAX_ITERATIONS", 6)
+    monkeypatch.setattr(spectral, "RESIDUAL_TOL", 0.0)
     with pytest.raises(NumericalError, match="eigensolver stalled after 6 iterations") as exc:
-        lambda1(cache_for(name, 32, **params), residual_tol=0.0)
+        lambda1(cache_for(name, 32, **params))
     assert "nan" not in str(exc.value)
 
 
