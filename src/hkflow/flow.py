@@ -24,8 +24,7 @@ from .kernel import _dot, standard_twistor_triple
 from .phase import PhaseField, field_from_array, phase_field, tension_field, twistor_energy
 from .spectral import lambda1
 from .surface import (
-    ScenarioSpec, SurfaceGrid, _lam_min, _planes, build_immersion, compute_geometry,
-    surface_integral,
+    SurfaceGrid, _lam_min, _planes, build_immersion, compute_geometry, surface_integral,
 )
 
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
@@ -284,7 +283,6 @@ def _require_lambda1(*recs):
 def run_flow(cfg, scenario, triple=None, observe=None):
     """Drive the coupled flow from a scenario until a stop condition.
 
-    `scenario` is a ScenarioSpec or an already-sampled SurfaceGrid.
     Every DiagnosticsRecord, the t = 0 row included, is appended to the
     series and then handed to `observe(rec, state)` with the state it
     was measured on; the state of the last row is the returned final
@@ -292,7 +290,7 @@ def run_flow(cfg, scenario, triple=None, observe=None):
     "step k: ..." with `step = k` (the t = 0 row is step 0), after the
     rows before it have been observed.
     """
-    grid = build_immersion(scenario) if isinstance(scenario, ScenarioSpec) else scenario
+    grid = build_immersion(scenario)
     series = DiagnosticsSeries()
     step = 0
     try:

@@ -151,7 +151,7 @@ def _to_frame(comp_u, comp_v, cache):
     return gs[0, 0] * comp_u, gs[1, 0] * comp_u + gs[1, 1] * comp_v
 
 
-def plf_residual(cache, pf, triple, companion=None):
+def plf_residual(cache, pf, triple):
     """Pointwise defect of the mean-curvature formula.
 
     With J = J_a, K = J_b for the companion b, the surface satisfies
@@ -159,13 +159,11 @@ def plf_residual(cache, pf, triple, companion=None):
     coefficients of nearby phases in the basis adapted at the node and
     dbar f = (df - i df(J .))/2 along the surface.  Returns the norm of
     the defect 1-form per node; both terms are assembled in parameter
-    indices and pushed to the orthonormal frame together.
-
-    companion overrides the default b field; the result is independent
-    of that choice, which the tests exercise.
+    indices and pushed to the orthonormal frame together.  The result does
+    not depend on the choice of companion b, which the tests exercise.
     """
     a = _planes(pf.a)
-    b = _companion(a) if companion is None else _planes(np.asarray(companion, float))
+    b = _companion(a)
     axb = np.cross(a, b, axis=0)
     f_u, f_v = _planes(cache.f_u), _planes(cache.f_v)
 

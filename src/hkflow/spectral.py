@@ -25,7 +25,8 @@ import numpy as np
 from .errors import InputError, NumericalError, PreconditionError
 from .kernel import _dot
 from .surface import (
-    _central, _cometric, _displacement, _planes, _shift, laplacian_matrix, surface_integral,
+    _central, _cometric, _displacement, _param_axes, _planes, _shift, laplacian_matrix,
+    surface_integral,
 )
 
 RAYLEIGH_RTOL = 1e-10
@@ -42,8 +43,7 @@ ValidatorReport = namedtuple("ValidatorReport", "bound max_observed holds epsilo
 def _start_block(nu, nv):
     """lambda1's fixed (nu * nv, 4) start block on the parameter grid.
     Read-only and shared by every call on an nu x nv grid."""
-    hu, hv = 2.0 * np.pi / nu, 2.0 * np.pi / nv
-    uu, vv = np.meshgrid(np.arange(nu) * hu, np.arange(nv) * hv, indexing="ij")
+    uu, vv = _param_axes(nu, nv)
     x = np.stack(
         [
             np.cos(uu).ravel(),

@@ -1,9 +1,13 @@
 """Discrete extrinsic geometry of doubly periodic immersed surfaces.
 
 The parameter domain is always [0, 2pi)^2 sampled on a uniform nu x nv
-grid with periodic index arithmetic.  Derivatives are second order central
-differences taken on shortest-image displacements, so torus seams never
-enter the stencils.
+grid (_param_axes) with periodic index arithmetic.  Derivatives are second
+order central differences taken on shortest-image displacements, so torus
+seams never enter the stencils.
+
+The scenarios are rows of one table, _SCENARIOS, whose coordinates (and
+custom-expression's) all go through one expression walker, _eval_expr; a
+parameter not > 0 and a coordinate not finite at some node are refused by name.
 
 Metric convention: the diagonal entries g_uu, g_vv are averaged squared
 EDGE lengths, (|F(i+1)-F(i)|^2 + |F(i)-F(i-1)|^2) / (2 h^2), while g_uv
@@ -46,14 +50,27 @@ from .kernel import (
 DET_FLOOR_REL = 1e-10
 MIN_GRID = 4              # fewest nodes per parameter axis, sampled or loaded
 SNAPSHOT_VERSION = 2       # written; version 1 (positions as a JSON list) is still read
-SCENARIO_NAMES = (
-    "flat-plane-torus",
-    "clifford",
-    "perturbed-complex-torus",
-    "lagrangian-graph",
-    "custom-expression",
-)
 _TRIPLE = standard_twistor_triple()
+
+# name -> (parameter defaults, the noun of "<name> needs <noun>" that refuses a
+# parameter not > 0, four coordinates, four periods or None in R^4); the
+# expressions read u, v, pi and the parameters.  custom-expression takes its
+# coordinates and periods from its spec's exprs and periods
+_SCENARIOS = {
+    "flat-plane-torus": ({"Lu": 2 * np.pi, "Lv": 2 * np.pi}, "positive periods",
+                         ("Lu*u/(2*pi)", "Lv*v/(2*pi)", "0*u", "0*u"),
+                         ("Lu", "Lv", "2*pi", "2*pi")),
+    "clifford": ({"R": 1.0, "r": 1.0}, "positive radii",
+                 ("R*cos(u)", "R*sin(u)", "r*cos(v)", "r*sin(v)"), None),
+    "perturbed-complex-torus": ({"eps": 0.05}, "eps > 0",
+                                ("u", "v", "eps*sin(u)", "eps*sin(v)"), ("2*pi",) * 4),
+    # divergence-free height pair, so the graph is exactly Lagrangian
+    # for omega_{J3} = -dx0^dx3 + dx1^dx2
+    "lagrangian-graph": ({"eps": 0.1}, "eps > 0",
+                         ("u", "v", "eps*cos(u)*sin(v)", "-eps*sin(u)*cos(v)"), ("2*pi",) * 4),
+    "custom-expression": ({}, None, None, None),
+}
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 @dataclass(frozen=True)
@@ -84,9 +101,13 @@ class SurfaceGrid:
         return 2.0 * np.pi / self.nv
 
     def param_axes(self):
-        u = np.arange(self.nu) * self.hu
-        v = np.arange(self.nv) * self.hv
-        return np.meshgrid(u, v, indexing="ij")
+        return _param_axes(self.nu, self.nv)
+
+
+def _param_axes(nu, nv):
+    """The (u, v) parameters of the nu x nv grid's nodes, each (nu, nv)."""
+    return np.meshgrid(np.arange(nu) * (2.0 * np.pi / nu), np.arange(nv) * (2.0 * np.pi / nv),
+                       indexing="ij")
 
 
 _EXPR_FUNCS = {
@@ -111,7 +132,9 @@ def _eval_node(node, names):
         return _EXPR_UNARYOPS[type(node.op)](_eval_node(node.operand, names))
     if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
         left, right = _eval_node(node.left, names), _eval_node(node.right, names)
-        return _EXPR_BINOPS[type(node.op)](left, right)
+        out = _EXPR_BINOPS[type(node.op)](left, right)
+        # Python's power of a negative float is complex, numpy's real power nan
+        return np.nan if isinstance(out, complex) else out
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
@@ -124,19 +147,22 @@ def _eval_node(node, names):
     raise InputError(f"{what} is not allowed")
 
 
-def _eval_expr(expr, u, v):
+def _eval_expr(expr, names, shape):
+    """expr on `names` through the _eval_node walker, a float64 array of `shape`;
+    numpy's floating-point warnings are silenced, the caller judges non-finite values."""
     try:
-        tree = ast.parse(expr, mode="eval")
-        out = _eval_node(tree.body, {"u": u, "v": v, "pi": np.pi})
+        with np.errstate(all="ignore"):
+            out = _eval_node(ast.parse(expr, mode="eval").body, names)
     except (
         InputError, SyntaxError, ValueError, ArithmeticError, RecursionError, MemoryError
     ) as exc:
         raise InputError(f"cannot evaluate expression {expr!r}: {exc}") from exc
-    return np.broadcast_to(np.asarray(out, float), u.shape)
+    return np.broadcast_to(np.asarray(out, float), shape)
 
 
 def build_immersion(spec):
-    """Sample one of the catalogue immersions onto a periodic grid."""
+    """Sample a _SCENARIOS row onto the periodic grid: its parameters, each > 0,
+    and its four coordinates on _param_axes, each finite at every node."""
     if spec.nu < MIN_GRID or spec.nv < MIN_GRID:
         raise InputError(
             f"grid too small: nu={spec.nu}, nv={spec.nv}, need {MIN_GRID} x {MIN_GRID}"
@@ -146,59 +172,28 @@ def build_immersion(spec):
             f"grid too large: nu={spec.nu}, nv={spec.nv}, the nine-point stencil's "
             "9 * nu * nv entries exceed int32 indexing"
         )
-    if spec.name not in SCENARIO_NAMES:
+    if spec.name not in _SCENARIOS:
         raise InputError(f"unknown scenario {spec.name!r}")
-    hu = 2.0 * np.pi / spec.nu
-    hv = 2.0 * np.pi / spec.nv
-    u = np.arange(spec.nu)[:, None] * hu * np.ones((1, spec.nv))
-    v = np.ones((spec.nu, 1)) * np.arange(spec.nv)[None, :] * hv
-    p = spec.params
-
-    if spec.name == "flat-plane-torus":
-        lu = float(p.get("Lu", 2.0 * np.pi))
-        lv = float(p.get("Lv", 2.0 * np.pi))
-        if lu <= 0 or lv <= 0:
-            raise InputError("flat-plane-torus needs positive periods")
-        pos = np.stack(
-            [lu * u / (2 * np.pi), lv * v / (2 * np.pi), 0 * u, 0 * u], axis=-1
-        )
-        ambient = AmbientSpace((lu, lv, 2 * np.pi, 2 * np.pi))
-    elif spec.name == "clifford":
-        rr = float(p.get("R", 1.0))
-        r = float(p.get("r", 1.0))
-        if rr <= 0 or r <= 0:
-            raise InputError("clifford needs positive radii")
-        pos = np.stack(
-            [rr * np.cos(u), rr * np.sin(u), r * np.cos(v), r * np.sin(v)], axis=-1
-        )
-        ambient = AmbientSpace(None)
-    elif spec.name == "perturbed-complex-torus":
-        eps = float(p.get("eps", 0.05))
-        if eps <= 0:
-            raise InputError("perturbed-complex-torus needs eps > 0")
-        pos = np.stack([u, v, eps * np.sin(u), eps * np.sin(v)], axis=-1)
-        ambient = AmbientSpace((2 * np.pi,) * 4)
-    elif spec.name == "lagrangian-graph":
-        eps = float(p.get("eps", 0.1))
-        if eps <= 0:
-            raise InputError("lagrangian-graph needs eps > 0")
-        # divergence-free height pair, so the graph is exactly Lagrangian
-        # for omega_{J3} = -dx0^dx3 + dx1^dx2
-        pos = np.stack(
-            [u, v, eps * np.cos(u) * np.sin(v), -eps * np.sin(u) * np.cos(v)],
-            axis=-1,
-        )
-        ambient = AmbientSpace((2 * np.pi,) * 4)
-    else:  # custom-expression
-        exprs = p.get("exprs")
-        if not exprs or len(exprs) != 4:
+    defaults, noun, coords, periods = _SCENARIOS[spec.name]
+    params = {key: float(spec.params.get(key, val)) for key, val in defaults.items()}
+    if not all(val > 0 for val in params.values()):      # NaN fails too
+        raise InputError(f"{spec.name} needs {noun}")
+    u, v = _param_axes(spec.nu, spec.nv)
+    names = dict(params, u=u, v=v, pi=np.pi)
+    if coords is None:
+        coords, periods = spec.params.get("exprs"), spec.params.get("periods")
+        if not coords or len(coords) != 4:
             raise InputError("custom-expression needs exprs = 4 strings")
-        pos = np.stack([_eval_expr(e, u, v) for e in exprs], axis=-1)
-        periods = p.get("periods")
-        ambient = AmbientSpace(tuple(periods) if periods else None)
+    elif periods:
+        periods = [_eval_expr(expr, names, ()) for expr in periods]
 
-    if not np.all(np.isfinite(pos)):
-        raise InputError(f"scenario {spec.name!r} produced non-finite positions")
+    pos = np.empty((spec.nu, spec.nv, 4))
+    for k, expr in enumerate(coords):
+        pos[..., k] = _eval_expr(expr, names, u.shape)
+        if not np.isfinite(pos[..., k]).all():
+            ij = tuple(np.argwhere(~np.isfinite(pos[..., k]))[0].tolist())
+            raise InputError(f"coordinate {k} {expr!r} of {spec.name!r} is not finite at node {ij}")
+    ambient = AmbientSpace(tuple(periods) if periods else None)
     return SurfaceGrid(spec.nu, spec.nv, ambient.wrap(pos), ambient)
 
 

@@ -13,6 +13,7 @@ formatting regression.  Exit codes: 0 ok, 2 validation, 3 numerical,
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ def test_init_rejects_hostile_expression(tmp_path, run_cli, expr):
         "--exprs", f"{expr};v;0*u;0*u", "--out", "hostile",
     ))
     assert "cannot evaluate expression" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_init_names_a_non_finite_coordinate(tmp_path, run_cli):
+    # numpy's invalid-value warning stays inside the expression walker
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = assert_validation_failure(run_cli(
+            "init", "--scenario", "custom-expression", "--nu", "8", "--nv", "8",
+            "--exprs", "u;sqrt(-1-u);0*u;0*u",
+        ))
+    assert err == (
+        "validation failure: coordinate 1 'sqrt(-1-u)' of 'custom-expression' "
+        "is not finite at node (0, 0)\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

@@ -398,8 +398,12 @@ def test_scenario_validation():
         build_immersion(scenario("perturbed-complex-torus", 16, 16, eps=-0.1))
     with pytest.raises(InputError, match="positive radii"):
         build_immersion(scenario("clifford", 16, 16, R=0.0))
+    with pytest.raises(InputError, match="positive radii"):
+        build_immersion(scenario("clifford", 16, 16, R=np.nan))
     with pytest.raises(InputError, match="positive periods"):
         build_immersion(scenario("flat-plane-torus", 16, 16, Lu=-1.0))
+    with pytest.raises(InputError, match="positive periods"):
+        build_immersion(scenario("flat-plane-torus", 16, 16, Lu=np.nan))
     with pytest.raises(InputError, match="4 strings"):
         build_immersion(scenario("custom-expression", 16, 16, exprs=["u"]))
     with pytest.raises(InputError, match="cannot evaluate"):
@@ -422,21 +426,93 @@ def test_oversized_grid_is_refused_before_allocation():
     assert peak < 1 << 20
 
 
+def _flat_oracle(u, v, Lu=TWO_PI, Lv=TWO_PI):
+    return [Lu * u / (2 * np.pi), Lv * v / (2 * np.pi), 0 * u, 0 * u], (Lu, Lv, TWO_PI, TWO_PI)
+
+
+def _clifford_oracle(u, v, R=1.0, r=1.0):
+    return [R * np.cos(u), R * np.sin(u), r * np.cos(v), r * np.sin(v)], None
+
+
+def _perturbed_oracle(u, v, eps=0.05):
+    return [u, v, eps * np.sin(u), eps * np.sin(v)], (TWO_PI,) * 4
+
+
+def _lagrangian_oracle(u, v, eps=0.1):
+    return [u, v, eps * np.cos(u) * np.sin(v), -eps * np.sin(u) * np.cos(v)], (TWO_PI,) * 4
+
+
+def _sheared_oracle(u, v, exprs, periods):
+    return [u + 0.5 * v, v, 0 * u, 0 * u], tuple(periods)
+
+
+def assert_matches_oracle(name, params, oracle, nu, nv):
+    grid = build_immersion(scenario(name, nu, nv, **params))
+    u = np.arange(nu)[:, None] * (TWO_PI / nu) * np.ones((1, nv))
+    v = np.ones((nu, 1)) * np.arange(nv)[None, :] * (TWO_PI / nv)
+    coords, periods = oracle(u, v, **params)
+    expect = AmbientSpace(periods).wrap(np.stack(coords, -1))
+    assert grid.positions.tobytes() == expect.tobytes()
+    assert grid.ambient.periods == periods
+
+
 def test_custom_expression_matches_direct_numpy():
     # the expression walker must reproduce plain numpy arithmetic bit for bit
-    n = 48
-    periods = [np.pi, TWO_PI, TWO_PI, TWO_PI]
-    grid = build_immersion(
-        scenario(
-            "custom-expression", n, n,
-            exprs=["u + 0.5*v", "v", "0*u", "0*u"], periods=periods,
-        )
-    )
-    h = TWO_PI / n
-    u = np.arange(n)[:, None] * h * np.ones((1, n))
-    v = np.ones((n, 1)) * np.arange(n)[None, :] * h
-    expect = AmbientSpace(tuple(periods)).wrap(np.stack([u + 0.5 * v, v, 0 * u, 0 * u], -1))
-    assert np.array_equal(grid.positions, expect)
+    assert_matches_oracle("custom-expression", SHEARED, _sheared_oracle, 48, 48)
+
+
+@pytest.mark.parametrize("nu, nv", [(8, 8), (48, 24), (5, 9), (128, 128)])
+@pytest.mark.parametrize("name, params, oracle", [
+    ("flat-plane-torus", {}, _flat_oracle),
+    ("flat-plane-torus", {"Lu": 3.0, "Lv": 9.5}, _flat_oracle),
+    ("clifford", {}, _clifford_oracle),
+    ("clifford", {"R": 1.5, "r": 0.75}, _clifford_oracle),
+    ("perturbed-complex-torus", {}, _perturbed_oracle),
+    ("perturbed-complex-torus", {"eps": 0.3}, _perturbed_oracle),
+    ("lagrangian-graph", {}, _lagrangian_oracle),
+    ("lagrangian-graph", {"eps": 0.25}, _lagrangian_oracle),
+])
+def test_named_scenarios_match_direct_numpy(name, params, oracle, nu, nv):
+    # each named scenario is a table row read by the same walker; its
+    # closed-form numpy, defaults and one other parameter set, is the oracle
+    assert_matches_oracle(name, params, oracle, nu, nv)
+
+
+@pytest.mark.parametrize("name, params, message", [
+    pytest.param(
+        "custom-expression", {"exprs": ["u", "sqrt(-1-u)", "0*u", "0*u"]},
+        "coordinate 1 'sqrt(-1-u)' of 'custom-expression' is not finite at node (0, 0)",
+        id="sqrt",
+    ),
+    pytest.param(
+        "custom-expression", {"exprs": ["u", "v", "1/(u - pi)", "0*u"]},
+        "coordinate 2 '1/(u - pi)' of 'custom-expression' is not finite at node (4, 0)",
+        id="pole",
+    ),
+    pytest.param(
+        "custom-expression", {"exprs": ["u", "v", "(-1)**0.5", "0*u"]},
+        "coordinate 2 '(-1)**0.5' of 'custom-expression' is not finite at node (0, 0)",
+        id="complex-power",
+    ),
+    pytest.param(
+        "clifford", {"R": np.inf},
+        "coordinate 0 'R*cos(u)' of 'clifford' is not finite at node (0, 0)", id="R-inf",
+    ),
+    pytest.param("clifford", {"R": np.nan}, "clifford needs positive radii", id="R-nan"),
+    pytest.param(
+        "lagrangian-graph", {"eps": np.inf},
+        "coordinate 2 'eps*cos(u)*sin(v)' of 'lagrangian-graph' is not finite at node (0, 0)",
+        id="eps-inf",
+    ),
+])
+def test_non_finite_coordinate_is_refused_by_name(name, params, message):
+    # numpy's warnings are silenced inside the walker; the refusal names the
+    # coordinate, its expression, the scenario and the first bad node
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError) as err:
+            build_immersion(scenario(name, 8, 8, **params))
+    assert message in str(err.value)
 
 
 def test_degenerate_metric_detected():
