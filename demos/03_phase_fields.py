@@ -19,12 +19,9 @@ from hkflow import (
     plf_residual,
     polar_identity_check,
     scenario,
-    standard_twistor_triple,
     tension_field,
     twistor_energy,
 )
-
-TRIPLE = standard_twistor_triple()
 
 
 def cache_for(name, n=64, **kw):
@@ -39,7 +36,7 @@ def main():
         ("perturbed-complex-torus", {"eps": 0.05}),
     ):
         cache = cache_for(name, **kw)
-        pf = phase_field(cache, TRIPLE)
+        pf = phase_field(cache)
         a = pf.a
         spread = max(np.ptp(a[..., d]) for d in range(3))
         print(
@@ -50,7 +47,7 @@ def main():
 
     print("\nthe clifford phase is a great circle, not a point")
     cache = cache_for("clifford", R=1.0, r=1.0)
-    pf = phase_field(cache, TRIPLE)
+    pf = phase_field(cache)
     # a = (0, -cos(u - v), sin(u - v)) up to discretization, so the
     # Kahler angle sweeps the full range while a1 stays pinned at 0
     print(f"  max |a1|          = {np.abs(pf.a[..., 0]).max():.3e}")
@@ -69,7 +66,7 @@ def main():
         "custom-expression",
         exprs=["0.7*cos(u)", "0.7*cos(v)", "0.7*sin(v)", "0.7*sin(u)"],
     )
-    ang = lagrangian_angle(phase_field(eq, TRIPLE), eq)
+    ang = lagrangian_angle(phase_field(eq), eq)
     print(f"  winding (u, v) = {ang.winding}")
     print(f"  exactness residual |i_H omega + d theta|_L2 = {ang.residual:.3e}")
 
@@ -78,13 +75,13 @@ def main():
     rows = {}
     for n in (64, 128):
         cache = cache_for("perturbed-complex-torus", n, eps=0.05)
-        pf = phase_field(cache, TRIPLE)
-        lhs, rhs, _ = bja_identity(cache, pf, TRIPLE)
+        pf = phase_field(cache)
+        lhs, rhs, _ = bja_identity(cache, pf)
         rows.setdefault("frame-vs-curvature", []).append(np.abs(lhs - rhs).max())
-        rows.setdefault("phase-gradient", []).append(plf_residual(cache, pf, TRIPLE).max())
+        rows.setdefault("phase-gradient", []).append(plf_residual(cache, pf).max())
         rows.setdefault("polar-chart", []).append(polar_identity_check(pf, cache).max())
         rows.setdefault("hyper-lagrangian", []).append(
-            hyper_lagrangian_residual(cache, pf, TRIPLE).max()
+            hyper_lagrangian_residual(cache, pf).max()
         )
     for name, (a64, a128) in rows.items():
         print(f"  {name:<22} {a64:>10.3e} {a128:>10.3e}")

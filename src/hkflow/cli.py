@@ -31,7 +31,7 @@ from .errors import (
     HkflowError, InputError, IOFailure, NumericalError, PreconditionError, _read_text, _write_text,
 )
 from .flow import SCHEMES, FlowConfig, run_flow
-from .kernel import _dot
+from .kernel import _TRIPLE, _dot
 from .phase import (
     bja_identity,
     hyper_lagrangian_residual,
@@ -41,8 +41,8 @@ from .phase import (
 )
 from .spectral import RESIDUAL_TOL, lambda1
 from .surface import (
-    _TRIPLE,
     SCENARIO_NAMES,
+    SCENARIO_PARAMS,
     _lam_min,
     _laplacian_asymmetry,
     _planes,
@@ -67,8 +67,6 @@ CSV_COLUMNS = (
 # below the roundoff floor
 CHECK_TOL_64 = 5e-3
 CHECK_TOL_FLOOR = 1e-9
-
-SCENARIO_PARAMS = ("eps", "R", "r", "Lu", "Lv")
 
 # manifest key, FlowConfig field (also the `init --<field>` flag) and type;
 # a None dt is written as cfl and a None stop is left out
@@ -346,7 +344,7 @@ def cmd_run(args):
 
     final_path = doc.get("final_snapshot_path")
     if final_path:
-        save_snapshot(final.grid, final_path)
+        save_snapshot(final.cache.grid, final_path)
     if args.plot:
         stem = csv_path[:-4] if csv_path.endswith(".csv") else csv_path
         recs = series.records
@@ -403,15 +401,15 @@ def _run_checks(cache):
     record("laplacian-symmetry", _laplacian_asymmetry(mat, nu, nv), 1e-10)
     record("gauss-curvature", gauss_curvature_check(cache).max(), tol_id)
 
-    pf = phase_field(cache, _TRIPLE)
-    record("plf-identity", plf_residual(cache, pf, _TRIPLE).max(), tol_id)
-    lhs, rhs, _ = bja_identity(cache, pf, _TRIPLE)
+    pf = phase_field(cache)
+    record("plf-identity", plf_residual(cache, pf).max(), tol_id)
+    lhs, rhs, _ = bja_identity(cache, pf)
     record("bja-identity", np.abs(lhs - rhs).max(), tol_id)
     try:
         record("etd-polar-identity", polar_identity_check(pf, cache).max(), tol_id)
     except PreconditionError as exc:
         checks.append({"name": "etd-polar-identity", "status": "SKIP", "reason": str(exc)})
-    record("hyper-lagrangian-residual", hyper_lagrangian_residual(cache, pf, _TRIPLE).max(), tol_id)
+    record("hyper-lagrangian-residual", hyper_lagrangian_residual(cache, pf).max(), tol_id)
     margin = (2.0 * pf.energy_density - cache.norm_H_sq).min()
     slack = 10.0 * h**2 * cache.norm_A_sq.max()
     record("hdp-margin", margin, -slack, "above")

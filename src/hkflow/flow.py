@@ -1,9 +1,11 @@
 """Coupled mean-curvature / phase-heat flow with its monitor suite.
 
-One step = move positions along H, rebuild the geometry, then heat-step
-the phase on the updated metric.  The splitting defect is not assumed
-small: consistency_check measures it by re-deriving the phase from the
-moved frames and comparing against the heat-flow prediction.
+A SurfaceState is what evolves: the geometry cache, whose grid is
+cache.grid, and the phase, read through the kernel's pinned triple.  One
+step = move positions along H, rebuild the geometry, then heat-step the
+phase on the updated metric.  The splitting defect is not assumed small:
+consistency_check measures it by re-deriving the phase from the moved
+frames and comparing against the heat-flow prediction.
 
 run_flow is the one stepping loop: it hands each row and the state it was
 measured on to one `observe(rec, state)` callback, so a CSV writer or a
@@ -20,12 +22,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError
-from .kernel import _dot, standard_twistor_triple
+from .kernel import _dot
 from .phase import PhaseField, field_from_array, phase_field, tension_field, twistor_energy
 from .spectral import lambda1
-from .surface import (
-    SurfaceGrid, _lam_min, _planes, build_immersion, compute_geometry, surface_integral,
-)
+from .surface import _lam_min, _planes, build_immersion, compute_geometry, surface_integral
 
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
 DRIFT_MARGIN = 1.5              # on the predicted pre-projection unit drift
@@ -65,15 +65,13 @@ class FlowConfig:
 
 @dataclass
 class SurfaceState:
-    grid: SurfaceGrid
     cache: object
     phase: PhaseField
-    triple: object
 
 
-def make_state(grid, triple):
+def make_state(grid):
     cache = compute_geometry(grid)
-    return SurfaceState(grid, cache, phase_field(cache, triple), triple)
+    return SurfaceState(cache, phase_field(cache))
 
 
 @dataclass
@@ -133,13 +131,12 @@ def cfl_dt(cache, safety=0.9):
 
 def mcf_step(state, dt, scheme="euler"):
     """Move the immersion by its mean curvature for one step."""
-    cache = state.cache
+    cache, grid = state.cache, state.cache.grid
     if scheme == "euler":
         disp = dt * cache.H
     elif scheme == "rk2":
-        half = state.grid.ambient.wrap(state.grid.positions + 0.5 * dt * cache.H)
-        mid = compute_geometry(SurfaceGrid(state.grid.nu, state.grid.nv, half, state.grid.ambient))
-        disp = dt * mid.H
+        half = grid.ambient.wrap(grid.positions + 0.5 * dt * cache.H)
+        disp = dt * compute_geometry(replace(grid, positions=half)).H
     else:
         raise InputError(f"unknown scheme {scheme!r}")
     step = _planes(disp)
@@ -152,15 +149,8 @@ def mcf_step(state, dt, scheme="euler"):
             if math.isfinite(moved)
             else f"non-finite displacement {moved} in the mean curvature step"
         )
-    grid = SurfaceGrid(
-        state.grid.nu,
-        state.grid.nv,
-        state.grid.ambient.wrap(state.grid.positions + disp),
-        state.grid.ambient,
-    )
-    new_cache = compute_geometry(grid)
-    carried = field_from_array(state.phase.a, new_cache)
-    return SurfaceState(grid, new_cache, carried, state.triple)
+    after = compute_geometry(replace(grid, positions=grid.ambient.wrap(grid.positions + disp)))
+    return SurfaceState(after, field_from_array(state.phase.a, after))
 
 
 def phase_heat_step(pf, cache, dt):
@@ -192,7 +182,7 @@ def consistency_check(state, pf_evolved):
 
     The defect is returned raw (it scales as O(dt^2) + O(dt h^2) per step).
     """
-    gap = _planes(phase_field(state.cache, state.triple).a - pf_evolved.a)
+    gap = _planes(phase_field(state.cache).a - pf_evolved.a)
     return float(np.sqrt(_dot(gap, gap)).max())
 
 
@@ -280,7 +270,7 @@ def _require_lambda1(*recs):
         raise PreconditionError("insufficient-records: a record carries no lambda1 sample")
 
 
-def run_flow(cfg, scenario, triple=None, observe=None):
+def run_flow(cfg, scenario, observe=None):
     """Drive the coupled flow from a scenario until a stop condition.
 
     Every DiagnosticsRecord, the t = 0 row included, is appended to the
@@ -294,7 +284,7 @@ def run_flow(cfg, scenario, triple=None, observe=None):
     series = DiagnosticsSeries()
     step = 0
     try:
-        state = make_state(grid, triple if triple is not None else standard_twistor_triple())
+        state = make_state(grid)
         w0 = _mean_phase_direction(state)
 
         def emit(rec, current):

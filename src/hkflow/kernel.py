@@ -15,6 +15,9 @@ Conventions, fixed once and used everywhere downstream:
   a_d = <J_d e1, e2>.  The second relation is automatic for positively
   oriented frames and is verified, not assumed.
 
+Kernel functions take a triple; nothing above the kernel does: surface,
+phase, flow and cli read the one pinned instance, _TRIPLE.
+
 All operations are pure functions of immutable values.  The private
 per-node helpers (_dot, _tangent_phase, _apply_phase, _companion) take
 component planes: arrays whose FIRST axis holds the components,
@@ -85,6 +88,9 @@ def standard_twistor_triple():
     for m in (j1, j2, j3):
         m.setflags(write=False)
     return TwistorTriple(j1, j2, j3)
+
+
+_TRIPLE = standard_twistor_triple()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Complex phase field of an immersed surface and the pointwise meters.
 
-The phase a(x) is the canonical twistor coefficient of the oriented
-orthonormal frame at each node.  Gradients of a are central differences
-in parameter space; the energy density is the edge (Dirichlet form)
-density of surface.dirichlet_energy_density, so that the integral of
-|grad a|^2 matches the quadratic form of the discrete Laplacian exactly.
+The phase a(x) is the canonical twistor coefficient, under the pinned
+triple kernel._TRIPLE, of the oriented orthonormal frame at each node.
+Gradients of a are central differences in parameter space; the energy
+density is the edge (Dirichlet form) density of
+surface.dirichlet_energy_density, so that the integral of |grad a|^2
+matches the quadratic form of the discrete Laplacian exactly.
 
 The identity meters (mean-curvature formula, frame identity, polar
 identity, hyper-Lagrangian residual) all work in the basis adapted to
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, PreconditionError
-from .kernel import _apply_phase, _companion, _dot, _tangent_phase, phi_field  # noqa: F401
+from .kernel import _TRIPLE, _apply_phase, _companion, _dot, _tangent_phase
 from .surface import (
     _central,
     _cometric,
@@ -62,13 +63,13 @@ def field_from_array(a, cache):
     return _phase_from_planes(a / np.sqrt(_dot(a, a)), cache)
 
 
-def phase_field(cache, triple):
+def phase_field(cache):
     """Canonical phase of every node frame, with the defining relations
     verified in bulk (mirrors kernel.canonical_phase_from_frame)."""
     e1, e2, e3, e4 = (_planes(e) for e in (cache.e1, cache.e2, cache.e3, cache.e4))
-    a = _tangent_phase(e1, e2, triple)
-    d1 = _apply_phase(a, e1, triple) - e2
-    d3 = _apply_phase(a, e3, triple) + e4
+    a = _tangent_phase(e1, e2, _TRIPLE)
+    d1 = _apply_phase(a, e1, _TRIPLE) - e2
+    d3 = _apply_phase(a, e3, _TRIPLE) + e4
     residual = np.sqrt(_dot(d1, d1)) + np.sqrt(_dot(d3, d3))
     worst = float(residual.max())
     if worst > FRAME_VERIFY_TOL:
@@ -151,7 +152,7 @@ def _to_frame(comp_u, comp_v, cache):
     return gs[0, 0] * comp_u, gs[1, 0] * comp_u + gs[1, 1] * comp_v
 
 
-def plf_residual(cache, pf, triple):
+def plf_residual(cache, pf):
     """Pointwise defect of the mean-curvature formula.
 
     With J = J_a, K = J_b for the companion b, the surface satisfies
@@ -167,8 +168,8 @@ def plf_residual(cache, pf, triple):
     axb = np.cross(a, b, axis=0)
     f_u, f_v = _planes(cache.f_u), _planes(cache.f_v)
 
-    kh = _apply_phase(b, _planes(cache.H), triple)     # J_b H
-    jkh = _apply_phase(a, kh, triple)                  # J_a J_b H
+    kh = _apply_phase(b, _planes(cache.H), _TRIPLE)     # J_b H
+    jkh = _apply_phase(a, kh, _TRIPLE)                  # J_a J_b H
     p_u = _dot(jkh, f_u) - 1j * _dot(kh, f_u)
     p_v = _dot(jkh, f_v) - 1j * _dot(kh, f_v)
 
@@ -186,7 +187,7 @@ def plf_residual(cache, pf, triple):
 BjaResult = namedtuple("BjaResult", "lhs rhs ratio")
 
 
-def bja_identity(cache, pf, triple):
+def bja_identity(cache, pf):
     """Both sides of the frame identity for |nabla J_a|^2.
 
     lhs = 4 |grad a|^2; rhs is the curvature expression in the frame
@@ -194,7 +195,7 @@ def bja_identity(cache, pf, triple):
     Also returns the pointwise ratio |grad a| / |A|.
     """
     b = _companion(_planes(pf.a))
-    normals = tuple(_apply_phase(b, _planes(e), triple) for e in (cache.e1, cache.e2))
+    normals = tuple(_apply_phase(b, _planes(e), _TRIPLE) for e in (cache.e1, cache.e2))
     f_uu, f_uv, f_vv = (_planes(f) for f in (cache.f_uu, cache.f_uv, cache.f_vv))
     hp = _second_fundamental_form(f_uu, f_uv, f_vv, normals)
     # gs hp gs^T: the lower-triangular gs rows act on the row index, then the column index
@@ -235,14 +236,14 @@ def polar_identity_check(pf, cache):
     return np.abs(pf.energy_density - rhs)
 
 
-def hyper_lagrangian_residual(cache, pf, triple):
+def hyper_lagrangian_residual(cache, pf):
     """Max modulus of Omega_{a(x)} on the tangent pair, per node.
 
     Identically zero in the continuum for any surface with its canonical
     phase; here it meters frame and phase self-consistency."""
     a = _planes(pf.a)
     e1, e2 = _planes(cache.e1), _planes(cache.e2)
-    kb_e1 = _apply_phase(_companion(a), e1, triple)
-    real = _dot(_apply_phase(a, kb_e1, triple), e2)
+    kb_e1 = _apply_phase(_companion(a), e1, _TRIPLE)
+    real = _dot(_apply_phase(a, kb_e1, _TRIPLE), e2)
     imag = -_dot(kb_e1, e2)
     return np.maximum(np.abs(real), np.abs(imag))

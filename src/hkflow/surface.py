@@ -7,7 +7,8 @@ seams never enter the stencils.
 
 The scenarios are rows of one table, _SCENARIOS, whose coordinates (and
 custom-expression's) all go through one expression walker, _eval_expr; a
-parameter not > 0 and a coordinate not finite at some node are refused by name.
+parameter the row does not name or not > 0, and a coordinate not finite at
+some node, are refused by name.
 
 Metric convention: the diagonal entries g_uu, g_vv are averaged squared
 EDGE lengths, (|F(i+1)-F(i)|^2 + |F(i)-F(i-1)|^2) / (2 h^2), while g_uv
@@ -43,14 +44,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError, _read_text, _write_text
-from .kernel import (
-    AmbientSpace, _apply_phase, _companion, _dot, _tangent_phase, standard_twistor_triple,
-)
+from .kernel import _TRIPLE, AmbientSpace, _apply_phase, _companion, _dot, _tangent_phase
 
 DET_FLOOR_REL = 1e-10
 MIN_GRID = 4              # fewest nodes per parameter axis, sampled or loaded
 SNAPSHOT_VERSION = 2       # written; version 1 (positions as a JSON list) is still read
-_TRIPLE = standard_twistor_triple()
 
 # name -> (parameter defaults, the noun of "<name> needs <noun>" that refuses a
 # parameter not > 0, four coordinates, four periods or None in R^4); the
@@ -71,6 +69,8 @@ _SCENARIOS = {
     "custom-expression": ({}, None, None, None),
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
+# the rows' float parameters, first seen first
+SCENARIO_PARAMS = tuple(dict.fromkeys(key for row in _SCENARIOS.values() for key in row[0]))
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,8 @@ def _eval_expr(expr, names, shape):
 
 
 def build_immersion(spec):
-    """Sample a _SCENARIOS row onto the periodic grid: its parameters, each > 0,
-    and its four coordinates on _param_axes, each finite at every node."""
+    """Sample a _SCENARIOS row onto the periodic grid: its own parameters only,
+    each > 0, and its four coordinates on _param_axes, each finite at every node."""
     if spec.nu < MIN_GRID or spec.nv < MIN_GRID:
         raise InputError(
             f"grid too small: nu={spec.nu}, nv={spec.nv}, need {MIN_GRID} x {MIN_GRID}"
@@ -175,6 +175,9 @@ def build_immersion(spec):
     if spec.name not in _SCENARIOS:
         raise InputError(f"unknown scenario {spec.name!r}")
     defaults, noun, coords, periods = _SCENARIOS[spec.name]
+    stray = sorted(set(spec.params) - set(defaults if coords else ("exprs", "periods")))
+    if stray:
+        raise InputError(f"{spec.name} does not take {', '.join(stray)}")
     params = {key: float(spec.params.get(key, val)) for key, val in defaults.items()}
     if not all(val > 0 for val in params.values()):      # NaN fails too
         raise InputError(f"{spec.name} needs {noun}")

@@ -135,13 +135,13 @@ def test_criterion_3_pointwise_identities(caches, capfd):
     meters = {}
     for key in (("clifford", 64), ("clifford", 128), ("perturbed", 64), ("perturbed", 128)):
         cache = caches[key]
-        pf = phase_field(cache, TRIPLE)
-        lhs, rhs, _ = bja_identity(cache, pf, TRIPLE)
+        pf = phase_field(cache)
+        lhs, rhs, _ = bja_identity(cache, pf)
         vals = {
-            "plf": plf_residual(cache, pf, TRIPLE).max(),
+            "plf": plf_residual(cache, pf).max(),
             "bja": np.abs(lhs - rhs).max(),
             "gauss": gauss_curvature_check(cache).max(),
-            "hyperlag": hyper_lagrangian_residual(cache, pf, TRIPLE).max(),
+            "hyperlag": hyper_lagrangian_residual(cache, pf).max(),
         }
         if key[0] == "perturbed":
             # the clifford phase sits at the poles where the polar chart
@@ -175,7 +175,7 @@ def test_criterion_3_pointwise_identities(caches, capfd):
 
 def test_criterion_4_preservation_consistency(caches, capfd):
     t0 = time.perf_counter()
-    state = make_state(caches["perturbed", 128].grid, TRIPLE)
+    state = make_state(caches["perturbed", 128].grid)
     cap = 0.25 * metric_spacing(state.cache) ** 2
     errs = []
     for dt in (0.999 * cap, 0.4995 * cap):
@@ -275,7 +275,7 @@ def test_criterion_7_noncollapsing_suite(converged, capfd):
     worst = min(k - kappa0 * np.exp(-3.0 * e) * 0.9 for _, k, e in samples)
 
     cache = final_state.cache
-    grid = final_state.grid
+    grid = final_state.cache.grid
     u = np.arange(grid.nu)[:, None] * (TWO_PI / grid.nu)
     v = np.arange(grid.nv)[None, :] * (TWO_PI / grid.nv)
     rng = np.random.default_rng(20240817)

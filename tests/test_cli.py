@@ -167,6 +167,18 @@ def test_init_names_a_non_finite_coordinate(tmp_path, run_cli):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--scenario", "clifford", "--eps", "0.3", "--periods", "1,2,3,4", "--exprs", "u;v;u;v"],
+     "clifford does not take eps, exprs, periods"),
+    (["--scenario", "custom-expression", "--exprs", "u;v;0*u;0*u", "--R", "-1"],
+     "custom-expression does not take R"),
+], ids=["clifford", "custom-expression"])
+def test_init_refuses_parameters_the_scenario_does_not_take(tmp_path, run_cli, argv, message):
+    err = assert_validation_failure(run_cli("init", "--nu", "8", "--nv", "8", *argv))
+    assert err == f"validation failure: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # each of these used to write a manifest that `run` refused or misread:
 # the config flags failed FlowConfig only at replay, and the reader cuts a
 # value at '#', a line at a line break and strips the value
@@ -296,6 +308,8 @@ def test_run_rejects_malformed_numbers(flat_dir, tmp_path, run_cli):
         ("steps", man.replace("\nsteps = ", "\nsteps = x"), "manifest key steps must be int"),
         ("periods", man + "periods = 1,two,3,4\n", "manifest key periods must be"),
         ("nan", man.replace("\nc_mon = ", "\nc_mon = nan # "), "manifest key c_mon must be finite"),
+        # init used to write a parameter the scenario does not take
+        ("stray", man + "eps = 0.3\n", "flat-plane-torus does not take eps"),
     ):
         (tmp_path / f"{name}.manifest").write_text(text)
         assert message in assert_validation_failure(run_cli("run", f"{name}.manifest"))

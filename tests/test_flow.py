@@ -19,6 +19,7 @@ from hkflow.cli import main
 from hkflow.errors import InputError, NumericalError, PreconditionError
 from hkflow.flow import (
     FlowConfig,
+    SurfaceState,
     cfl_dt,
     consistency_check,
     coupled_step,
@@ -32,22 +33,16 @@ from hkflow.flow import (
     phase_heat_step,
     run_flow,
 )
-from hkflow.kernel import TwistorTriple, standard_twistor_triple
 from hkflow.phase import field_from_array, phase_field, tension_field, twistor_energy
 from hkflow.surface import _lam_min, build_immersion, scenario
 
-TRIPLE = standard_twistor_triple()
-# same structure conjugated so the flat-plane phase sits at the north
-# pole instead of on the equator: (j3, j2, -j1) satisfies the quaternion
-# relations and moves every a3 reading to the old a1 with flipped sign
-POLE_TRIPLE = TwistorTriple(TRIPLE.j3, TRIPLE.j2, -TRIPLE.j1)
 TWO_PI = 2.0 * np.pi
 
 EQUATOR_TORUS = ["0.7*cos(u)", "0.7*cos(v)", "0.7*sin(v)", "0.7*sin(u)"]
 
 
 def state_for(name, n, **kw):
-    return make_state(build_immersion(scenario(name, n, n, **kw)), TRIPLE)
+    return make_state(build_immersion(scenario(name, n, n, **kw)))
 
 
 @pytest.fixture(scope="module")
@@ -134,11 +129,16 @@ def test_metric_spacing_once_per_cache(monkeypatch):
 # ---------------------------------------------------------------- stepping
 
 
+def test_state_is_geometry_and_phase():
+    # the grid is cache.grid and the triple is the kernel's pinned one
+    assert [f.name for f in dataclasses.fields(SurfaceState)] == ["cache", "phase"]
+
+
 def test_flat_mcf_step_is_identity():
     st = state_for("flat-plane-torus", 16)
     for scheme in ("euler", "rk2"):
         moved = mcf_step(st, 1e-3, scheme=scheme)
-        assert np.array_equal(moved.grid.positions, st.grid.positions)
+        assert np.array_equal(moved.cache.grid.positions, st.cache.grid.positions)
 
 
 def test_displacement_guard():
@@ -176,19 +176,22 @@ def test_phase_step_parabolic_guard():
 
 def test_constant_phase_is_fixed_point():
     # flat plane phase is a single twistor point; discrete laplacian of a
-    # constant field vanishes identically, so the step must not move it
-    for triple in (TRIPLE, POLE_TRIPLE):
-        st = make_state(build_immersion(scenario("flat-plane-torus", 16, 16)), triple)
-        assert np.ptp(st.phase.a, axis=(0, 1)).max() == 0.0
+    # constant field vanishes identically, so the step must not move it.
+    # The plane spanned by e0 and -e3 has its phase at the pole (0, 0, 1),
+    # where the companion takes the x x a chart
+    pole = ["u", "0*u", "0*u", "-v"]
+    for st, a in (
+        (state_for("flat-plane-torus", 16), [-1.0, 0.0, 0.0]),
+        (state_for("custom-expression", 16, exprs=pole, periods=[TWO_PI] * 4), [0.0, 0.0, 1.0]),
+    ):
+        assert np.array_equal(st.phase.a, np.broadcast_to(a, st.phase.a.shape))
         out = phase_heat_step(st.phase, st.cache, cfl_dt(st.cache, 0.9))
         assert np.abs(out.a - st.phase.a).max() < 1e-13
 
 
 def test_harmonic_phase_is_fixed_point():
     # the equator-aligned product torus has machine-zero tension
-    st = make_state(
-        build_immersion(scenario("custom-expression", 64, 64, exprs=EQUATOR_TORUS)), TRIPLE
-    )
+    st = state_for("custom-expression", 64, exprs=EQUATOR_TORUS)
     dt = cfl_dt(st.cache, 0.9)
     assert np.abs(tension_field(st.phase, st.cache)).max() < 5e-12
     out = phase_heat_step(st.phase, st.cache, dt)
@@ -251,7 +254,7 @@ def test_consistency_error_shrinks_with_h(pert64):
         dt = cfl_dt(st.cache, 0.9)
         cfg = FlowConfig(dt=dt, steps=1, lambda1_cadence=1000)
         _, rec = coupled_step(st, cfg, with_consistency=True)
-        out[st.grid.nu] = rec.consistency_error
+        out[st.cache.grid.nu] = rec.consistency_error
     assert 12.0 < out[64] / out[128] < 20.0
 
 
@@ -350,23 +353,15 @@ def test_hdp_margin(pert_run):
 
 def test_min_a3_monotone_once_positive(pert_run):
     # the standard triple sees the perturbed torus near the equator and
-    # the clause never arms; under the conjugated triple the same run
-    # starts inside the upper hemisphere and must stay there
+    # the a3 clause never arms; the same maximum principle for <a, w0>,
+    # w0 the initial mean phase, starts inside that hemisphere and must
+    # hold on every row
     series, _ = pert_run
     assert all(r.min_a3 < 0 for r in series.records)
     for a, b in zip(series.records, series.records[1:]):
         if a.min_a3 > 0:
             assert b.min_a3 >= a.min_a3 - 1e-8
-
-    cfg = FlowConfig(steps=150, lambda1_cadence=1000)
-    pole, _ = run_flow(
-        cfg, scenario("perturbed-complex-torus", 64, 64, eps=0.05), triple=POLE_TRIPLE
-    )
-    recs = pole.records
-    assert recs[0].min_a3 > 0.99
-    for a, b in zip(recs, recs[1:]):
-        assert b.min_a3 >= a.min_a3 - 1e-8
-    assert recs[-1].min_a3 > recs[0].min_a3
+        assert b.min_alignment >= a.min_alignment - 1e-8
 
 
 def test_alignment_improves(pert_run):
@@ -495,7 +490,7 @@ def test_determinism():
     for a, b in zip(s1.records, s2.records):
         assert a == b
     assert s1.final_phase_spread == s2.final_phase_spread
-    assert np.array_equal(f1.grid.positions, f2.grid.positions)
+    assert np.array_equal(f1.cache.grid.positions, f2.cache.grid.positions)
 
 
 # ---------------------------------------------------------------- decay

@@ -288,7 +288,7 @@ def test_plane_helpers_match_the_matrix_form(triple, which):
     # exactly for signed permutations, where each row has one entry
     chosen = {
         "standard": triple,
-        "pole": TwistorTriple(triple.j3, triple.j2, -triple.j1),   # test_flow.POLE_TRIPLE
+        "pole": TwistorTriple(triple.j3, triple.j2, -triple.j1),   # the flat plane's a at the pole
         "rotated": _rotated_triple(triple),
     }[which]
     tol = {"standard": 0.0, "pole": 0.0, "rotated": 1e-15}[which]

@@ -15,7 +15,7 @@ import pytest
 
 from hkflow import phase
 from hkflow.errors import FrameError, PreconditionError
-from hkflow.kernel import standard_twistor_triple
+from hkflow.kernel import phi_field
 from hkflow.phase import (
     bja_identity,
     field_from_array,
@@ -23,7 +23,6 @@ from hkflow.phase import (
     kahler_angle,
     lagrangian_angle,
     phase_field,
-    phi_field,
     plf_residual,
     polar_identity_check,
     tension_field,
@@ -33,7 +32,6 @@ from hkflow.surface import (
     _planes, build_immersion, compute_geometry, laplace_beltrami, scenario, surface_integral,
 )
 
-TRIPLE = standard_twistor_triple()
 TWO_PI = 2.0 * np.pi
 
 # product torus with the circle factors paired so the phase sits on the
@@ -47,7 +45,7 @@ def cache_for(name, n, **params):
 
 def equator_pair(n):
     c = cache_for("custom-expression", n, exprs=EQUATOR_TORUS)
-    return c, phase_field(c, TRIPLE)
+    return c, phase_field(c)
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +63,7 @@ def perturbed():
     out = {}
     for n in (64, 128):
         c = cache_for("perturbed-complex-torus", n, eps=0.05)
-        out[n] = (c, phase_field(c, TRIPLE))
+        out[n] = (c, phase_field(c))
     return out
 
 
@@ -74,7 +72,7 @@ def graph():
     out = {}
     for n in (64, 128):
         c = cache_for("lagrangian-graph", n, eps=0.2)
-        out[n] = (c, phase_field(c, TRIPLE))
+        out[n] = (c, phase_field(c))
     return out
 
 
@@ -89,7 +87,7 @@ def test_equator_phase_closed_form(eq64):
 
 def test_flat_phase_constant():
     c = cache_for("flat-plane-torus", 32)
-    pf = phase_field(c, TRIPLE)
+    pf = phase_field(c)
     assert np.abs(pf.a - np.array([-1.0, 0.0, 0.0])).max() < 1e-14
     assert twistor_energy(pf, c) < 1e-15
     assert polar_identity_check(pf, c).max() < 1e-15
@@ -149,7 +147,7 @@ def test_lagrangian_angle_gate():
     # the standard embedding of the same torus has phase sweeping a full
     # great circle through the poles: not Lagrangian for this structure
     c = cache_for("clifford", 48, R=0.7, r=0.7)
-    pf = phase_field(c, TRIPLE)
+    pf = phase_field(c)
     assert pf.a[..., 2].max() > 0.99
     with pytest.raises(PreconditionError, match="not-lagrangian"):
         lagrangian_angle(pf, c)
@@ -157,16 +155,16 @@ def test_lagrangian_angle_gate():
 
 def test_mean_curvature_formula_machine_zero_on_equator(eq64, eq128):
     for c, pf in (eq64, eq128):
-        assert plf_residual(c, pf, TRIPLE).max() < 1e-11
+        assert plf_residual(c, pf).max() < 1e-11
 
 
 def test_mean_curvature_formula_refines(perturbed, graph):
     for pair, lvl in ((perturbed, 4e-4), (graph, 2.5e-3)):
         c, pf = pair[64]
-        coarse = plf_residual(c, pf, TRIPLE).max()
+        coarse = plf_residual(c, pf).max()
         assert coarse < lvl
         c2, pf2 = pair[128]
-        fine = plf_residual(c2, pf2, TRIPLE).max()
+        fine = plf_residual(c2, pf2).max()
         assert 3.4 < coarse / fine < 4.6
 
 
@@ -175,16 +173,16 @@ def test_mean_curvature_formula_companion_independent(perturbed, monkeypatch):
     b = phi_field(pf.a)
     alt = np.cross(pf.a, b)
     mix = 0.6 * b + 0.8 * alt
-    base = plf_residual(c, pf, TRIPLE)
+    base = plf_residual(c, pf)
     for other in (alt, mix):
         # plf_residual reads its companion from phase._companion, on (3, nu, nv) planes
         monkeypatch.setattr(phase, "_companion", lambda a, other=other: _planes(other))
-        assert np.abs(plf_residual(c, pf, TRIPLE) - base).max() < 1e-12
+        assert np.abs(plf_residual(c, pf) - base).max() < 1e-12
 
 
 def test_frame_identity_equator(eq64):
     c, pf = eq64
-    res = bja_identity(c, pf, TRIPLE)
+    res = bja_identity(c, pf)
     assert np.abs(res.lhs - res.rhs).max() < 1e-10
     # 4 |grad a|^2 = 8 / R^2 with R = 0.7, independent of resolution
     assert abs(res.lhs.mean() - 8 / 0.49) < 1e-6
@@ -193,11 +191,11 @@ def test_frame_identity_equator(eq64):
 
 def test_frame_identity_refines(graph):
     c, pf = graph[64]
-    res = bja_identity(c, pf, TRIPLE)
+    res = bja_identity(c, pf)
     gap = np.abs(res.lhs - res.rhs).max()
     assert gap < 4e-3                   # 2.73e-3 measured
     c2, pf2 = graph[128]
-    res2 = bja_identity(c2, pf2, TRIPLE)
+    res2 = bja_identity(c2, pf2)
     assert 3.4 < gap / np.abs(res2.lhs - res2.rhs).max() < 4.6
 
 
@@ -205,14 +203,14 @@ def test_gradient_curvature_ratio_bounded(eq64, perturbed, graph):
     # |grad a| <= sqrt(2) |A| pointwise; measured maxima stay near 1.22
     ratios = []
     for c, pf in (eq64, perturbed[64], graph[64]):
-        ratios.append(bja_identity(c, pf, TRIPLE).ratio.max())
+        ratios.append(bja_identity(c, pf).ratio.max())
     assert max(ratios) < 1.45
     assert min(ratios) > 0.9
 
 
 def test_hyper_lagrangian_residual_machine_zero(eq64, perturbed, graph):
     for c, pf in (eq64, perturbed[64], graph[64]):
-        assert hyper_lagrangian_residual(c, pf, TRIPLE).max() < 1e-14
+        assert hyper_lagrangian_residual(c, pf).max() < 1e-14
 
 
 def test_polar_identity_equator(eq64, eq128):
@@ -251,7 +249,7 @@ def test_normal_gauge_invariance(perturbed):
     gam = 0.3 + 0.2 * np.sin(uu + vv)
     cg, sg = np.cos(gam)[..., None], np.sin(gam)[..., None]
     rotated = dataclasses.replace(c, e3=cg * c.e3 + sg * c.e4, e4=-sg * c.e3 + cg * c.e4)
-    pf2 = phase_field(rotated, TRIPLE)
+    pf2 = phase_field(rotated)
     assert np.array_equal(pf2.a, pf.a)
 
 
@@ -261,7 +259,7 @@ def test_tangent_rotation_invariance(perturbed):
     beta = 0.4 * np.cos(uu) + 0.1 * vv * 0
     cb, sb = np.cos(beta)[..., None], np.sin(beta)[..., None]
     rotated = dataclasses.replace(c, e1=cb * c.e1 + sb * c.e2, e2=-sb * c.e1 + cb * c.e2)
-    pf2 = phase_field(rotated, TRIPLE)
+    pf2 = phase_field(rotated)
     assert np.abs(pf2.a - pf.a).max() < 1e-13
 
 
@@ -271,7 +269,7 @@ def test_phase_field_rejects_broken_frames(perturbed):
     c, _ = perturbed[64]
     broken = dataclasses.replace(c, e3=c.e4, e4=c.e3)
     with pytest.raises(FrameError, match=r"node frame at \(\d+, \d+\) violates the twistor"):
-        phase_field(broken, TRIPLE)
+        phase_field(broken)
 
 
 def test_field_from_array_renormalizes(perturbed):

@@ -749,7 +749,7 @@ def test_pointwise_closed_forms_match_node_major_oracle(name, params, nu, nv):
     # the closed forms on planes against the generic numpy they replaced:
     # equal up to the rounding of a different evaluation order
     cache = compute_geometry(build_immersion(scenario(name, nu, nv, **params)))
-    pf = phase_field(cache, standard_twistor_triple())
+    pf = phase_field(cache)
     ref = node_major_meters(cache, pf)
     checks = {c["name"]: c for c in _run_checks(cache)}
 
@@ -762,7 +762,7 @@ def test_pointwise_closed_forms_match_node_major_oracle(name, params, nu, nv):
     assert np.abs(gauss_curvature_check(cache) - ref["gauss"]).max() <= gauss_tol
     assert abs(checks["gauss-curvature"]["measured"] - ref["gauss"].max()) <= gauss_tol
 
-    lhs, rhs, _ = bja_identity(cache, pf, standard_twistor_triple())
+    lhs, rhs, _ = bja_identity(cache, pf)
     bja_tol = 1e-14 * ref["bja_rhs"].max()
     assert np.abs(rhs - ref["bja_rhs"]).max() <= bja_tol
     assert abs(checks["bja-identity"]["measured"] - np.abs(lhs - ref["bja_rhs"]).max()) <= bja_tol
