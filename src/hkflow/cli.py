@@ -326,13 +326,18 @@ def cmd_run(args):
     if not csv_path:
         raise InputError("manifest is missing csv_path")
 
-    try:
-        fh = open(csv_path, "w")
-    except OSError as exc:
-        raise IOFailure(f"cannot write series {csv_path}: {exc}") from exc
-    fh.write(CSV_COLUMNS + "\n")
+    fh = None
 
     def write_row(rec, state):
+        # opened at the t = 0 row: a scenario that run_flow refuses leaves
+        # an earlier series at csv_path as it was
+        nonlocal fh
+        if fh is None:
+            try:
+                fh = open(csv_path, "w")
+            except OSError as exc:
+                raise IOFailure(f"cannot write series {csv_path}: {exc}") from exc
+            fh.write(CSV_COLUMNS + "\n")
         fh.write(_csv_row(rec) + "\n")
         fh.flush()
 
@@ -340,7 +345,8 @@ def cmd_run(args):
     try:
         series, final = run_flow(cfg, spec, observe=write_row)
     finally:
-        fh.close()
+        if fh is not None:
+            fh.close()
 
     final_path = doc.get("final_snapshot_path")
     if final_path:

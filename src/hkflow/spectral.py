@@ -113,23 +113,28 @@ def lambda1(cache):
     a, w = laplacian_matrix(cache)
     gamma = SHIFT_FRACTION * 4 * np.pi**2 / w.sum()
     precondition = _fft_inverse(cache, w, gamma)
-    sqrt_w = np.sqrt(w)[:, None]
+    sqrt_w = np.sqrt(w)
 
     x = _start_block(cache.grid.nu, cache.grid.nv)
     k = x.shape[1]
 
     def orthonormalize(*blocks):
         # the constants lead the QR, so the rest is W-orthogonal to them;
-        # a QR cannot fail on a block that lost rank after convergence
+        # a QR cannot fail on a block that lost rank after convergence.
+        # The F-ordered buffer is filled, and the C-ordered result divided
+        # into, through their transposes, whose rows are contiguous
         buf = np.empty((len(w), 1 + sum(b.shape[1] for b in blocks)), order="F")
-        buf[:, :1] = sqrt_w
+        rows = buf.T
+        rows[0] = sqrt_w
         start = 1
         for b in blocks:
-            np.multiply(sqrt_w, b, out=buf[:, start:start + b.shape[1]])
+            np.multiply(sqrt_w, b.T, out=rows[start:start + b.shape[1]])
             start += b.shape[1]
         q = sla.qr(buf, mode="economic", overwrite_a=True, check_finite=False)[0]
         # C order: the products with an F-ordered Q round differently
-        return np.divide(q[:, 1:], sqrt_w, order="C")
+        out = np.empty((len(w), q.shape[1] - 1))
+        np.divide(q[:, 1:].T, sqrt_w, out=out.T)
+        return out
 
     lam_prev = np.inf
     x = orthonormalize(x)
@@ -140,7 +145,7 @@ def lambda1(cache):
         a_s = a @ s
         small = s.T @ a_s
         theta, rot = sla.eigh(0.5 * (small + small.T))
-        x, ax, p = s @ rot[:, :k], a_s @ rot[:, :k], s[:, k:] @ rot[k:, :k]
+        x = s @ rot[:, :k]
         lam = float(theta[0])
         v = x[:, 0]
         r = a @ v - lam * (w * v)
@@ -151,6 +156,8 @@ def lambda1(cache):
         ):
             shape = (cache.grid.nu, cache.grid.nv)
             return SpectralResult(lam, v.reshape(shape), iteration, residual)
+        # the next sweep's rotations, never read once converged
+        ax, p = a_s @ rot[:, :k], s[:, k:] @ rot[k:, :k]
         lam_prev = lam
     raise NumericalError(
         f"eigensolver stalled after {MAX_ITERATIONS} iterations "

@@ -32,6 +32,15 @@ tensor, so an inner product is the plane sum x0 y0 + x1 y1 + x2 y2 + x3 y3
 and J_d acts by reindexing planes.  GeometryCache exposes every field in
 the (nu, nv, 4) / (nu, nv, 2, 2) layout as a read-only transposed view of
 those planes; the phase fields of the phase module follow the same layout.
+
+Two halves: compute_geometry builds the intrinsic half (tangents, second
+differences, metric, tangent frame, Laplacian fluxes) and makes every
+refusal, a non-finite position, a degenerate metric or tangent pair.  The
+extrinsic half, f_uv, gs, e3, e4, h, H, norm_H_sq and norm_A_sq, is built
+all at once on the first read of any of its fields, from the intrinsic
+planes the cache holds; its expressions are elementwise, so its bits do
+not depend on when it is built.  lambda1, the validator, `init` and
+`spectrum` never read it, so they never pay for it.
 """
 
 import ast
@@ -200,15 +209,37 @@ def build_immersion(spec):
     return SurfaceGrid(spec.nu, spec.nv, ambient.wrap(pos), ambient)
 
 
+class _OnFirstRead:
+    """A field of GeometryCache's extrinsic half.  The first read of any of
+    them on a cache builds all eight (_extrinsic_half) into the instance
+    dict, where every later read finds them without reaching this
+    descriptor; a field assigned before that read is kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, cache, owner=None):
+        if cache is None:
+            return self
+        fields = vars(cache)
+        for name, view in _extrinsic_half(cache).items():
+            fields.setdefault(name, view)
+        return fields[self.name]
+
+
 @dataclass
 class GeometryCache:
     """Every array field is a read-only (nu, nv, ...) view of the component
     planes compute_geometry works on; index [..., k] reads a contiguous plane.
+    The extrinsic half, f_uv through norm_A_sq below, is built on its
+    first read (see the module docstring); every refusal stays in
+    compute_geometry.
 
     A cache is a value: what depends on the geometry alone (ball volume
     reports, the metric spacing) is computed on the first call and kept
     in a private memo, so it describes grid.positions as they were then.
-    dataclasses.replace builds a new cache with an empty memo.
+    dataclasses.replace builds a new cache with an empty memo, whose
+    extrinsic half is built again from its own fields.
     """
 
     grid: SurfaceGrid
@@ -218,23 +249,25 @@ class GeometryCache:
     f_u: np.ndarray              # central tangents, (nu, nv, 4)
     f_v: np.ndarray
     f_uu: np.ndarray             # second differences
-    f_uv: np.ndarray
     f_vv: np.ndarray
-    e1: np.ndarray               # ambient-orthonormal frame, (nu, nv, 4)
+    e1: np.ndarray               # ambient-orthonormal tangent pair, (nu, nv, 4)
     e2: np.ndarray
-    e3: np.ndarray
-    e4: np.ndarray
-    gs: np.ndarray               # (nu, nv, 2, 2) metric Gram-Schmidt rows:
-                                 # e_i (metric sense) = gs[i, k] f_k
-    h: np.ndarray                # (nu, nv, 2, 2, 2): [alpha, i, j] = <f_ij, e_{3+alpha}>
-    H: np.ndarray                # (nu, nv, 4) mean curvature vector
-    norm_H_sq: np.ndarray
-    norm_A_sq: np.ndarray
     au: np.ndarray               # sqrt(g) g^uu averaged onto edge (i, i+1)
     av: np.ndarray               # sqrt(g) g^vv averaged onto edge (j, j+1)
     cuv: np.ndarray              # sqrt(g) g^uv at the nodes
     min_edge: float              # shortest ambient grid edge, stability proxy
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    # the extrinsic half, built on first read
+    f_uv = _OnFirstRead()        # cross second difference, (nu, nv, 4)
+    gs = _OnFirstRead()          # (nu, nv, 2, 2) metric Gram-Schmidt rows:
+                                 # e_i (metric sense) = gs[i, k] f_k
+    e3 = _OnFirstRead()          # normals completing e1, e2 to a positive
+    e4 = _OnFirstRead()          # ambient-orthonormal frame, (nu, nv, 4)
+    h = _OnFirstRead()           # (nu, nv, 2, 2, 2): [alpha, i, j] = <f_ij, e_{3+alpha}>
+    H = _OnFirstRead()           # (nu, nv, 4) mean curvature vector
+    norm_H_sq = _OnFirstRead()
+    norm_A_sq = _OnFirstRead()
 
     @property
     def hu(self):
@@ -316,11 +349,13 @@ def _second_fundamental_form(f_uu, f_uv, f_vv, normals):
 
 
 def compute_geometry(grid):
-    """GeometryCache of a sampled surface.
+    """GeometryCache of a sampled surface, its intrinsic half built here.
 
     Computed on contiguous component planes, (4, nu, nv) for vectors and
     (2, 2, nu, nv) for metric-like tensors, so every inner product is a
     plane sum; the cache exposes each field as a (nu, nv, ...) view.
+    Every refusal is made here: the extrinsic half, built on first read
+    by _extrinsic_half, runs on a surface that passed them.
     """
     hu, hv = grid.hu, grid.hv
     p = np.ascontiguousarray(np.moveaxis(grid.positions, -1, 0))
@@ -339,8 +374,6 @@ def compute_geometry(grid):
     f_v = (dv_f + dv_b) / (2 * hv)
     f_uu = (du_f - du_b) / hu**2
     f_vv = (dv_f - dv_b) / hv**2
-    # cross derivative: central difference of the (seam-free) tangent field
-    f_uv = _central(f_u, 2, hv)
 
     # squared forward edge lengths; a backward square is the shift of a forward one
     du_sq = _dot(du_f, du_f)
@@ -376,6 +409,45 @@ def compute_geometry(grid):
             f"f_v = {f_v[:, ij[0], ij[1]]}"
         )
 
+    # diagonal fluxes sqrt(g) g^ii, averaged once onto the grid edges
+    flux_u = sqrt_det_g * ginv[0, 0]
+    flux_v = sqrt_det_g * ginv[1, 1]
+
+    # sqrt is monotone and correctly rounded: the root of the least square
+    # is the least root, bit for bit
+    min_edge = float(np.sqrt(min(du_sq.min(), dv_sq.min())))
+
+    planes = dict(
+        g=g, ginv=ginv, sqrt_det_g=sqrt_det_g, f_u=f_u, f_v=f_v, f_uu=f_uu, f_vv=f_vv,
+        e1=e1, e2=e2,
+        au=0.5 * (flux_u + _shift(flux_u, -1, 0)),
+        av=0.5 * (flux_v + _shift(flux_v, -1, 1)),
+        cuv=sqrt_det_g * ginv[0, 1],
+    )
+    return GeometryCache(grid=grid, min_edge=min_edge, **_read_only_views(planes))
+
+
+def _read_only_views(planes):
+    """Node-major views of planes, each set read-only before its view is
+    taken, so the view inherits it and no memoized result can drift from
+    the arrays it was computed from."""
+    for plane in planes.values():
+        plane.flags.writeable = False
+    return {name: _node_major(plane) for name, plane in planes.items()}
+
+
+def _extrinsic_half(cache):
+    """The extrinsic half of a cache, read-only node-major views by field name.
+
+    Elementwise expressions of the intrinsic planes the cache holds, so
+    the bits do not depend on when the half is built.
+    """
+    f_u, f_uu, f_vv, e1, e2 = (_planes(f) for f in (cache.f_u, cache.f_uu, cache.f_vv,
+                                                    cache.e1, cache.e2))
+    g, ginv = _planes(cache.g, 2), _planes(cache.ginv, 2)
+    # cross derivative: central difference of the (seam-free) tangent field
+    f_uv = _central(f_u, 2, cache.hv)
+
     # metric Gram-Schmidt rows for converting parameter indices to the
     # orthonormal frame; uses the edge metric, not ambient dots, so tensor
     # conversions share the Laplacian's symbol
@@ -400,29 +472,9 @@ def compute_geometry(grid):
     tr_sq = m[0][0] ** 2 + 2 * m[0][1] * m[1][0] + m[1][1] ** 2
     norm_a_sq = tr_sq[0] + tr_sq[1]
 
-    # diagonal fluxes sqrt(g) g^ii, averaged once onto the grid edges
-    flux_u = sqrt_det_g * ginv[0, 0]
-    flux_v = sqrt_det_g * ginv[1, 1]
-
-    # sqrt is monotone and correctly rounded: the root of the least square
-    # is the least root, bit for bit
-    min_edge = float(np.sqrt(min(du_sq.min(), dv_sq.min())))
-
-    planes = dict(
-        g=g, ginv=ginv, sqrt_det_g=sqrt_det_g, f_u=f_u, f_v=f_v, f_uu=f_uu, f_uv=f_uv,
-        f_vv=f_vv, e1=e1, e2=e2, e3=e3, e4=e4, gs=gs, h=h,
-        H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq,
-        au=0.5 * (flux_u + _shift(flux_u, -1, 0)),
-        av=0.5 * (flux_v + _shift(flux_v, -1, 1)),
-        cuv=sqrt_det_g * ginv[0, 1],
-    )
-    # read-only before the views are taken, so they inherit it and no
-    # memoized result can drift from the arrays it was computed from
-    for plane in planes.values():
-        plane.flags.writeable = False
-    return GeometryCache(
-        grid=grid, min_edge=min_edge, **{name: _node_major(p) for name, p in planes.items()}
-    )
+    return _read_only_views(dict(
+        f_uv=f_uv, gs=gs, e3=e3, e4=e4, h=h, H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq,
+    ))
 
 
 # the (di, dj) neighbour offsets of a stencil row in storage order: slot

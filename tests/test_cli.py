@@ -315,6 +315,21 @@ def test_run_rejects_malformed_numbers(flat_dir, tmp_path, run_cli):
         assert message in assert_validation_failure(run_cli("run", f"{name}.manifest"))
 
 
+def test_refused_run_keeps_the_earlier_series(tmp_path, run_cli):
+    # the series is opened at the t = 0 row, after run_flow has built and
+    # validated the scenario: a refused manifest leaves the earlier CSV's bytes
+    succeeded(run_cli("init", "--scenario", "flat-plane-torus", "--nu", "8", "--nv", "8"))
+    succeeded(run_cli("run", "flat-plane-torus-8x8.manifest"))
+    csv = tmp_path / "flat-plane-torus-8x8.csv"
+    before = csv.read_bytes()
+    assert before.count(b"\n") == 2     # header and t = 0: max|H| = 0 stops the run
+    manifest = tmp_path / "flat-plane-torus-8x8.manifest"
+    manifest.write_text(manifest.read_text() + "eps = 0.3\n")
+    err = assert_validation_failure(run_cli("run", "flat-plane-torus-8x8.manifest"))
+    assert "flat-plane-torus does not take eps" in err
+    assert csv.read_bytes() == before
+
+
 def test_run_old_renormalize_switch(flat_dir, tmp_path, run_cli):
     # the phase is always projected back to the sphere: a manifest written
     # when that was a switch replays when it is on and is refused when off

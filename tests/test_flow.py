@@ -152,7 +152,9 @@ def test_displacement_guard_names_nan():
     st = state_for("perturbed-complex-torus", 16, eps=0.05)
     h = st.cache.H.copy()
     h[4, 7, 0] = np.nan
-    st = dataclasses.replace(st, cache=dataclasses.replace(st.cache, H=h))
+    cache = dataclasses.replace(st.cache)
+    cache.H = h      # assigned before its first read, so the extrinsic half keeps it
+    st = dataclasses.replace(st, cache=cache)
     with pytest.raises(NumericalError, match="non-finite displacement nan"):
         mcf_step(st, 1e-4)
 

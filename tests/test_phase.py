@@ -248,7 +248,8 @@ def test_normal_gauge_invariance(perturbed):
     uu, vv = c.grid.param_axes()
     gam = 0.3 + 0.2 * np.sin(uu + vv)
     cg, sg = np.cos(gam)[..., None], np.sin(gam)[..., None]
-    rotated = dataclasses.replace(c, e3=cg * c.e3 + sg * c.e4, e4=-sg * c.e3 + cg * c.e4)
+    rotated = dataclasses.replace(c)
+    rotated.e3, rotated.e4 = cg * c.e3 + sg * c.e4, -sg * c.e3 + cg * c.e4
     pf2 = phase_field(rotated)
     assert np.array_equal(pf2.a, pf.a)
 
@@ -267,7 +268,8 @@ def test_phase_field_rejects_broken_frames(perturbed):
     # swapping the normals gives a mirror frame: orthonormal, but the
     # second twistor relation fails by |2 e3| at every node
     c, _ = perturbed[64]
-    broken = dataclasses.replace(c, e3=c.e4, e4=c.e3)
+    broken = dataclasses.replace(c)
+    broken.e3, broken.e4 = c.e4, c.e3
     with pytest.raises(FrameError, match=r"node frame at \(\d+, \d+\) violates the twistor"):
         phase_field(broken)
 

@@ -413,7 +413,7 @@ def test_replaced_cache_starts_with_an_empty_memo(monkeypatch):
     c = cache_for("perturbed-complex-torus", 32, eps=0.05)
     geodesic_ball_volumes(c)
     built = counting_chord_graph(monkeypatch)
-    moved = dataclasses.replace(c, H=2 * c.H)
+    moved = dataclasses.replace(c, f_uu=2 * c.f_uu)
     assert moved._memo == {} and c._memo != {}
     assert geodesic_ball_volumes(moved) == geodesic_ball_volumes(c)
     assert len(built) == 1 and built[0] is moved

@@ -16,13 +16,16 @@ import numpy as np
 import pytest
 from conftest import snapshot_positions, with_positions
 
+from hkflow import surface
 from hkflow.cli import _run_checks, main
 from hkflow.errors import InputError, IOFailure, NumericalError
 from hkflow.kernel import AmbientSpace, phi_field, standard_twistor_triple
 from hkflow.phase import bja_identity, phase_field
+from hkflow.spectral import c0_from_l2_validator, lambda1
 from hkflow.surface import (
     GeometryCache,
     SurfaceGrid,
+    _OnFirstRead,
     _lam_min,
     _planes,
     _shift,
@@ -690,12 +693,16 @@ def test_node_area_definition(perturbed48):
     assert np.array_equal(c.node_area(), c.sqrt_det_g * c.hu * c.hv)
 
 
+EXTRINSIC = ["f_uv", "gs", "e3", "e4", "h", "H", "norm_H_sq", "norm_A_sq"]
+
+
 def test_cache_arrays_are_read_only(perturbed48):
     # a memoized report must not drift from the arrays it was computed from
     c = perturbed48
-    names = [f.name for f in dataclasses.fields(GeometryCache) if f.type is np.ndarray]
-    assert names == [k for k, v in vars(c).items() if isinstance(v, np.ndarray)]
-    for name in names:
+    eager = [f.name for f in dataclasses.fields(GeometryCache) if f.type is np.ndarray]
+    lazy = [k for k, v in vars(GeometryCache).items() if isinstance(v, _OnFirstRead)]
+    assert lazy == EXTRINSIC
+    for name in eager + lazy:
         arr = getattr(c, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
@@ -703,6 +710,44 @@ def test_cache_arrays_are_read_only(perturbed48):
             _planes(arr, arr.ndim - 2)[(0,) * arr.ndim] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             arr += 0.0
+    # every array the cache holds, once all of them were read
+    assert sorted(eager + lazy) == sorted(k for k, v in vars(c).items() if isinstance(v, np.ndarray))
+
+
+def counting_extrinsic_half(monkeypatch):
+    """Count the extrinsic halves built: one per cache whose half is read."""
+    built = []
+    build = surface._extrinsic_half
+
+    def counted(cache):
+        built.append(cache)
+        return build(cache)
+
+    monkeypatch.setattr(surface, "_extrinsic_half", counted)
+    return built
+
+
+def test_extrinsic_half_is_built_once_on_first_read(monkeypatch):
+    built = counting_extrinsic_half(monkeypatch)
+    c = cache_for("perturbed-complex-torus", 16, eps=0.05)
+    assert built == []
+    first = {name: getattr(c, name) for name in EXTRINSIC}
+    assert len(built) == 1 and built[0] is c
+    assert all(getattr(c, name) is arr for name, arr in first.items())
+    assert len(built) == 1
+
+
+def test_spectrum_init_and_validator_never_build_the_extrinsic_half(monkeypatch, tmp_path):
+    built = counting_extrinsic_half(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    stem = "perturbed-complex-torus-16x16"
+    assert main(["init", "--scenario", "perturbed-complex-torus", "--nu", "16", "--nv", "16"]) == 0
+    assert main(["spectrum", f"{stem}.snapshot.json", "--eigenfunction", "ef.json"]) == 0
+    c = compute_geometry(load_snapshot(tmp_path / f"{stem}.snapshot.json"))
+    lam = lambda1(c).lambda1
+    u, _ = c.grid.param_axes()
+    assert c0_from_l2_validator(1e-4 * np.sin(u), lam, c).holds
+    assert built == []
 
 
 # odd and non-square grids put every roll and reindexing next to a different neighbour
