@@ -12,8 +12,9 @@ is the interface of record (fixed 17-significant-digit scientific
 notation, empty cells where a cadence skipped a column).  Its run
 settings are the rows of RUN_KEYS: each pairs a manifest key with the
 FlowConfig field of the same meaning, so a key the manifest leaves out
-takes FlowConfig's default.  Exit codes: 0 success, 2 validation failure,
-3 numerical failure, 4 I/O failure; files are read and written through
+takes FlowConfig's default; a key with one possible value is a row of
+_ONE_VALUE_KEYS.  Exit codes: 0 success, 2 validation failure, 3
+numerical failure, 4 I/O failure; files are read and written through
 errors._read_text and errors._write_text, apart from the streamed CSV.
 """
 
@@ -30,8 +31,8 @@ from . import __version__
 from .errors import (
     HkflowError, InputError, IOFailure, NumericalError, PreconditionError, _read_text, _write_text,
 )
-from .flow import SCHEMES, FlowConfig, run_flow
-from .kernel import _TRIPLE, _dot
+from .flow import C_MON, SCHEMES, FlowConfig, run_flow
+from .kernel import _TRIPLE, GRAM_TOL, _dot
 from .phase import (
     bja_identity,
     hyper_lagrangian_residual,
@@ -55,8 +56,6 @@ from .surface import (
     scenario,
 )
 
-TRIPLE_TAG = "right-quaternion(-i,-j,-k)"
-
 CSV_COLUMNS = (
     "t,dt,area,twistor_energy,lambda1,max_H,max_A,min_a3,hdp_margin,"
     "efa_residual,efe_residual,metric_residual,E_accum,consistency_error"
@@ -77,10 +76,25 @@ RUN_KEYS = (
     ("steps", "steps", int),
     ("lambda1_cadence", "lambda1_cadence", int),
     ("consistency_cadence", "consistency_cadence", int),
-    ("c_mon", "c_mon", float),
     ("stop_max_h_below", "max_h_below", float),
     ("stop_t_final_flow_time", "t_final", float),
 )
+
+# manifest keys with one value, as written: init writes the first two, and
+# earlier versions wrote the two retired ones, whose manifests still replay
+_ONE_VALUE_KEYS = {
+    "format_version": "1",
+    "triple": "right-quaternion(-i,-j,-k)",
+    "renormalize_phase": "true",
+    "c_mon": repr(C_MON),
+}
+
+# every key a manifest may hold: the ones init writes and the retired ones
+_MANIFEST_KEYS = frozenset((
+    *_ONE_VALUE_KEYS, "scenario", "nu", "nv", *SCENARIO_PARAMS, "exprs", "periods",
+    *(key for key, _, _ in RUN_KEYS),
+    "tool_version", "platform", "snapshot_path", "csv_path", "final_snapshot_path",
+))
 
 
 # ---------------------------------------------------------------- manifest
@@ -150,11 +164,6 @@ def _scenario_from_manifest(doc):
 
 
 def _config_from_manifest(doc):
-    # the format keeps no on/off switches: a manifest may still carry one
-    # set to true, the only behaviour there is, but false has no path
-    for key, val in doc.items():
-        if val == "false":
-            raise InputError(f"manifest key {key} = false is not supported; it is always on")
     kw = {}
     for key, name, kind in RUN_KEYS:
         if key not in doc or (name == "dt" and doc[key] == "cfl"):
@@ -210,7 +219,7 @@ def cmd_init(args):
     save_snapshot(grid, snapshot_path)
 
     entries = [
-        ("format_version", 1),
+        ("format_version", _ONE_VALUE_KEYS["format_version"]),
         ("scenario", args.scenario),
         ("nu", args.nu),
         ("nv", args.nv),
@@ -227,7 +236,7 @@ def cmd_init(args):
         if val is not None or name == "dt":
             entries.append((key, "cfl" if val is None else val))
     entries += [
-        ("triple", TRIPLE_TAG),
+        ("triple", _ONE_VALUE_KEYS["triple"]),
         ("tool_version", __version__),
         ("platform", _platform_tag()),
         ("snapshot_path", snapshot_path),
@@ -318,8 +327,14 @@ def _svg_line_plot(path, xs, ys, xlabel, ylabel):
 
 def cmd_run(args):
     doc = read_manifest(args.manifest)
-    if doc.get("triple", TRIPLE_TAG) != TRIPLE_TAG:
-        raise InputError(f"unsupported triple convention {doc.get('triple')!r}")
+    unknown = sorted(doc.keys() - _MANIFEST_KEYS)
+    if unknown:
+        raise InputError(f"manifest holds unknown keys: {', '.join(unknown)}")
+    for key, val in _ONE_VALUE_KEYS.items():
+        if doc.get(key, val) != val:
+            raise InputError(
+                f"manifest key {key} = {doc[key]} is not supported; it is always {val}"
+            )
     spec = _scenario_from_manifest(doc)
     cfg = _config_from_manifest(doc)
     csv_path = doc.get("csv_path")
@@ -402,7 +417,7 @@ def _run_checks(cache):
     gram = max(
         np.abs(_dot(frame[i], frame[j]) - (i == j)).max() for i in range(4) for j in range(i, 4)
     )
-    record("frame-orthonormality", gram, 1e-8)
+    record("frame-orthonormality", gram, GRAM_TOL)
     mat, _ = laplacian_matrix(cache)
     record("laplacian-symmetry", _laplacian_asymmetry(mat, nu, nv), 1e-10)
     record("gauss-curvature", gauss_curvature_check(cache).max(), tol_id)

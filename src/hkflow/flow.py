@@ -29,7 +29,7 @@ from .surface import _lam_min, _planes, build_immersion, compute_geometry, surfa
 
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
 DRIFT_MARGIN = 1.5              # on the predicted pre-projection unit drift
-DEFAULT_C_MON = 8.0             # calibrated stand-in for the frame constant
+C_MON = 8.0                     # calibrated stand-in for the frame constant
 SCHEMES = ("euler", "rk2")
 
 
@@ -43,12 +43,11 @@ class FlowConfig:
     steps: int = 5000
     lambda1_cadence: int = 10
     consistency_cadence: int = 0      # 0 disables the per-step check
-    c_mon: float = DEFAULT_C_MON
     max_h_below: float | None = None
     t_final: float | None = None
 
     def __post_init__(self):
-        for name in ("dt", "c_mon", "max_h_below", "t_final"):
+        for name in ("dt", "max_h_below", "t_final"):
             val = getattr(self, name)
             if val is not None and not math.isfinite(val):
                 raise InputError(f"{name} must be finite, got {val}")
@@ -177,12 +176,12 @@ def phase_heat_step(pf, cache, dt):
     return field_from_array(raw, cache)
 
 
-def consistency_check(state, pf_evolved):
-    """Distance between the frame-derived phase and the heat-flow phase.
+def consistency_check(state):
+    """Distance between the frame-derived phase and the state's heat-flow phase.
 
     The defect is returned raw (it scales as O(dt^2) + O(dt h^2) per step).
     """
-    gap = _planes(phase_field(state.cache).a - pf_evolved.a)
+    gap = _planes(phase_field(state.cache).a - state.phase.a)
     return float(np.sqrt(_dot(gap, gap)).max())
 
 
@@ -219,24 +218,28 @@ def _record(state, t, dt, e_accum):
     )
 
 
-def coupled_step(state, cfg, t=0.0, e_accum=0.0, with_consistency=False):
-    """One MCF step, then one phase heat step on the moved geometry."""
+def coupled_step(state, cfg, last=None, with_consistency=False):
+    """One MCF step, then one phase heat step on the moved geometry.
+
+    t, E_accum and the pre-step max|H| and max|A| come from `last`, the
+    row measured on `state`; None stands for the state's t = 0 row.
+    """
+    if last is None:
+        last = _record(state, 0.0, 0.0, 0.0)
     dt = cfg.dt if cfg.dt is not None else cfl_dt(state.cache, cfg.safety)
-    pre_h = float(np.sqrt(state.cache.norm_H_sq.max()))
-    pre_a = float(np.sqrt(state.cache.norm_A_sq.max()))
 
     moved = mcf_step(state, dt, cfg.scheme)
-    new_pf = phase_heat_step(moved.phase, moved.cache, dt)
-    new_state = replace(moved, phase=new_pf)
+    new_state = replace(moved, phase=phase_heat_step(moved.phase, moved.cache, dt))
 
-    rec = _record(new_state, t + dt, dt, e_accum + dt * (pre_h**2 + pre_a * pre_h))
+    e_accum = last.E_accum + dt * (last.max_H**2 + last.max_A * last.max_H)
+    rec = _record(new_state, last.t + dt, dt, e_accum)
     rec.metric_residual = metric_evolution_monitor(state, new_state, dt)
     if with_consistency:
-        rec.consistency_error = consistency_check(new_state, new_pf)
+        rec.consistency_error = consistency_check(new_state)
     return new_state, rec
 
 
-def efa_monitor(left, right, c_mon=DEFAULT_C_MON):
+def efa_monitor(left, right):
     """Violation of the energy decay inequality between lambda1 samples.
 
     d/dt T <= (-2 lambda1 + C max|H||A| + 2 max|grad a|^2) T, everything
@@ -246,17 +249,17 @@ def efa_monitor(left, right, c_mon=DEFAULT_C_MON):
     rate = (right.twistor_energy - left.twistor_energy) / (right.t - left.t)
     rhs = (
         -2.0 * left.lambda1
-        + c_mon * left.max_H * left.max_A
+        + C_MON * left.max_H * left.max_A
         + 2.0 * left.max_grad_sq
     ) * left.twistor_energy
     return _violation(rate - rhs)
 
 
-def efe_monitor(left, right, c_mon=DEFAULT_C_MON):
+def efe_monitor(left, right):
     """Violation of d/dt lambda1 >= -(max|H|^2 + C max|H||A|) lambda1."""
     _require_lambda1(left, right)
     rate = (right.lambda1 - left.lambda1) / (right.t - left.t)
-    rhs = (left.max_H**2 + c_mon * left.max_H * left.max_A) * left.lambda1
+    rhs = (left.max_H**2 + C_MON * left.max_H * left.max_A) * left.lambda1
     return _violation(-rate - rhs)
 
 
@@ -297,24 +300,20 @@ def run_flow(cfg, scenario, observe=None):
         sampled.lambda1 = lambda1(state.cache).lambda1
         emit(sampled, state)
 
-        t, e_accum = 0.0, 0.0
         for step in range(1, cfg.steps + 1):
-            max_h = float(np.sqrt(state.cache.norm_H_sq.max()))
-            if cfg.max_h_below is not None and max_h < cfg.max_h_below:
+            last = series.records[-1]
+            if cfg.max_h_below is not None and last.max_H < cfg.max_h_below:
                 series.stop_reason = "max_H_below"
                 break
-            if cfg.t_final is not None and t >= cfg.t_final - 1e-15:
+            if cfg.t_final is not None and last.t >= cfg.t_final - 1e-15:
                 series.stop_reason = "t_final"
                 break
             with_cons = cfg.consistency_cadence > 0 and step % cfg.consistency_cadence == 0
-            state, rec = coupled_step(
-                state, cfg, t=t, e_accum=e_accum, with_consistency=with_cons
-            )
-            t, e_accum = rec.t, rec.E_accum
+            state, rec = coupled_step(state, cfg, last, with_consistency=with_cons)
             if step % cfg.lambda1_cadence == 0:
                 rec.lambda1 = lambda1(state.cache).lambda1
-                rec.efa_residual = efa_monitor(sampled, rec, cfg.c_mon)
-                rec.efe_residual = efe_monitor(sampled, rec, cfg.c_mon)
+                rec.efa_residual = efa_monitor(sampled, rec)
+                rec.efe_residual = efe_monitor(sampled, rec)
                 sampled = rec
             emit(rec, state)
         else:

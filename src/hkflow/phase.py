@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, PreconditionError
-from .kernel import _TRIPLE, _apply_phase, _companion, _dot, _tangent_phase
+from .kernel import _TRIPLE, VERIFY_TOL, _apply_phase, _companion, _dot, _tangent_phase
 from .surface import (
     _central,
     _cometric,
@@ -35,7 +35,6 @@ from .surface import (
 
 POLE_TOL = 0.05          # refuse polar charts closer than this to |a3| = 1
 LAGRANGIAN_TOL = 0.05    # refuse the Lagrangian angle beyond this |a3|
-FRAME_VERIFY_TOL = 1e-6
 
 
 @dataclass
@@ -72,7 +71,7 @@ def phase_field(cache):
     d3 = _apply_phase(a, e3, _TRIPLE) + e4
     residual = np.sqrt(_dot(d1, d1)) + np.sqrt(_dot(d3, d3))
     worst = float(residual.max())
-    if worst > FRAME_VERIFY_TOL:
+    if worst > VERIFY_TOL:
         ij = tuple(int(k) for k in np.unravel_index(np.argmax(residual), residual.shape))
         raise FrameError(
             f"node frame at {ij} violates the twistor relations: residual {worst:.3e}"

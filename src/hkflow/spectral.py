@@ -229,6 +229,7 @@ def geodesic_ball_volumes(cache, centers=None, radii=0.5):
     if centers is None:
         centers = default_ball_centers(cache)
     nu, nv = cache.grid.nu, cache.grid.nv
+    centers = tuple(centers)            # a generator is read once
     for center in centers:
         if not _is_node(center, nu, nv):
             raise InputError(

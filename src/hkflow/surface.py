@@ -91,6 +91,10 @@ class ScenarioSpec:
 
 
 def scenario(name, nu, nv, **params):
+    for key, val in (("nu", nu), ("nv", nv)):
+        # int() would floor 8.7 and raise bare on NaN and inf; a bool is an int too
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+            raise InputError(f"grid size {key} must be an integer, got {val!r}")
     return ScenarioSpec(name, int(nu), int(nv), params)
 
 

@@ -10,6 +10,7 @@ formatting regression.  Exit codes: 0 ok, 2 validation, 3 numerical,
 4 i/o.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -181,34 +182,36 @@ def test_init_refuses_parameters_the_scenario_does_not_take(tmp_path, run_cli, a
 
 # each of these used to write a manifest that `run` refused or misread:
 # the config flags failed FlowConfig only at replay, and the reader cuts a
-# value at '#', a line at a line break and strips the value
+# value at '#', a line at a line break and strips the value; --c-mon set
+# a constant that is no longer a setting, and argparse refuses it
 UNREPLAYABLE_INIT_FLAGS = (
-    (["--steps", "-1"], "--steps: steps must be >= 0"),
-    (["--safety", "5"], "--safety: cfl safety must lie in"),
-    (["--lambda1-cadence", "0"], "--lambda1-cadence: lambda1_cadence must be >= 1"),
-    (["--consistency-cadence", "-1"], "--consistency-cadence: consistency_cadence must be >= 0"),
-    (["--dt", "-1"], "--dt: fixed dt must be positive"),
-    (["--c-mon", "nan"], "--c-mon: c_mon must be finite"),
-    (["--max-h-below", "inf"], "--max-h-below: max_h_below must be finite"),
-    (["--t-final", "nan"], "--t-final: t_final must be finite"),
-    (["--eps", "nan"], "--eps must be finite"),
-    (["--out", "exp#1"], "--out 'exp#1': a manifest value cannot hold '#'"),
-    (["--out", "exp\n1"], "--out 'exp\\n1': a manifest value cannot hold"),
-    (["--out", " exp"], "--out ' exp': a manifest value cannot hold"),
-    (["--exprs", "u;v;0*u;0*u#note"], "--exprs 'u;v;0*u;0*u#note': a manifest value"),
-    (["--exprs", "u;v;0*u;\n0*u"], "--exprs 'u;v;0*u;\\n0*u': a manifest value"),
-    (["--exprs", "u;v;0*u;0*u\r"], "--exprs 'u;v;0*u;0*u\\r': a manifest value"),
+    (["--steps", "-1"], "validation failure: --steps: steps must be >= 0"),
+    (["--safety", "5"], "validation failure: --safety: cfl safety must lie in"),
+    (["--lambda1-cadence", "0"], "validation failure: --lambda1-cadence: lambda1_cadence must be >= 1"),
+    (["--consistency-cadence", "-1"], "validation failure: --consistency-cadence: consistency_cadence must be >= 0"),
+    (["--dt", "-1"], "validation failure: --dt: fixed dt must be positive"),
+    (["--c-mon", "4"], "hkflow: error: unrecognized arguments: --c-mon 4"),
+    (["--max-h-below", "inf"], "validation failure: --max-h-below: max_h_below must be finite"),
+    (["--t-final", "nan"], "validation failure: --t-final: t_final must be finite"),
+    (["--eps", "nan"], "validation failure: --eps must be finite"),
+    (["--out", "exp#1"], "validation failure: --out 'exp#1': a manifest value cannot hold '#'"),
+    (["--out", "exp\n1"], "validation failure: --out 'exp\\n1': a manifest value cannot hold"),
+    (["--out", " exp"], "validation failure: --out ' exp': a manifest value cannot hold"),
+    (["--exprs", "u;v;0*u;0*u#note"], "validation failure: --exprs 'u;v;0*u;0*u#note': a manifest value"),
+    (["--exprs", "u;v;0*u;\n0*u"], "validation failure: --exprs 'u;v;0*u;\\n0*u': a manifest value"),
+    (["--exprs", "u;v;0*u;0*u\r"], "validation failure: --exprs 'u;v;0*u;0*u\\r': a manifest value"),
 )
 
 
 @pytest.mark.parametrize("flags, message", UNREPLAYABLE_INIT_FLAGS)
 def test_init_refuses_unreplayable_manifest(tmp_path, run_cli, flags, message):
-    err = assert_validation_failure(run_cli(
+    code, _, err = run_cli(
         "init", "--scenario", "custom-expression", "--nu", "8", "--nv", "8",
         "--exprs", "u;v;0*u;0*u", "--periods", "6.283185307179586," * 3 + "6.283185307179586",
         *flags,
-    ))
-    assert message in err
+    )
+    assert code == 2, err
+    assert message in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -307,7 +310,8 @@ def test_run_rejects_malformed_numbers(flat_dir, tmp_path, run_cli):
         ("missing", man.replace("\nnu = 32\n", "\n"), "manifest is missing nu"),
         ("steps", man.replace("\nsteps = ", "\nsteps = x"), "manifest key steps must be int"),
         ("periods", man + "periods = 1,two,3,4\n", "manifest key periods must be"),
-        ("nan", man.replace("\nc_mon = ", "\nc_mon = nan # "), "manifest key c_mon must be finite"),
+        ("nan", man + "c_mon = nan\n", "manifest key c_mon = nan is not supported; it is always 8.0"),
+        ("scheme", man.replace("\nscheme = euler\n", "\nscheme = false\n"), "unknown scheme 'false'"),
         # init used to write a parameter the scenario does not take
         ("stray", man + "eps = 0.3\n", "flat-plane-torus does not take eps"),
     ):
@@ -340,6 +344,76 @@ def test_run_old_renormalize_switch(flat_dir, tmp_path, run_cli):
     (tmp_path / "on.manifest").write_text(man + "renormalize_phase = true\n")
     succeeded(run_cli("run", "on.manifest"))
     assert (tmp_path / "flat-plane-torus-32x32.csv").read_text().split("\n")[1] == FLAT_ROW
+
+
+@pytest.mark.parametrize("line, message", [
+    ("c_mon = 4.0", "c_mon = 4.0 is not supported; it is always 8.0"),
+    ("triple = left", "triple = left is not supported; it is always right-quaternion(-i,-j,-k)"),
+    ("format_version = 2", "format_version = 2 is not supported; it is always 1"),
+], ids=["c_mon", "triple", "format_version"])
+def test_run_refuses_another_value_of_a_one_value_key(flat_dir, tmp_path, run_cli, line, message):
+    key = line.split(" = ")[0]
+    man = (flat_dir / "flat-plane-torus-32x32.manifest").read_text()
+    kept = [l for l in man.split("\n") if not l.startswith(f"{key} = ")]
+    (tmp_path / "bad.manifest").write_text("\n".join(kept) + line + "\n")
+    err = assert_validation_failure(run_cli("run", "bad.manifest"))
+    assert err == f"validation failure: manifest key {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "bad.manifest"]
+
+
+def test_manifest_with_retired_keys_replays_to_the_same_bytes(tmp_path, run_cli):
+    # earlier versions wrote c_mon, and before it the renormalize_phase
+    # switch; each holds its one value, so such a manifest replays unchanged
+    succeeded(run_cli(
+        "init", "--scenario", "perturbed-complex-torus", "--nu", "16", "--nv", "16",
+        "--steps", "12", "--lambda1-cadence", "4", "--consistency-cadence", "3",
+    ))
+    man = tmp_path / "perturbed-complex-torus-16x16.manifest"
+    csv = tmp_path / "perturbed-complex-torus-16x16.csv"
+    text = man.read_text()
+    assert "c_mon" not in text and "renormalize_phase" not in text
+    succeeded(run_cli("run", man.name))
+    fresh = csv.read_bytes()
+    assert fresh.count(b"\n") == 14 and b",," not in fresh.split(b"\n")[5]   # efa/efe at step 4
+    man.write_text(
+        text.replace("\nstop_max_h_below = ", "\nc_mon = 8.0\nstop_max_h_below = ")
+        + "renormalize_phase = true\n"
+    )
+    csv.unlink()
+    succeeded(run_cli("run", man.name))
+    assert csv.read_bytes() == fresh
+
+
+def test_run_refuses_unknown_keys(tmp_path, run_cli):
+    # a misspelled stop rule used to be dropped without a word: the run
+    # went on to its step budget
+    succeeded(run_cli(
+        "init", "--scenario", "perturbed-complex-torus", "--nu", "16", "--nv", "16",
+        "--t-final", "0.01", "--steps", "50", "--out", "t",
+    ))
+    assert "2 rows, stop t_final" in succeeded(run_cli("run", "t.manifest"))
+    csv, man = tmp_path / "t.csv", tmp_path / "t.manifest"
+    csv.unlink()
+    man.write_text(man.read_text().replace("\nstop_t_final_flow_time = ", "\nstop_t_final = "))
+    err = assert_validation_failure(run_cli("run", "t.manifest"))
+    assert err == "validation failure: manifest holds unknown keys: stop_t_final\n"
+    man.write_text(man.read_text() + "renormalise_phase = true\n")
+    err = assert_validation_failure(run_cli("run", "t.manifest"))
+    assert err.endswith("unknown keys: renormalise_phase, stop_t_final\n")
+    assert not csv.exists()
+    # every key init writes is one run knows, exprs and periods included
+    succeeded(run_cli(
+        "init", "--scenario", "custom-expression", "--nu", "8", "--nv", "8", "--out", "custom",
+        "--exprs", "u;v;0*u;0*u", "--periods", ",".join([repr(2 * np.pi)] * 4),
+    ))
+    succeeded(run_cli("run", "custom.manifest"))
+
+
+def test_c_mon_is_a_constant_not_a_setting(run_cli):
+    assert "c_mon" not in {f.name for f in dataclasses.fields(FlowConfig)}
+    code, out, _ = run_cli("init", "--help")
+    assert code == 0
+    assert "--consistency-cadence" in out and "--c-mon" not in out
 
 
 def test_run_unwritable_csv(flat_dir, tmp_path, run_cli):
@@ -513,12 +587,13 @@ def test_manifest_replays_the_init_settings(run_cli):
         max_h_below=1e-6
     )
     flags = ["--dt", "0.001", "--safety", "0.5", "--scheme", "rk2", "--steps", "7",
-             "--lambda1-cadence", "3", "--consistency-cadence", "2", "--c-mon", "4",
+             "--lambda1-cadence", "3", "--consistency-cadence", "2",
              "--max-h-below", "1e-3", "--t-final", "2"]
     succeeded(run_cli(*base, *flags, "--out", "set"))
+    succeeded(run_cli("run", "set.manifest"))      # every key init writes is one run knows
     assert cli._config_from_manifest(cli.read_manifest("set.manifest")) == FlowConfig(
         dt=0.001, safety=0.5, scheme="rk2", steps=7, lambda1_cadence=3,
-        consistency_cadence=2, c_mon=4.0, max_h_below=1e-3, t_final=2.0,
+        consistency_cadence=2, max_h_below=1e-3, t_final=2.0,
     )
     assert cli._config_from_manifest({}) == FlowConfig()
     assert FlowConfig().steps == 5000

@@ -84,7 +84,7 @@ def test_config_validation():
         FlowConfig(consistency_cadence=-1)
     FlowConfig(steps=0, consistency_cadence=0)
     # NaN passes every ordering test (dt <= 0, max_H < stop), so it is named
-    for name in ("c_mon", "dt", "max_h_below", "t_final"):
+    for name in ("dt", "max_h_below", "t_final"):
         with pytest.raises(InputError, match=f"{name} must be finite"):
             FlowConfig(**{name: float("nan")})
     FlowConfig(dt=1e-3, scheme="rk2", max_h_below=1e-6, t_final=2.0)
@@ -202,7 +202,7 @@ def test_harmonic_phase_is_fixed_point():
 
 def test_coupled_step_record_fields(pert64):
     cfg = FlowConfig(steps=1, lambda1_cadence=1000)
-    new_state, rec = coupled_step(pert64, cfg, t=0.0, e_accum=0.0)
+    new_state, rec = coupled_step(pert64, cfg)
     assert rec.t == pytest.approx(rec.dt)
     assert rec.area < pert64.cache.node_area().sum()
     assert rec.max_H > 0 and rec.max_A > 0
@@ -210,6 +210,10 @@ def test_coupled_step_record_fields(pert64):
         rec.dt * (pert64.cache.norm_H_sq.max() + np.sqrt(pert64.cache.norm_H_sq.max() * pert64.cache.norm_A_sq.max())),
         rel=1e-12,
     )
+    # the next step continues from the row measured on its state
+    _, nxt = coupled_step(new_state, cfg, rec)
+    assert nxt.t == rec.t + nxt.dt
+    assert nxt.E_accum == rec.E_accum + nxt.dt * (rec.max_H**2 + rec.max_A * rec.max_H)
 
 
 # ---------------------------------------------------------------- consistency
@@ -285,11 +289,11 @@ def test_monitor_insufficient_records(pert_run):
     unsampled = series.records[1]
     assert unsampled.lambda1 is None
     for monitor in (efa_monitor, efe_monitor):
-        assert monitor(left, right, 8.0) >= 0.0
+        assert monitor(left, right) >= 0.0
         with pytest.raises(PreconditionError, match="insufficient-records"):
-            monitor(left, unsampled, 8.0)
+            monitor(left, unsampled)
         with pytest.raises(PreconditionError, match="insufficient-records"):
-            monitor(unsampled, right, 8.0)
+            monitor(unsampled, right)
 
 
 def test_monitors_propagate_nan(pert_run):
@@ -297,9 +301,9 @@ def test_monitors_propagate_nan(pert_run):
     series, _ = pert_run
     left, right = [r for r in series.records if r.lambda1 is not None][-2:]
     nan_left = dataclasses.replace(left, lambda1=float("nan"))
-    assert math.isnan(efa_monitor(nan_left, right, 8.0))
-    assert math.isnan(efe_monitor(nan_left, right, 8.0))
-    assert efa_monitor(left, right, 8.0) >= 0.0
+    assert math.isnan(efa_monitor(nan_left, right))
+    assert math.isnan(efe_monitor(nan_left, right))
+    assert efa_monitor(left, right) >= 0.0
 
 
 # ---------------------------------------------------------------- runner

@@ -330,6 +330,9 @@ def test_ball_volumes_custom_centers_and_radii(flat64):
     assert rep.radius == 0.5
     assert {s[0] for s in rep.samples} == {(0, 0), (32, 32)}
     assert default_ball_centers(flat64)[0] == (0, 0)
+    # the validation loop used to use up a generator: "no ball centres given"
+    gen = ((i, i) for i in (0, 32))
+    assert geodesic_ball_volumes(flat64, centers=gen, radii=[0.3, 0.5]) == rep
 
 
 def test_ball_volumes_validation(flat64):

@@ -9,6 +9,7 @@ convergence order.
 
 import dataclasses
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -397,6 +398,11 @@ def test_scenario_validation():
         build_immersion(scenario("moebius", 16, 16))
     with pytest.raises(InputError, match="grid too small"):
         build_immersion(scenario("flat-plane-torus", 3, 16))
+    # int() floored 8.7 to 8, and NaN and inf escaped as ValueError and OverflowError
+    for size in (8.7, 8.0, np.nan, np.inf, True):
+        with pytest.raises(InputError, match=re.escape(f"grid size nv must be an integer, got {size!r}")):
+            scenario("flat-plane-torus", 8, size)
+    assert type(scenario("flat-plane-torus", np.int64(8), 8).nu) is int
     with pytest.raises(InputError, match="eps"):
         build_immersion(scenario("perturbed-complex-torus", 16, 16, eps=-0.1))
     with pytest.raises(InputError, match="positive radii"):
