@@ -34,7 +34,7 @@ def main():
     for _ in range(5):
         a = rng.standard_normal(3)
         a /= np.linalg.norm(a)
-        ja = phase_operator(a, triple)
+        ja = phase_operator(a)
         worst = max(
             worst,
             np.abs(ja @ ja + eye).max(),
@@ -53,7 +53,7 @@ def main():
         print(f"  omega_{d} on (e_k, e_l), k<l: {np.array(vals)}")
 
     print("\nholomorphic symplectic form of the pair (J_1, J_2)")
-    form = holomorphic_symplectic((1, 0, 0), (0, 1, 0), triple)
+    form = holomorphic_symplectic((1, 0, 0), (0, 1, 0))
     print(f"  Omega(e1, e3) = {form.evaluate(basis[0], basis[2])}")
     print(f"  Omega(e1, e4) = {form.evaluate(basis[0], basis[3])}")
     sym = np.abs(form.real_part + form.real_part.T).max()
@@ -69,8 +69,8 @@ def main():
         c, s = np.cos(t), np.sin(t)
         e2 = np.array([0.0, c, 0.0, s])
         a_raw = np.array([float(e2 @ (j @ e1)) for j in (j1, j2, j3)])
-        e4 = -(phase_operator(a_raw, triple) @ e3)
-        a = canonical_phase_from_frame(e1, e2, e3, e4, triple)
+        e4 = -(phase_operator(a_raw) @ e3)
+        a = canonical_phase_from_frame(e1, e2, e3, e4)
         print(f"  tilt {t:5.3f}: a = ({a[0]:+.4f}, {a[1]:+.4f}, {a[2]:+.4f})")
 
 

@@ -47,9 +47,9 @@ def main():
     # ratio brackets pi within roughly 10% instead of converging to it
     cache = cache_for("flat-plane-torus", 64)
     for r in (0.25, 0.5, 1.0):
-        rep = geodesic_ball_volumes(cache, radii=r)
+        rep = geodesic_ball_volumes(cache, radius=r)
         print(f"  flat torus r = {r:4.2f}: worst ratio kappa = {rep.kappa:.4f}   (pi = {np.pi:.4f})")
-    rep = geodesic_ball_volumes(cache_for("clifford", 64, R=1.0, r=1.0), radii=0.5)
+    rep = geodesic_ball_volumes(cache_for("clifford", 64, R=1.0, r=1.0), radius=0.5)
     print(f"  clifford   r = 0.50: worst ratio kappa = {rep.kappa:.4f}")
 
     print("\nsup-norm certificate for an L2-small field")

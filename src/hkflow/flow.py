@@ -1,7 +1,7 @@
 """Coupled mean-curvature / phase-heat flow with its monitor suite.
 
 A SurfaceState is what evolves: the geometry cache, whose grid is
-cache.grid, and the phase, read through the kernel's pinned triple.  One
+cache.grid, and the phase under the kernel's one fixed triple.  One
 step = move positions along H, rebuild the geometry, then heat-step the
 phase on the updated metric.  The splitting defect is not assumed small:
 consistency_check measures it by re-deriving the phase from the moved

@@ -15,19 +15,17 @@ Conventions, fixed once and used everywhere downstream:
   a_d = <J_d e1, e2>.  The second relation is automatic for positively
   oriented frames and is verified, not assumed.
 
-Kernel functions take a triple; nothing above the kernel does: surface,
-phase, flow and cli read the one pinned instance, _TRIPLE.
+No function takes a triple: every one reads the one pinned instance,
+_TRIPLE, which standard_twistor_triple() returns.
 
 All operations are pure functions of immutable values.  The private
 per-node helpers (_dot, _tangent_phase, _apply_phase, _companion) take
 component planes: arrays whose FIRST axis holds the components,
-(4, nu, nv) for vectors and (3, nu, nv) for phases.  J_d acts on planes
-through TwistorTriple.terms, the nonzero (k, J_d[r, k]) entries of every
-row read once per triple, so a signed permutation (every J_d of the
-pinned triple) costs one scaled copy per plane.
+(4, nu, nv) for vectors and (3, nu, nv) for phases.  Every J_d of the
+pinned triple is a signed permutation, so it acts on planes through the
+fixed row table _J_ROWS[d][r] = (k, +-1.0), one scaled copy per plane.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -43,13 +41,13 @@ PHI_SWAP_TOL = 0.1       # switch companion chart when |z x a| falls below this
 
 
 def _right_mult_matrix(q):
-    """Matrix of x -> x * q on R^4 = H in the basis (1, i, j, k).
+    """Read-only matrix of x -> x * q on R^4 = H in the basis (1, i, j, k).
 
-    q is a length-4 array (q0, q1, q2, q3) = q0 + q1 i + q2 j + q3 k;
+    q is a length-4 sequence (q0, q1, q2, q3) = q0 + q1 i + q2 j + q3 k;
     row r holds the r-th component of x * q as a function of x.
     """
     q0, q1, q2, q3 = q
-    return np.array(
+    m = np.array(
         [
             [q0, -q1, -q2, -q3],
             [q1, q0, q3, -q2],
@@ -58,6 +56,8 @@ def _right_mult_matrix(q):
         ],
         dtype=float,
     )
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -68,29 +68,22 @@ class TwistorTriple:
     j2: np.ndarray
     j3: np.ndarray
 
-    def as_stack(self):
-        return np.stack([self.j1, self.j2, self.j3])
 
-    @functools.cached_property
-    def terms(self):
-        """terms[d][r] = ((k, J_d[r, k]), ...) over the nonzero entries, k ascending."""
-        return tuple(
-            tuple(tuple((int(k), float(row[k])) for k in np.flatnonzero(row)) for row in j)
-            for j in self.as_stack()
-        )
+_TRIPLE = TwistorTriple(
+    _right_mult_matrix([0.0, -1.0, 0.0, 0.0]),
+    _right_mult_matrix([0.0, 0.0, -1.0, 0.0]),
+    _right_mult_matrix([0.0, 0.0, 0.0, -1.0]),
+)
+# _J_ROWS[d][r] = (k, J_d[r, k]) for the one nonzero entry of row r
+_J_ROWS = tuple(
+    tuple((int(k), float(row[k])) for row in j for k in np.flatnonzero(row))
+    for j in (_TRIPLE.j1, _TRIPLE.j2, _TRIPLE.j3)
+)
 
 
 def standard_twistor_triple():
     """The pinned triple: right quaternion multiplication by (-i, -j, -k)."""
-    j1 = _right_mult_matrix(np.array([0.0, -1.0, 0.0, 0.0]))
-    j2 = _right_mult_matrix(np.array([0.0, 0.0, -1.0, 0.0]))
-    j3 = _right_mult_matrix(np.array([0.0, 0.0, 0.0, -1.0]))
-    for m in (j1, j2, j3):
-        m.setflags(write=False)
-    return TwistorTriple(j1, j2, j3)
-
-
-_TRIPLE = standard_twistor_triple()
+    return _TRIPLE
 
 
 @dataclass(frozen=True)
@@ -147,10 +140,10 @@ def as_unit_coefficient(a):
     return a / n
 
 
-def phase_operator(a, triple):
+def phase_operator(a):
     """J_a = a1 J1 + a2 J2 + a3 J3 for unit a."""
     a = as_unit_coefficient(a)
-    return a[0] * triple.j1 + a[1] * triple.j2 + a[2] * triple.j3
+    return a[0] * _TRIPLE.j1 + a[1] * _TRIPLE.j2 + a[2] * _TRIPLE.j3
 
 
 def phi_field(a):
@@ -181,41 +174,38 @@ def _companion(a):
     return b / np.sqrt(_dot(b, b))
 
 
-def _apply_row(terms, vec, out):
-    """out = sum_k J[r, k] vec[k] over the (k, J[r, k]) terms of one row."""
-    (k, c), *rest = terms
-    np.multiply(c, vec[k], out=out)
-    for k, c in rest:
-        out += c * vec[k]
+def _apply_j(d, vec, out=None):
+    """J_{d+1} vec on component planes (4, ...), one signed copy per row."""
+    if out is None:
+        out = np.empty(vec.shape)
+    for r, (k, sign) in enumerate(_J_ROWS[d]):
+        np.multiply(sign, vec[k], out=out[r])
     return out
 
 
-def _tangent_phase(e1, e2, triple):
+def _tangent_phase(e1, e2):
     """Unit a with a_d = <J_d e1, e2> on component planes: e1, e2 (4, ...) -> (3, ...)."""
     a = np.empty((3,) + e1.shape[1:])
     j_e1 = np.empty(e1.shape)
-    for d, rows in enumerate(triple.terms):
-        for r, terms in enumerate(rows):
-            _apply_row(terms, e1, j_e1[r])
-        a[d] = _dot(j_e1, e2)
+    for d in range(3):
+        a[d] = _dot(_apply_j(d, e1, j_e1), e2)
     return a / np.sqrt(_dot(a, a))
 
 
-def _apply_phase(coeff, vec, triple):
+def _apply_phase(coeff, vec):
     """(sum_d coeff_d J_d) vec on component planes: coeff (3, ...), vec (4, ...).
 
-    J_d is read from triple.terms, its table of nonzero row entries.  Row r
-    is coeff_1 (J_1 vec)_r + coeff_2 (J_2 vec)_r + coeff_3 (J_3 vec)_r in that
-    order, each (J_d vec)_r summed over ascending k: the term order of the
-    matrix form sum_d coeff_d (J_d vec), so skipping the zero entries
-    changes no bit for any triple, signed permutation or not.
+    Row r is coeff_1 (J_1 vec)_r + coeff_2 (J_2 vec)_r + coeff_3 (J_3 vec)_r
+    in that order, the term order of the matrix form sum_d coeff_d (J_d vec).
     """
     out = np.empty(vec.shape)
     part = np.empty(vec.shape[1:])
-    for r, (terms1, terms2, terms3) in enumerate(zip(*triple.terms)):
-        np.multiply(coeff[0], _apply_row(terms1, vec, out[r]), out=out[r])
-        out[r] += np.multiply(coeff[1], _apply_row(terms2, vec, part), out=part)
-        out[r] += np.multiply(coeff[2], _apply_row(terms3, vec, part), out=part)
+    for r, ((k, sign), *rest) in enumerate(zip(*_J_ROWS)):
+        row = np.multiply(sign, vec[k], out=out[r])
+        np.multiply(coeff[0], row, out=row)
+        for c, (k, sign) in zip(coeff[1:], rest):
+            np.multiply(sign, vec[k], out=part)
+            row += np.multiply(c, part, out=part)
     return out
 
 
@@ -242,7 +232,7 @@ class HolomorphicSymplecticForm:
         return complex(u @ self.real_part @ v, u @ self.imag_part @ v)
 
 
-def holomorphic_symplectic(a, b, triple):
+def holomorphic_symplectic(a, b):
     """Holomorphic symplectic form of the pair J = J_a, K = J_b, a . b = 0.
 
     real(u, v) = <JK u, v>, imag(u, v) = -<K u, v>.
@@ -251,8 +241,8 @@ def holomorphic_symplectic(a, b, triple):
     b = as_unit_coefficient(b)
     if abs(float(np.dot(a, b))) > ORTHO_TOL:
         raise InputError(f"coefficient pair is not orthogonal: a.b = {np.dot(a, b)!r}")
-    j = phase_operator(a, triple)
-    k = phase_operator(b, triple)
+    j = phase_operator(a)
+    k = phase_operator(b)
     # B[k,l] = B(e_k, e_l) = <M e_k, e_l> = M^T[k,l]
     real = (j @ k).T.copy()
     imag = -(k.T.copy())
@@ -261,7 +251,7 @@ def holomorphic_symplectic(a, b, triple):
     return HolomorphicSymplecticForm(real, imag)
 
 
-def canonical_phase_from_frame(e1, e2, e3, e4, triple):
+def canonical_phase_from_frame(e1, e2, e3, e4):
     """Phase coefficient of an oriented orthonormal frame of R^4.
 
     Returns the unique unit a with J_a e1 = e2 and J_a e3 = -e4.
@@ -277,10 +267,10 @@ def canonical_phase_from_frame(e1, e2, e3, e4, triple):
         )
     if np.linalg.det(frame) <= 0.0:
         raise FrameError("frame is negatively oriented")
-    js = triple.as_stack()
+    js = np.stack([_TRIPLE.j1, _TRIPLE.j2, _TRIPLE.j3])
     a = js @ frame[0] @ frame[1]          # a_d = <J_d e1, e2>
     a = a / np.linalg.norm(a)
-    jpsi = a[0] * triple.j1 + a[1] * triple.j2 + a[2] * triple.j3
+    jpsi = a[0] * _TRIPLE.j1 + a[1] * _TRIPLE.j2 + a[2] * _TRIPLE.j3
     residual = np.linalg.norm(jpsi @ frame[0] - frame[1]) + np.linalg.norm(
         jpsi @ frame[2] + frame[3]
     )

@@ -1,7 +1,7 @@
 """Complex phase field of an immersed surface and the pointwise meters.
 
-The phase a(x) is the canonical twistor coefficient, under the pinned
-triple kernel._TRIPLE, of the oriented orthonormal frame at each node.
+The phase a(x) is the canonical twistor coefficient, under the kernel's
+one fixed triple, of the oriented orthonormal frame at each node.
 Gradients of a are central differences in parameter space; the energy
 density is the edge (Dirichlet form) density of
 surface.dirichlet_energy_density, so that the integral of |grad a|^2
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, PreconditionError
-from .kernel import _TRIPLE, VERIFY_TOL, _apply_phase, _companion, _dot, _tangent_phase
+from .kernel import VERIFY_TOL, _apply_j, _apply_phase, _companion, _dot, _tangent_phase
 from .surface import (
     _central,
     _cometric,
@@ -66,9 +66,9 @@ def phase_field(cache):
     """Canonical phase of every node frame, with the defining relations
     verified in bulk (mirrors kernel.canonical_phase_from_frame)."""
     e1, e2, e3, e4 = (_planes(e) for e in (cache.e1, cache.e2, cache.e3, cache.e4))
-    a = _tangent_phase(e1, e2, _TRIPLE)
-    d1 = _apply_phase(a, e1, _TRIPLE) - e2
-    d3 = _apply_phase(a, e3, _TRIPLE) + e4
+    a = _tangent_phase(e1, e2)
+    d1 = _apply_phase(a, e1) - e2
+    d3 = _apply_phase(a, e3) + e4
     residual = np.sqrt(_dot(d1, d1)) + np.sqrt(_dot(d3, d3))
     worst = float(residual.max())
     if worst > VERIFY_TOL:
@@ -132,9 +132,8 @@ def lagrangian_angle(pf, cache):
     col0 = np.unwrap(raw[:, 0])
     theta = rows + (col0 - raw[:, 0])[:, None]
 
-    # omega_{J3}(H, f_i) in the pinned convention; J3 H spelled out
-    H = _planes(cache.H)
-    j3h = np.stack([H[3], -H[2], H[1], -H[0]])
+    # omega_{J3}(H, f_i) in the pinned convention
+    j3h = _apply_j(2, _planes(cache.H))
     r_u = _dot(j3h, _planes(cache.f_u))
     r_v = _dot(j3h, _planes(cache.f_v))
     dth = _angle_grad(theta, cache)
@@ -167,8 +166,8 @@ def plf_residual(cache, pf):
     axb = np.cross(a, b, axis=0)
     f_u, f_v = _planes(cache.f_u), _planes(cache.f_v)
 
-    kh = _apply_phase(b, _planes(cache.H), _TRIPLE)     # J_b H
-    jkh = _apply_phase(a, kh, _TRIPLE)                  # J_a J_b H
+    kh = _apply_phase(b, _planes(cache.H))     # J_b H
+    jkh = _apply_phase(a, kh)                  # J_a J_b H
     p_u = _dot(jkh, f_u) - 1j * _dot(kh, f_u)
     p_v = _dot(jkh, f_v) - 1j * _dot(kh, f_v)
 
@@ -194,7 +193,7 @@ def bja_identity(cache, pf):
     Also returns the pointwise ratio |grad a| / |A|.
     """
     b = _companion(_planes(pf.a))
-    normals = tuple(_apply_phase(b, _planes(e), _TRIPLE) for e in (cache.e1, cache.e2))
+    normals = tuple(_apply_phase(b, _planes(e)) for e in (cache.e1, cache.e2))
     f_uu, f_uv, f_vv = (_planes(f) for f in (cache.f_uu, cache.f_uv, cache.f_vv))
     hp = _second_fundamental_form(f_uu, f_uv, f_vv, normals)
     # gs hp gs^T: the lower-triangular gs rows act on the row index, then the column index
@@ -242,7 +241,7 @@ def hyper_lagrangian_residual(cache, pf):
     phase; here it meters frame and phase self-consistency."""
     a = _planes(pf.a)
     e1, e2 = _planes(cache.e1), _planes(cache.e2)
-    kb_e1 = _apply_phase(_companion(a), e1, _TRIPLE)
-    real = _dot(_apply_phase(a, kb_e1, _TRIPLE), e2)
+    kb_e1 = _apply_phase(_companion(a), e1)
+    real = _dot(_apply_phase(a, kb_e1), e2)
     imag = -_dot(kb_e1, e2)
     return np.maximum(np.abs(real), np.abs(imag))

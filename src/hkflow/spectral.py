@@ -1,5 +1,9 @@
 """Spectral gap, geodesic ball volumes, and the sup-norm validator.
 
+Ball volumes are measured at one radius from one fixed 4 x 4 lattice of
+centres: the non-collapsing constant kappa enters only through
+Vol(B(x, r)) >= kappa r^2 at the validator's radius.
+
 The eigenproblem is the pencil (A, W) of surface.laplacian_matrix, the
 operator the phase heat step applies: A = -W Lap is symmetric positive
 semidefinite and W is the diagonal of node areas.  The first nonzero
@@ -191,94 +195,61 @@ def default_ball_centers(cache):
     return tuple(((nu * a) // 4, (nv * b) // 4) for a in range(4) for b in range(4))
 
 
-def _is_node(center, nu, nv):
-    """True for an (i, j) pair of integers with 0 <= i < nu and 0 <= j < nv."""
-    try:
-        i, j = center
-    except (TypeError, ValueError):
-        return False
-    integers = all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (i, j))
-    return integers and 0 <= i < nu and 0 <= j < nv
-
-
-def geodesic_ball_volumes(cache, centers=None, radii=0.5):
-    """Intrinsic ball areas over r^2 at the given centers and scales.
+def geodesic_ball_volumes(cache, radius=0.5):
+    """Intrinsic ball areas over r^2 at one radius, centred on the 4 x 4
+    lattice default_ball_centers.
 
     Distances are Dijkstra on the 8-neighbor chord graph, so the ratio
     tends to pi on smooth surfaces as r shrinks (short of the stencil's
-    direction bias, roughly 10% here).  Each search stops at the largest
-    radius r_max: nodes farther out are never read, so they stay inf.
-    The diameter proxy is the eccentricity of the first center, from one
-    search cut at 2 r_max; if that search leaves any node unreached, the
-    proxy exceeds 2 r_max and no radius is too large.  kappa is the
-    worst sampled ratio: the noncollapsing constant in
-    Vol(B(x, r)) >= kappa r^2.  Samples are (center, radius, volume,
-    ratio) tuples.  Radii must be a real number or a 1-D sequence of real
-    numbers, each finite and positive, and a centre an (i, j) node index
-    pair inside the grid; anything else raises InputError instead of
-    measuring NaN or a wrapped node.
+    direction bias, roughly 10% here).  Each search stops at r: nodes
+    farther out stay inf.  The diameter proxy is the eccentricity of the
+    first center, from one search cut at 2 r; if that search leaves a
+    node unreached, r is not too large.  kappa is the worst sampled
+    ratio: the noncollapsing constant in Vol(B(x, r)) >= kappa r^2.
+    Samples are (center, radius, volume, ratio) tuples.  A radius that
+    is not a finite positive real number raises InputError.
 
-    The report depends on the geometry alone, so it is computed once per
-    cache and centres/radii pair and returned from the cache's memo on
-    every later call: it describes cache.grid.positions as they were on
-    the first call.  Errors are not stored, so they raise on every call.
+    The report is computed once per cache and radius and then returned
+    from the cache's memo: it describes cache.grid.positions as they
+    were on the first call.  Errors are not stored.
     """
-    radii = _radii(radii)
-    if not radii or not all(math.isfinite(r) and r > 0 for r in radii):
-        raise InputError(f"ball radii must be finite and positive, got {radii}")
-    if centers is None:
-        centers = default_ball_centers(cache)
-    nu, nv = cache.grid.nu, cache.grid.nv
-    centers = tuple(centers)            # a generator is read once
-    for center in centers:
-        if not _is_node(center, nu, nv):
-            raise InputError(
-                f"ball centre {center!r} is not an integer pair inside [0, {nu}) x [0, {nv})"
-            )
-    centers = tuple((int(i), int(j)) for i, j in centers)
-    if not centers:
-        raise InputError("no ball centres given")
-    return cache._memoized(
-        ("ball_volumes", centers, radii), lambda: _ball_volumes(cache, centers, radii)
-    )
+    radius = _radius(radius)
+    return cache._memoized(("ball_volumes", radius), lambda: _ball_volumes(cache, radius))
 
 
-def _radii(radii):
-    """Radii as a tuple of float64, or InputError unless radii is a real
-    number or a 1-D sequence of real numbers (bools and strings are not)."""
-    try:
-        arr = np.asarray(radii)
-    except ValueError:                  # a ragged nesting
-        arr = None
-    if arr is None or arr.ndim > 1 or arr.dtype.kind not in "iuf":
-        raise InputError(
-            f"ball radii must be a real number or a 1-D sequence of real numbers, got {radii!r}"
-        )
-    return tuple(np.atleast_1d(arr).astype(float))
+def _finite_real(name, value):
+    """InputError unless value is a finite real number (a bool is not)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value}")
 
 
-def _ball_volumes(cache, centers, radii):
-    """geodesic_ball_volumes on validated int-pair centres and radii."""
+def _radius(radius):
+    """The ball radius as a float, or InputError unless it is a finite
+    positive real number."""
+    _finite_real("radius", radius)
+    if radius <= 0:
+        raise InputError(f"radius must be positive, got {radius}")
+    return float(radius)
+
+
+def _ball_volumes(cache, radius):
+    """geodesic_ball_volumes on a validated float radius."""
     import scipy.sparse.csgraph as csgraph
 
+    centers = default_ball_centers(cache)
     flat = [i * cache.grid.nv + j for i, j in centers]
     graph = _chord_graph(cache)
-    reach = csgraph.dijkstra(graph, directed=False, indices=flat[0], limit=2 * max(radii))
+    reach = csgraph.dijkstra(graph, directed=False, indices=flat[0], limit=2 * radius)
     proxy = float(reach.max())
-    if max(radii) > 0.5 * proxy:
-        raise InputError(
-            f"radius-too-large: {max(radii)} exceeds half the diameter proxy {proxy:.3f}"
-        )
-    dist = csgraph.dijkstra(graph, directed=False, indices=flat, limit=max(radii))
+    if radius > 0.5 * proxy:
+        raise InputError(f"radius-too-large: {radius} exceeds half the diameter proxy {proxy:.3f}")
+    dist = csgraph.dijkstra(graph, directed=False, indices=flat, limit=radius)
     w = cache.node_area().ravel()
-    samples = []
-    for k, center in enumerate(centers):
-        for r in radii:
-            r = float(r)
-            vol = float(w[dist[k] <= r].sum())
-            samples.append((center, r, vol, vol / r**2))
-    kappa = min(s[3] for s in samples)
-    return CollapseReport(kappa, max(radii), tuple(samples))
+    volumes = [float(w[d <= radius].sum()) for d in dist]
+    samples = tuple((c, radius, vol, vol / radius**2) for c, vol in zip(centers, volumes))
+    return CollapseReport(min(s[3] for s in samples), radius, samples)
 
 
 def c0_from_l2_validator(sigma, lam, cache, radius=0.5):
@@ -297,13 +268,8 @@ def c0_from_l2_validator(sigma, lam, cache, radius=0.5):
     if not finite.all():
         ij = tuple(int(k) for k in np.argwhere(~finite)[0])
         raise InputError(f"sigma must be finite, got {sigma[ij]} at node {ij}")
-    for name, value in (("lam", lam), ("radius", radius)):
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise InputError(f"{name} must be a real number, got {value!r}")
-        if not math.isfinite(value):
-            raise InputError(f"{name} must be finite, got {value}")
-    if radius <= 0:
-        raise InputError(f"radius must be positive, got {radius}")
+    _finite_real("lam", lam)
+    _radius(radius)
     grad_sq = _cometric(cache.ginv, _central(sigma, 0, cache.hu), _central(sigma, 1, cache.hv))
     measured = float(np.sqrt(grad_sq.max()))
     if lam < measured * (1 - 1e-9):
@@ -315,7 +281,7 @@ def c0_from_l2_validator(sigma, lam, cache, radius=0.5):
         raise PreconditionError(
             f"epsilon-too-large: L2 mass {eps:.3e} exceeds radius^4 = {radius**4:.3e}"
         )
-    report = geodesic_ball_volumes(cache, radii=radius)
+    report = geodesic_ball_volumes(cache, radius)
     bound = (lam + report.kappa**-0.5) * eps**0.25
     max_observed = float(np.abs(sigma).max())
     return ValidatorReport(bound, max_observed, max_observed <= bound, eps, report.kappa)

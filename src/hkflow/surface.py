@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalError, _read_text, _write_text
-from .kernel import _TRIPLE, AmbientSpace, _apply_phase, _companion, _dot, _tangent_phase
+from .kernel import AmbientSpace, _apply_phase, _companion, _dot, _tangent_phase
 
 DET_FLOOR_REL = 1e-10
 MIN_GRID = 4              # fewest nodes per parameter axis, sampled or loaded
@@ -463,9 +463,9 @@ def _extrinsic_half(cache):
 
     # normals adapted to the tangent phase a (J_a e1 = e2) and its companion
     # b: J_a J_b = -J_b J_a gives J_a e3 = -e4, so the frame is positive
-    b = _companion(_tangent_phase(e1, e2, _TRIPLE))
-    e3 = _apply_phase(b, e1, _TRIPLE)
-    e4 = _apply_phase(b, e2, _TRIPLE)
+    b = _companion(_tangent_phase(e1, e2))
+    e3 = _apply_phase(b, e1)
+    e4 = _apply_phase(b, e2)
     h = _second_fundamental_form(f_uu, f_uv, f_vv, (e3, e4))
 
     trace = ginv[0, 0] * f_uu + 2 * ginv[0, 1] * f_uv + ginv[1, 1] * f_vv

@@ -73,7 +73,7 @@ def converged():
     kappa = []
 
     def sample(rec, state):
-        kappa.append((rec.t, geodesic_ball_volumes(state.cache, radii=0.5).kappa, rec.E_accum))
+        kappa.append((rec.t, geodesic_ball_volumes(state.cache, radius=0.5).kappa, rec.E_accum))
 
     def observe(rec, state):
         if next(steps) % 500 == 0:

@@ -416,6 +416,20 @@ def test_c_mon_is_a_constant_not_a_setting(run_cli):
     assert "--consistency-cadence" in out and "--c-mon" not in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "clifford", "--R", "1", "--r", "1"],
+    ["--scenario", "perturbed-complex-torus", "--eps", "0.3"],
+    ["--scenario", "custom-expression", "--exprs", "u;v;0.3*sin(u+v);cos(v)",
+     "--periods", ",".join([repr(2 * np.pi)] * 4)],
+], ids=["clifford", "perturbed", "custom"])
+def test_run_starts_from_the_snapshot_bytes(tmp_path, run_cli, flags):
+    # run samples the scenario again instead of reading snapshot_path;
+    # a run of no steps writes back the very positions init saved
+    succeeded(run_cli("init", *flags, "--nu", "16", "--nv", "12", "--steps", "0", "--out", "z"))
+    assert "1 rows, stop steps" in succeeded(run_cli("run", "z.manifest"))
+    assert (tmp_path / "z.final.json").read_bytes() == (tmp_path / "z.snapshot.json").read_bytes()
+
+
 def test_run_unwritable_csv(flat_dir, tmp_path, run_cli):
     man = (flat_dir / "flat-plane-torus-32x32.manifest").read_text()
     man = man.replace(
@@ -722,7 +736,7 @@ snap = "flat-plane-torus-16x16.snapshot.json"
 codes.append(cli.main(["spectrum", snap]))
 report["spectrum"] = scipy_modules()
 cache = surface.compute_geometry(surface.load_snapshot(snap))
-report["kappa"] = spectral.geodesic_ball_volumes(cache, radii=0.5).kappa
+report["kappa"] = spectral.geodesic_ball_volumes(cache, radius=0.5).kappa
 report["balls"] = scipy_modules()
 report["codes"] = codes
 print(json.dumps(report))

@@ -33,6 +33,7 @@ from hkflow.flow import (
     phase_heat_step,
     run_flow,
 )
+from hkflow.kernel import phi_field
 from hkflow.phase import field_from_array, phase_field, tension_field, twistor_energy
 from hkflow.surface import _lam_min, build_immersion, scenario
 
@@ -166,6 +167,44 @@ def test_phase_drift_guard_names_nan():
     dt = 0.5 * cfl_dt(st.cache)
     with pytest.raises(NumericalError, match="non-finite phase: unit drift nan"):
         phase_heat_step(dataclasses.replace(st.phase, a=a), st.cache, dt)
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_phase_drift_guard_budget(monkeypatch, factor):
+    # the budget is 1.5 (dt^2 max|tau|^2 + dt max|<a, tau>|) + 1e-13, its
+    # margin written here as the literal 1.5.  tau is the unit companion of
+    # a, so <a, tau> is roundoff, and the phase is scaled off the sphere
+    # until |s a + dt tau| - 1 = sqrt(s^2 + dt^2) - 1 is factor x the budget
+    st = state_for("perturbed-complex-torus", 16, eps=0.05)
+    tau = phi_field(st.phase.a)
+    monkeypatch.setattr(hkflow.flow, "tension_field", lambda pf, cache: tau)
+    dt = 0.5 * cfl_dt(st.cache)
+    budget = 1.5 * dt**2 + 1e-13
+    scaled = np.sqrt((1 + factor * budget) ** 2 - dt**2) * st.phase.a
+    pf = dataclasses.replace(st.phase, a=scaled)
+    drift = np.abs(np.linalg.norm(scaled + dt * tau, axis=-1) - 1).max()
+    tau_sq = (tau * tau).sum(-1).max()
+    defect = np.abs((scaled * tau).sum(-1)).max()
+    bound = 1.5 * (dt**2 * tau_sq + dt * defect) + 1e-13
+    assert drift / bound == pytest.approx(factor, rel=1e-6)
+    if factor > 1:
+        with pytest.raises(NumericalError, match="phase-drift .* exceeds the projection budget"):
+            phase_heat_step(pf, st.cache, dt)
+    else:
+        phase_heat_step(pf, st.cache, dt)
+
+
+def test_phase_spread_is_the_largest_angle():
+    # a = (sin(alpha cos u), 0, cos(alpha cos u)) on a flat torus with even
+    # nu: the first components cancel in pairs u, u + pi, so the mean
+    # direction is the pole, and the largest angle to it is alpha, at
+    # u = 0 and u = pi; the mean angle would read about 2 alpha / pi
+    alpha = 0.6
+    st = state_for("flat-plane-torus", 16)
+    uu, _ = st.cache.grid.param_axes()
+    a = np.stack([np.sin(alpha * np.cos(uu)), 0 * uu, np.cos(alpha * np.cos(uu))], axis=-1)
+    state = SurfaceState(st.cache, field_from_array(a, st.cache))
+    assert hkflow.flow._phase_spread(state) == pytest.approx(alpha, rel=0, abs=1e-12)
 
 
 def test_phase_step_parabolic_guard():

@@ -11,8 +11,10 @@ import pytest
 
 from hkflow.errors import FrameError, InputError
 from hkflow.kernel import (
+    _J_ROWS,
+    _TRIPLE,
     AmbientSpace,
-    TwistorTriple,
+    _apply_j,
     _apply_phase,
     _dot,
     _tangent_phase,
@@ -106,13 +108,13 @@ def test_isometry_on_random_vectors(triple):
 
 
 def test_phase_operator_basis_coefficients(triple):
-    assert np.array_equal(phase_operator([1, 0, 0], triple), triple.j1)
-    assert np.array_equal(phase_operator([0, 0, 1], triple), triple.j3)
+    assert np.array_equal(phase_operator([1, 0, 0]), triple.j1)
+    assert np.array_equal(phase_operator([0, 0, 1]), triple.j3)
 
 
-def test_phase_operator_generic_direction(triple):
+def test_phase_operator_generic_direction():
     a = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    m = phase_operator(a, triple)
+    m = phase_operator(a)
     assert np.max(np.abs(m @ m + np.eye(4))) <= 1e-12
     for _ in range(20):
         u, v = RNG.standard_normal((2, 4))
@@ -121,9 +123,9 @@ def test_phase_operator_generic_direction(triple):
         )
 
 
-def test_phase_operator_rejects_non_unit(triple):
+def test_phase_operator_rejects_non_unit():
     with pytest.raises(InputError):
-        phase_operator([1.0, 1.0, 0.0], triple)
+        phase_operator([1.0, 1.0, 0.0])
 
 
 def test_symplectic_form_compatibility_and_antisymmetry(triple):
@@ -145,7 +147,7 @@ def test_symplectic_form_matrix_entry_vs_oracle(triple):
 
 
 def test_holomorphic_symplectic_standard_pair(triple):
-    form = holomorphic_symplectic([1, 0, 0], [0, 1, 0], triple)
+    form = holomorphic_symplectic([1, 0, 0], [0, 1, 0])
     # J1 J2 = J3, so the real part is omega_{J3}; the imaginary part is
     # -omega_{J2} under the sign convention Omega = omega_{JK} - i omega_K
     assert np.max(np.abs(form.real_part - triple.j3.T)) <= 1e-14
@@ -154,23 +156,23 @@ def test_holomorphic_symplectic_standard_pair(triple):
     assert np.max(np.abs(form.imag_part + form.imag_part.T)) <= 1e-14
 
 
-def test_holomorphic_symplectic_vanishes_on_diagonal(triple):
-    form = holomorphic_symplectic([0, 1, 0], [0, 0, 1], triple)
+def test_holomorphic_symplectic_vanishes_on_diagonal():
+    form = holomorphic_symplectic([0, 1, 0], [0, 0, 1])
     for _ in range(10):
         u = RNG.standard_normal(4)
         assert abs(form.evaluate(u, u)) <= 1e-12 * (1 + u @ u)
 
 
-def test_complex_lagrangian_plane_annihilates_omega_j1(triple):
+def test_complex_lagrangian_plane_annihilates_omega_j1():
     # span{e0, e1} is J1-complex, so Omega_{J1} restricted to it vanishes
-    form = holomorphic_symplectic([1, 0, 0], [0, 1, 0], triple)
+    form = holomorphic_symplectic([1, 0, 0], [0, 1, 0])
     u = np.array([1.0, 0, 0, 0])
     v = np.array([0.0, 1, 0, 0])
     assert abs(form.evaluate(u, v)) <= 1e-14
     assert abs(form.evaluate(v, u)) <= 1e-14
 
 
-def test_holomorphic_symplectic_componentwise_identity(triple):
+def test_holomorphic_symplectic_componentwise_identity():
     # Omega = omega_{JK} - i omega_K against direct evaluation of both forms
     for _ in range(20):
         a = RNG.standard_normal(3)
@@ -178,33 +180,33 @@ def test_holomorphic_symplectic_componentwise_identity(triple):
         b = RNG.standard_normal(3)
         b -= (b @ a) * a
         b /= np.linalg.norm(b)
-        form = holomorphic_symplectic(a, b, triple)
-        j = phase_operator(a, triple)
-        k = phase_operator(b, triple)
+        form = holomorphic_symplectic(a, b)
+        j = phase_operator(a)
+        k = phase_operator(b)
         u, v = RNG.standard_normal((2, 4))
         val = form.evaluate(u, v)
         assert abs(val.real - np.dot(j @ (k @ u), v)) <= 1e-12 * (1 + abs(val))
         assert abs(val.imag + np.dot(k @ u, v)) <= 1e-12 * (1 + abs(val))
 
 
-def test_holomorphic_symplectic_rejects_bad_pairs(triple):
+def test_holomorphic_symplectic_rejects_bad_pairs():
     with pytest.raises(InputError):
-        holomorphic_symplectic([1, 0, 0], [1, 0, 0], triple)
+        holomorphic_symplectic([1, 0, 0], [1, 0, 0])
     with pytest.raises(InputError):
-        holomorphic_symplectic([1, 0, 0], [0, 2, 0], triple)
+        holomorphic_symplectic([1, 0, 0], [0, 2, 0])
 
 
-def test_canonical_phase_standard_basis(triple):
+def test_canonical_phase_standard_basis():
     e = np.eye(4)
-    a = canonical_phase_from_frame(e[0], e[1], e[2], e[3], triple)
+    a = canonical_phase_from_frame(e[0], e[1], e[2], e[3])
     # frozen for this triple: the coordinate complex plane has phase -x
     assert np.max(np.abs(a - np.array([-1.0, 0.0, 0.0]))) <= 1e-14
-    jpsi = phase_operator(a, triple)
+    jpsi = phase_operator(a)
     assert np.linalg.norm(jpsi @ e[0] - e[1]) <= 1e-12
     assert np.linalg.norm(jpsi @ e[2] + e[3]) <= 1e-12
 
 
-def test_canonical_phase_lagrangian_plane(triple):
+def test_canonical_phase_lagrangian_plane():
     # span{e0, e2} is Lagrangian for omega_{J3}: a3 = 0, and for this
     # triple the phase is exactly (0, -1, 0)
     e0 = np.array([1.0, 0, 0, 0])
@@ -216,35 +218,35 @@ def test_canonical_phase_lagrangian_plane(triple):
     det = np.linalg.det(np.stack(frame))
     if det < 0:
         frame = [e0, e2, e3, e1]
-    a = canonical_phase_from_frame(*frame, triple)
+    a = canonical_phase_from_frame(*frame)
     assert abs(a[2]) <= 1e-14
     assert np.max(np.abs(a - np.array([0.0, -1.0, 0.0]))) <= 1e-14
 
 
-def test_canonical_phase_tangent_rotation_invariance(triple):
+def test_canonical_phase_tangent_rotation_invariance():
     e = np.eye(4)
-    a0 = canonical_phase_from_frame(e[0], e[1], e[2], e[3], triple)
+    a0 = canonical_phase_from_frame(e[0], e[1], e[2], e[3])
     for phi in (0.3, 1.1, 2.9):
         f1 = np.cos(phi) * e[0] + np.sin(phi) * e[1]
         f2 = -np.sin(phi) * e[0] + np.cos(phi) * e[1]
-        a = canonical_phase_from_frame(f1, f2, e[2], e[3], triple)
+        a = canonical_phase_from_frame(f1, f2, e[2], e[3])
         assert np.max(np.abs(a - a0)) <= 1e-12
 
 
-def test_canonical_phase_independent_normal_rotations(triple):
+def test_canonical_phase_independent_normal_rotations():
     # rotating (e1,e2) and (e3,e4) by independent angles keeps the phase
     for _ in range(20):
         q, _ = np.linalg.qr(RNG.standard_normal((4, 4)))
         if np.linalg.det(q) < 0:
             q[:, 3] = -q[:, 3]
         e1, e2, e3, e4 = q.T
-        a0 = canonical_phase_from_frame(e1, e2, e3, e4, triple)
+        a0 = canonical_phase_from_frame(e1, e2, e3, e4)
         phi, psi = RNG.uniform(0, 2 * np.pi, 2)
         f1 = np.cos(phi) * e1 + np.sin(phi) * e2
         f2 = -np.sin(phi) * e1 + np.cos(phi) * e2
         f3 = np.cos(psi) * e3 + np.sin(psi) * e4
         f4 = -np.sin(psi) * e3 + np.cos(psi) * e4
-        a = canonical_phase_from_frame(f1, f2, f3, f4, triple)
+        a = canonical_phase_from_frame(f1, f2, f3, f4)
         assert np.max(np.abs(a - a0)) <= 1e-10
 
 
@@ -255,54 +257,34 @@ def test_canonical_phase_reproduces_kahler_pairing(triple):
         if np.linalg.det(q) < 0:
             q[:, 3] = -q[:, 3]
         e1, e2, e3, e4 = q.T
-        a = canonical_phase_from_frame(e1, e2, e3, e4, triple)
+        a = canonical_phase_from_frame(e1, e2, e3, e4)
         assert abs(a[2] - symplectic_form(triple.j3, e1, e2)) <= 1e-12
         assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
 
 
-def test_canonical_phase_error_paths(triple):
+def test_canonical_phase_error_paths():
     e = np.eye(4)
     with pytest.raises(FrameError, match="not orthonormal"):
-        canonical_phase_from_frame(2 * e[0], e[1], e[2], e[3], triple)
+        canonical_phase_from_frame(2 * e[0], e[1], e[2], e[3])
     with pytest.raises(FrameError, match="oriented"):
-        canonical_phase_from_frame(e[1], e[0], e[2], e[3], triple)
+        canonical_phase_from_frame(e[1], e[0], e[2], e[3])
     # small orthonormality slack below the gate is accepted
     wiggle = e[0] + 1e-9 * e[1]
-    a = canonical_phase_from_frame(wiggle, e[1], e[2], e[3], triple)
+    a = canonical_phase_from_frame(wiggle, e[1], e[2], e[3])
     assert abs(np.linalg.norm(a) - 1.0) <= 1e-9
 
 
-def _rotated_triple(triple, angle=0.7, axis=(1.0, 2.0, 2.0)):
-    """J'_d = sum_e R_de J_e for a rotation R of the twistor sphere: still a
-    quaternion triple, but no matrix of it is a signed permutation."""
-    k = np.asarray(axis) / np.linalg.norm(axis)
-    cross = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    rot = np.eye(3) + np.sin(angle) * cross + (1 - np.cos(angle)) * cross @ cross
-    return TwistorTriple(*np.einsum("de,ekl->dkl", rot, triple.as_stack()))
-
-
-@pytest.mark.parametrize("which", ["standard", "pole", "rotated"])
-def test_plane_helpers_match_the_matrix_form(triple, which):
-    # the plane helpers apply J_d from its table of nonzero row entries;
-    # they must agree with the plain products vec @ J_d^T for any triple,
-    # exactly for signed permutations, where each row has one entry
-    chosen = {
-        "standard": triple,
-        "pole": TwistorTriple(triple.j3, triple.j2, -triple.j1),   # the flat plane's a at the pole
-        "rotated": _rotated_triple(triple),
-    }[which]
-    tol = {"standard": 0.0, "pole": 0.0, "rotated": 1e-15}[which]
-    js = chosen.as_stack()
+def test_plane_helpers_match_the_matrix_form(triple):
+    # the plane helpers apply J_d from its fixed row table; every J_d is a
+    # signed permutation, so they agree with the plain products vec @ J_d^T
+    # bit for bit
+    assert standard_twistor_triple() is _TRIPLE
+    js = np.stack([triple.j1, triple.j2, triple.j3])
     rebuilt = np.zeros((3, 4, 4))
-    for d, rows in enumerate(chosen.terms):
-        for r, terms in enumerate(rows):
-            for k, c in terms:
-                rebuilt[d, r, k] = c
+    for d, rows in enumerate(_J_ROWS):
+        for r, (k, sign) in enumerate(rows):
+            rebuilt[d, r, k] = sign
     assert np.array_equal(rebuilt, js)
-    if which == "rotated":
-        assert all(np.count_nonzero(j[0]) > 1 for j in js)
-        assert np.abs(js[0] @ js[1] - js[2]).max() < 1e-15
-    # unit vectors keep every entry below 1, so 1e-15 is a few ulps
     e1, e2 = RNG.standard_normal((2, 7, 5, 4))
     coeff = RNG.standard_normal((7, 5, 3))
     for x in (e1, e2, coeff):
@@ -315,8 +297,10 @@ def test_plane_helpers_match_the_matrix_form(triple, which):
     def planes(x):
         return np.moveaxis(x, -1, 0)
 
-    assert np.abs(_tangent_phase(planes(e1), planes(e2), chosen) - planes(a)).max() <= tol
-    assert np.abs(_apply_phase(planes(coeff), planes(e1), chosen) - planes(applied)).max() <= tol
+    assert np.array_equal(_tangent_phase(planes(e1), planes(e2)), planes(a))
+    assert np.array_equal(_apply_phase(planes(coeff), planes(e1)), planes(applied))
+    for d, j in enumerate(js):
+        assert np.array_equal(_apply_j(d, planes(e1)), planes(e1 @ j.T))
 
 
 def _bits(x):

@@ -1,5 +1,7 @@
 """The package root: the entry points the README and the demos import."""
 
+import inspect
+
 import hkflow
 
 ROOT_NAMES = [
@@ -19,3 +21,42 @@ def test_root_exports_the_entry_points():
     assert sorted(hkflow.__all__) == ROOT_NAMES
     for name in hkflow.__all__:
         assert getattr(hkflow, name) is not None, name
+
+
+# every function the root exports, with its parameters: a setting that was
+# dropped cannot come back without an edit here
+ROOT_SIGNATURES = {
+    "bja_identity": "(cache, pf)",
+    "build_immersion": "(spec)",
+    "c0_from_l2_validator": "(sigma, lam, cache, radius=0.5)",
+    "canonical_phase_from_frame": "(e1, e2, e3, e4)",
+    "compute_geometry": "(grid)",
+    "decay_fit": "(series, window)",
+    "gauss_curvature_check": "(cache)",
+    "geodesic_ball_volumes": "(cache, radius=0.5)",
+    "holomorphic_symplectic": "(a, b)",
+    "hyper_lagrangian_residual": "(cache, pf)",
+    "kahler_angle": "(pf)",
+    "lagrangian_angle": "(pf, cache)",
+    "lambda1": "(cache)",
+    "phase_field": "(cache)",
+    "phase_operator": "(a)",
+    "plf_residual": "(cache, pf)",
+    "polar_identity_check": "(pf, cache)",
+    "run_flow": "(cfg, scenario, observe=None)",
+    "scenario": "(name, nu, nv, **params)",
+    "standard_twistor_triple": "()",
+    "surface_integral": "(density, cache)",
+    "symplectic_form": "(j, u, v)",
+    "tension_field": "(pf, cache)",
+    "twistor_energy": "(pf, cache)",
+}
+
+
+def test_root_functions_keep_their_signatures():
+    functions = {
+        name: str(inspect.signature(getattr(hkflow, name)))
+        for name in hkflow.__all__
+        if inspect.isfunction(getattr(hkflow, name))
+    }
+    assert functions == ROOT_SIGNATURES

@@ -301,8 +301,9 @@ def test_lambda1_stall_raises(monkeypatch, name, params):
 
 def test_ball_volumes_flat(flat64):
     rep = geodesic_ball_volumes(flat64)
-    assert rep.radius == 0.5
-    assert len(rep.samples) == 16
+    assert rep.radius == 0.5 and type(rep.radius) is float
+    assert [s[0] for s in rep.samples] == list(default_ball_centers(flat64))
+    assert default_ball_centers(flat64)[0] == (0, 0) and len(rep.samples) == 16
     ratios = [s[3] for s in rep.samples]
     # 8-neighbor Dijkstra overestimates distances by up to 8% in the
     # worst direction, shrinking the measured disk by ~10%
@@ -319,43 +320,36 @@ def test_ball_volumes_clifford():
 
 def test_ball_volumes_small_radius_limit():
     # ratio -> pi as r -> 0; needs resolution, so one coarse-to-fine point
-    rep = geodesic_ball_volumes(cache_for("flat-plane-torus", 256), radii=0.1)
+    rep = geodesic_ball_volumes(cache_for("flat-plane-torus", 256), radius=0.1)
     mean = np.mean([s[3] for s in rep.samples])
     assert abs(mean / np.pi - 1.0) < 0.1           # 0.94 measured
 
 
-def test_ball_volumes_custom_centers_and_radii(flat64):
-    rep = geodesic_ball_volumes(flat64, centers=[(0, 0), (32, 32)], radii=[0.3, 0.5])
-    assert len(rep.samples) == 4
-    assert rep.radius == 0.5
-    assert {s[0] for s in rep.samples} == {(0, 0), (32, 32)}
-    assert default_ball_centers(flat64)[0] == (0, 0)
-    # the validation loop used to use up a generator: "no ball centres given"
-    gen = ((i, i) for i in (0, 32))
-    assert geodesic_ball_volumes(flat64, centers=gen, radii=[0.3, 0.5]) == rep
+HOSTILE_RADII = {
+    # NaN slipped past `r <= 0` and gave kappa = nan
+    "radius must be finite": (np.nan, np.inf, -np.inf),
+    "radius must be positive": (-0.5, 0.0, -0.0, 0),
+    # a string, a nested list or a sequence with None used to escape as a
+    # bare TypeError or ValueError; a sequence is refused, one radius is read
+    "radius must be a real number": (
+        "x", "0.5", True, False, None, [0.5], [0.3, 0.5], [0.5, np.nan], [[0.5]], [], (0.5,),
+        np.array([0.5]), np.array(0.5),
+    ),
+}
 
 
 def test_ball_volumes_validation(flat64):
     with pytest.raises(InputError, match="radius-too-large"):
-        geodesic_ball_volumes(flat64, radii=3.0)
-    # NaN slipped past `r <= 0`: nan gave kappa = nan, and [0.5, nan]
-    # gave the 0.5 ball's kappa, as max and min skip a NaN by order
-    for radii in (-0.5, 0.0, np.nan, [0.5, np.nan], np.inf, []):
-        with pytest.raises(InputError, match="ball radii must be finite and positive"):
-            geodesic_ball_volumes(flat64, radii=radii)
-    # a nested list or a string used to escape as a bare TypeError or ValueError
-    for radii in ([[0.3, 0.5]], [[0.5]], [[0.3], [0.5, 0.7]], ["a"], "x", "0.5", True, [0.5, None]):
-        with pytest.raises(InputError, match="ball radii must be a real number or a 1-D sequence"):
-            geodesic_ball_volumes(flat64, radii=radii)
-    with pytest.raises(InputError, match="no ball centres"):
-        geodesic_ball_volumes(flat64, centers=[])
-    # a centre off the 64 x 64 grid used to wrap onto another node or reach
-    # scipy as a bare ValueError; it is refused by name
-    for center in [(0, 65), (-1, 0), (64, 0), (0, 64), (1.0, 2), (True, 0), (1, 2, 3), "ab", 7]:
-        with pytest.raises(InputError, match=r"ball centre .* is not an integer pair inside"):
-            geodesic_ball_volumes(flat64, centers=[(0, 0), center])
-    rep = geodesic_ball_volumes(flat64, centers=[(np.int64(63), 63)])
-    assert rep.samples[0][0] == (63, 63)
+        geodesic_ball_volumes(flat64, radius=3.0)
+    # the ball volumes and the validator refuse a radius through one check
+    sigma = np.zeros(flat64.sqrt_det_g.shape)
+    for message, radii in HOSTILE_RADII.items():
+        for radius in radii:
+            with pytest.raises(InputError, match=message) as balls:
+                geodesic_ball_volumes(flat64, radius=radius)
+            with pytest.raises(InputError) as validator:
+                c0_from_l2_validator(sigma, 0.0, flat64, radius=radius)
+            assert str(balls.value) == str(validator.value)
 
 
 def counting_chord_graph(monkeypatch):
@@ -376,12 +370,7 @@ def test_ball_volumes_memo_matches_a_cold_cache(monkeypatch):
 
     warm = fresh()
     built = counting_chord_graph(monkeypatch)
-    cases = [
-        dict(),
-        dict(centers=[(0, 0), (17, 30), (47, 5)]),
-        dict(radii=0.3),
-        dict(centers=[(0, 0), (17, 30), (47, 5)], radii=[0.3, 0.5]),
-    ]
+    cases = [dict(), dict(radius=0.3), dict(radius=1.0)]
     for kw in cases:
         first = geodesic_ball_volumes(warm, **kw)
         again = geodesic_ball_volumes(warm, **kw)
@@ -390,11 +379,10 @@ def test_ball_volumes_memo_matches_a_cold_cache(monkeypatch):
         assert repr(again) == repr(cold) and again == cold, kw
     # each case missed once on the warm cache and once on its cold twin
     assert len(built) == 2 * len(cases)
-    # the key is the int centre pairs and float radii, whatever their types
-    assert geodesic_ball_volumes(warm, centers=[(np.int64(17), 30), (0, 0)], radii=[0.5]) is (
-        geodesic_ball_volumes(warm, centers=((17, 30), (0, 0)), radii=np.float64(0.5))
-    )
-    assert len(built) == 2 * len(cases) + 1
+    # the key is the float radius, whatever its type
+    assert geodesic_ball_volumes(warm, np.float64(0.3)) is geodesic_ball_volumes(warm, 0.3)
+    assert geodesic_ball_volumes(warm, 1) is geodesic_ball_volumes(warm, radius=1.0)
+    assert len(built) == 2 * len(cases)
 
 
 def test_ball_volumes_memo_keeps_no_error(monkeypatch, flat64):
@@ -402,12 +390,10 @@ def test_ball_volumes_memo_keeps_no_error(monkeypatch, flat64):
     built = counting_chord_graph(monkeypatch)
     for _ in range(2):
         with pytest.raises(InputError, match="radius-too-large"):
-            geodesic_ball_volumes(flat64, radii=3.0)
-        with pytest.raises(InputError, match=r"ball centre \(64, 0\) is not"):
-            geodesic_ball_volumes(flat64, centers=[(0, 0), (64, 0)])
-        with pytest.raises(InputError, match="finite and positive"):
-            geodesic_ball_volumes(flat64, radii=[0.5, np.nan])
-    # the oversized radius built its graph each time, the bad inputs none
+            geodesic_ball_volumes(flat64, radius=3.0)
+        with pytest.raises(InputError, match="radius must be finite"):
+            geodesic_ball_volumes(flat64, radius=np.nan)
+    # the oversized radius built its graph each time, the bad input none
     assert len(built) == 2
     assert geodesic_ball_volumes(flat64) is rep
 
@@ -422,32 +408,27 @@ def test_replaced_cache_starts_with_an_empty_memo(monkeypatch):
     assert len(built) == 1 and built[0] is moved
 
 
-def unbounded_ball_volumes(cache, centers=None, radii=0.5):
-    """Reference: full-grid Dijkstra from every center, and the proxy
-    taken over every reachable node of the first search."""
-    radii = tuple(np.atleast_1d(np.asarray(radii, float)))
-    if centers is None:
-        centers = default_ball_centers(cache)
-    flat = [int(i) * cache.grid.nv + int(j) for i, j in centers]
+def unbounded_ball_volumes(cache, radius=0.5):
+    """Reference: full-grid Dijkstra from every default center, and the
+    proxy taken over every reachable node of the first search."""
+    radius = float(radius)
+    centers = default_ball_centers(cache)
+    flat = [i * cache.grid.nv + j for i, j in centers]
     dist = csgraph.dijkstra(_chord_graph(cache), directed=False, indices=flat)
     proxy = float(dist[0][np.isfinite(dist[0])].max())
-    if max(radii) > 0.5 * proxy:
-        raise InputError(
-            f"radius-too-large: {max(radii)} exceeds half the diameter proxy {proxy:.3f}"
-        )
+    if radius > 0.5 * proxy:
+        raise InputError(f"radius-too-large: {radius} exceeds half the diameter proxy {proxy:.3f}")
     w = cache.node_area().ravel()
     samples = []
     for k, center in enumerate(centers):
-        for r in radii:
-            r = float(r)
-            vol = float(w[dist[k] <= r].sum())
-            samples.append((tuple(center), r, vol, vol / r**2))
-    return CollapseReport(min(s[3] for s in samples), max(radii), tuple(samples))
+        vol = float(w[dist[k] <= radius].sum())
+        samples.append((center, radius, vol, vol / radius**2))
+    return CollapseReport(min(s[3] for s in samples), radius, tuple(samples))
 
 
-def ball_outcome(fn, cache, **kw):
+def ball_outcome(fn, cache, radius):
     try:
-        return fn(cache, **kw)
+        return fn(cache, radius)
     except InputError as exc:
         return ("raised", str(exc))
 
@@ -468,21 +449,12 @@ def test_ball_volumes_match_unbounded_search(key):
     full = csgraph.dijkstra(_chord_graph(c), directed=False, indices=0)
     attained = float(full[full <= 0.5].max())      # a node sits exactly at r
     half_proxy = 0.5 * float(full.max())
-    cases = [
-        dict(radii=0.1),
-        dict(radii=0.5),
-        dict(radii=1.5),
-        dict(radii=attained),
-        dict(centers=[(0, 0), (n // 2, n // 2), (3, n - 5)], radii=[0.3, 0.5]),
-        dict(radii=np.nextafter(half_proxy, 0.0)),
-        dict(radii=half_proxy),
-        dict(radii=np.nextafter(half_proxy, np.inf)),
-    ]
-    for kw in cases:
-        got = ball_outcome(geodesic_ball_volumes, c, **kw)
-        assert got == ball_outcome(unbounded_ball_volumes, c, **kw), kw
-    assert ball_outcome(geodesic_ball_volumes, c, radii=half_proxy)[0] != "raised"
-    raised = ball_outcome(geodesic_ball_volumes, c, radii=np.nextafter(half_proxy, np.inf))
+    radii = [0.1, 0.3, 0.5, 1.5, attained, np.nextafter(half_proxy, 0.0), half_proxy]
+    for radius in radii + [np.nextafter(half_proxy, np.inf)]:
+        got = ball_outcome(geodesic_ball_volumes, c, radius)
+        assert got == ball_outcome(unbounded_ball_volumes, c, radius), radius
+    assert ball_outcome(geodesic_ball_volumes, c, half_proxy)[0] != "raised"
+    raised = ball_outcome(geodesic_ball_volumes, c, np.nextafter(half_proxy, np.inf))
     assert raised[0] == "raised" and "radius-too-large" in raised[1]
 
 

@@ -47,12 +47,18 @@ TWO_PI = 2.0 * np.pi
 SHEARED = dict(exprs=["u + 0.5*v", "v", "0*u", "0*u"], periods=[np.pi, TWO_PI, TWO_PI, TWO_PI])
 
 
+def twistor_stack():
+    """(J1, J2, J3) of the pinned triple as one (3, 4, 4) array."""
+    t = standard_twistor_triple()
+    return np.stack([t.j1, t.j2, t.j3])
+
+
 def node_major_geometry(grid):
     """Reference: the geometry core written node-major, (nu, nv, 4) vectors
     reduced over their last axis and J_d applied as the matrix product
     vec @ J_d^T.  Returns the GeometryCache fields by name (guards omitted)."""
     pos, hu, hv, amb = grid.positions, grid.hu, grid.hv, grid.ambient
-    js = standard_twistor_triple().as_stack()
+    js = twistor_stack()
 
     def central(f, axis, h):
         return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2 * h)
@@ -158,7 +164,7 @@ def node_major_meters(cache, pf):
     ], -2)
     k_int = (np.linalg.det(m1) - np.linalg.det(m2)) / det**2
 
-    js = standard_twistor_triple().as_stack()
+    js = twistor_stack()
     b = phi_field(pf.a)
     normals = [
         sum(b[..., d, None] * (e @ j.T) for d, j in enumerate(js)) for e in (cache.e1, cache.e2)
@@ -358,7 +364,7 @@ def test_normal_frame_is_adapted_to_the_phase(name, params):
     # e3 = J_b e1, e4 = J_b e2 for the tangent phase a_d = <J_d e1, e2>
     # and its companion b, written out with the triple's matrices
     c = cache_for(name, 48, **params)
-    js = standard_twistor_triple().as_stack()
+    js = twistor_stack()
     a = np.stack([((c.e1 @ j.T) * c.e2).sum(-1) for j in js], axis=-1)
     b = phi_field(a / np.linalg.norm(a, axis=-1, keepdims=True))
     j_b = sum(b[..., d, None, None] * js[d] for d in range(3))
