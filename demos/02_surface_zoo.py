@@ -8,7 +8,7 @@ against its discrete closed form across resolutions.
 
 import numpy as np
 
-from hkflow import build_immersion, compute_geometry, gauss_curvature_check, scenario
+from hkflow import compute_geometry, gauss_curvature_check, scenario
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,7 +34,7 @@ def main():
     print(f"scenario zoo at {n}x{n}")
     print(f"{'name':<26} {'area':>10} {'max |H|':>9} {'max |A|':>9} {'gauss res':>10}")
     for name, params in ZOO:
-        cache = compute_geometry(build_immersion(scenario(name, n, n, **params)))
+        cache = compute_geometry(scenario(name, n, n, **params))
         area = cache.node_area().sum()
         max_h = np.sqrt(cache.norm_H_sq.max())
         max_a = np.sqrt(cache.norm_A_sq.max())
@@ -45,7 +45,7 @@ def main():
     # chord differences shorten every edge by sinc(h/2), so the discrete
     # area of the R = r = 1 torus is 4 pi^2 sinc^2 rather than 4 pi^2
     for n in (16, 32, 64, 128):
-        cache = compute_geometry(build_immersion(scenario("clifford", n, n, R=1.0, r=1.0)))
+        cache = compute_geometry(scenario("clifford", n, n, R=1.0, r=1.0))
         area = cache.node_area().sum()
         predicted = 4 * np.pi**2 * np.sinc(1.0 / n) ** 2
         print(
@@ -55,7 +55,7 @@ def main():
 
     print("\nclifford curvature is resolution-exact")
     for n in (32, 128):
-        cache = compute_geometry(build_immersion(scenario("clifford", n, n, R=1.0, r=1.0)))
+        cache = compute_geometry(scenario("clifford", n, n, R=1.0, r=1.0))
         print(f"  {n:>4}x{n:<4} max ||H|^2 - 2| = {np.abs(cache.norm_H_sq - 2.0).max():.3e}")
 
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from hkflow import (
     bja_identity,
-    build_immersion,
     compute_geometry,
     hyper_lagrangian_residual,
     kahler_angle,
@@ -25,7 +24,7 @@ from hkflow import (
 
 
 def cache_for(name, n=64, **kw):
-    return compute_geometry(build_immersion(scenario(name, n, n, **kw)))
+    return compute_geometry(scenario(name, n, n, **kw))
 
 
 def main():

@@ -9,7 +9,6 @@ exactly those two quantities.
 import numpy as np
 
 from hkflow import (
-    build_immersion,
     c0_from_l2_validator,
     compute_geometry,
     geodesic_ball_volumes,
@@ -22,7 +21,7 @@ TWO_PI = 2.0 * np.pi
 
 
 def cache_for(name, n, **kw):
-    return compute_geometry(build_immersion(scenario(name, n, n, **kw)))
+    return compute_geometry(scenario(name, n, n, **kw))
 
 
 def main():

@@ -21,9 +21,9 @@ from hkflow import (
 def main():
     n = 48
     cfg = FlowConfig(steps=8000, lambda1_cadence=10, max_h_below=1e-6)
-    spec = scenario("perturbed-complex-torus", n, n, eps=0.1)
+    grid = scenario("perturbed-complex-torus", n, n, eps=0.1)
     print(f"flowing perturbed-complex-torus (eps = 0.1) at {n}x{n} until max |H| < 1e-6")
-    series, final = run_flow(cfg, spec)
+    series, final = run_flow(cfg, grid)
     recs = series.records
 
     print(f"  stop reason: {series.stop_reason} after {len(recs) - 1} steps, t = {recs[-1].t:.3f}")

@@ -24,7 +24,6 @@ from .kernel import (
 )
 from .surface import (
     scenario,
-    build_immersion,
     compute_geometry,
     surface_integral,
     gauss_curvature_check,
@@ -65,7 +64,6 @@ __all__ = [
     "holomorphic_symplectic",
     "canonical_phase_from_frame",
     "scenario",
-    "build_immersion",
     "compute_geometry",
     "surface_integral",
     "gauss_curvature_check",

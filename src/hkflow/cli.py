@@ -47,7 +47,6 @@ from .surface import (
     _lam_min,
     _laplacian_asymmetry,
     _planes,
-    build_immersion,
     compute_geometry,
     gauss_curvature_check,
     laplacian_matrix,
@@ -147,7 +146,8 @@ def _parse_periods(text, label):
         raise InputError(f"{label} must be comma separated numbers, got {text!r}") from None
 
 
-def _scenario_from_manifest(doc):
+def _scenario_args(doc):
+    """The manifest's scenario() arguments: (name, nu, nv, params)."""
     name = doc.get("scenario")
     if name not in SCENARIO_NAMES:
         raise InputError(f"manifest names unknown scenario {name!r}")
@@ -159,8 +159,7 @@ def _scenario_from_manifest(doc):
         params["exprs"] = doc["exprs"].split(";")
     if "periods" in doc:
         params["periods"] = _parse_periods(doc["periods"], "manifest key periods")
-    nu, nv = _manifest_number(doc, "nu", int), _manifest_number(doc, "nv", int)
-    return scenario(name, nu, nv, **params)
+    return name, _manifest_number(doc, "nu", int), _manifest_number(doc, "nv", int), params
 
 
 def _config_from_manifest(doc):
@@ -209,8 +208,7 @@ def cmd_init(args):
         params["exprs"] = args.exprs.split(";")
     if args.periods is not None:
         params["periods"] = _parse_periods(args.periods, "--periods")
-    spec = scenario(args.scenario, args.nu, args.nv, **params)
-    grid = build_immersion(spec)
+    grid = scenario(args.scenario, args.nu, args.nv, **params)
     compute_geometry(grid)  # reject degenerate setups before writing anything
 
     stem = args.out or f"{args.scenario}-{args.nu}x{args.nv}"
@@ -335,16 +333,17 @@ def cmd_run(args):
             raise InputError(
                 f"manifest key {key} = {doc[key]} is not supported; it is always {val}"
             )
-    spec = _scenario_from_manifest(doc)
+    name, nu, nv, params = _scenario_args(doc)
     cfg = _config_from_manifest(doc)
     csv_path = doc.get("csv_path")
     if not csv_path:
         raise InputError("manifest is missing csv_path")
+    grid = scenario(name, nu, nv, **params)
 
     fh = None
 
     def write_row(rec, state):
-        # opened at the t = 0 row: a scenario that run_flow refuses leaves
+        # opened at the t = 0 row: a surface that run_flow refuses leaves
         # an earlier series at csv_path as it was
         nonlocal fh
         if fh is None:
@@ -358,7 +357,7 @@ def cmd_run(args):
 
     # rows written so far survive a mid-run numerical failure
     try:
-        series, final = run_flow(cfg, spec, observe=write_row)
+        series, final = run_flow(cfg, grid, observe=write_row)
     finally:
         if fh is not None:
             fh.close()

@@ -25,7 +25,7 @@ from .errors import InputError, NumericalError, PreconditionError
 from .kernel import _dot
 from .phase import PhaseField, field_from_array, phase_field, tension_field, twistor_energy
 from .spectral import lambda1
-from .surface import _lam_min, _planes, build_immersion, compute_geometry, surface_integral
+from .surface import _lam_min, _planes, compute_geometry, surface_integral
 
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
 DRIFT_MARGIN = 1.5              # on the predicted pre-projection unit drift
@@ -273,8 +273,8 @@ def _require_lambda1(*recs):
         raise PreconditionError("insufficient-records: a record carries no lambda1 sample")
 
 
-def run_flow(cfg, scenario, observe=None):
-    """Drive the coupled flow from a scenario until a stop condition.
+def run_flow(cfg, grid, observe=None):
+    """Drive the coupled flow from any SurfaceGrid until a stop condition.
 
     Every DiagnosticsRecord, the t = 0 row included, is appended to the
     series and then handed to `observe(rec, state)` with the state it
@@ -283,7 +283,6 @@ def run_flow(cfg, scenario, observe=None):
     "step k: ..." with `step = k` (the t = 0 row is step 0), after the
     rows before it have been observed.
     """
-    grid = build_immersion(scenario)
     series = DiagnosticsSeries()
     step = 0
     try:

@@ -36,6 +36,7 @@ from .surface import (
 RAYLEIGH_RTOL = 1e-10
 RESIDUAL_TOL = 1e-7
 MAX_ITERATIONS = 10_000
+STALL_SWEEPS = 50         # sweeps in which the best residual must halve, else it sits at its floor
 SHIFT_FRACTION = 0.01     # of the natural gap scale 4 pi^2 / area
 
 SpectralResult = namedtuple("SpectralResult", "lambda1 vector iterations residual")
@@ -111,6 +112,9 @@ def lambda1(cache):
     residual, T the FFT inverse of the shifted pencil at the mean metric,
     and P the previous update outside X.  No matrix is factorized; the
     fixed start block keeps the result deterministic.
+
+    A best residual that has not halved in STALL_SWEEPS sweeps sits at its
+    roundoff floor (a thin T^4 cylinder's is above RESIDUAL_TOL) and raises.
     """
     import scipy.linalg as sla
 
@@ -141,6 +145,7 @@ def lambda1(cache):
         return out
 
     lam_prev = np.inf
+    best, best_at, halved, halved_at = np.inf, 0, np.inf, 0
     x = orthonormalize(x)
     ax, p = a @ x, x[:, :0]
     for iteration in range(1, MAX_ITERATIONS + 1):
@@ -160,6 +165,14 @@ def lambda1(cache):
         ):
             shape = (cache.grid.nu, cache.grid.nv)
             return SpectralResult(lam, v.reshape(shape), iteration, residual)
+        best, best_at = min((best, best_at), (residual, iteration))
+        if best <= 0.5 * halved:
+            halved, halved_at = best, iteration
+        elif iteration - halved_at >= STALL_SWEEPS:
+            raise NumericalError(
+                f"eigensolver residual stopped falling at sweep {iteration}: the best, "
+                f"{best:.3e} at sweep {best_at}, has not halved in {STALL_SWEEPS} sweeps"
+            )
         # the next sweep's rotations, never read once converged
         ax, p = a_s @ rot[:, :k], s[:, k:] @ rot[k:, :k]
         lam_prev = lam

@@ -5,10 +5,10 @@ grid (_param_axes) with periodic index arithmetic.  Derivatives are second
 order central differences taken on shortest-image displacements, so torus
 seams never enter the stencils.
 
-The scenarios are rows of one table, _SCENARIOS, whose coordinates (and
-custom-expression's) all go through one expression walker, _eval_expr; a
-parameter the row does not name or not > 0, and a coordinate not finite at
-some node, are refused by name.
+The scenarios are rows of one table, _SCENARIOS, which scenario() samples
+onto the grid; their coordinates (and custom-expression's) all go through
+one expression walker, _eval_expr; a parameter the row does not name or
+not > 0, and a coordinate not finite at some node, are refused by name.
 
 Metric convention: the diagonal entries g_uu, g_vv are averaged squared
 EDGE lengths, (|F(i+1)-F(i)|^2 + |F(i)-F(i-1)|^2) / (2 h^2), while g_uv
@@ -62,7 +62,7 @@ SNAPSHOT_VERSION = 2       # written; version 1 (positions as a JSON list) is st
 # name -> (parameter defaults, the noun of "<name> needs <noun>" that refuses a
 # parameter not > 0, four coordinates, four periods or None in R^4); the
 # expressions read u, v, pi and the parameters.  custom-expression takes its
-# coordinates and periods from its spec's exprs and periods
+# coordinates and periods from scenario()'s exprs and periods
 _SCENARIOS = {
     "flat-plane-torus": ({"Lu": 2 * np.pi, "Lv": 2 * np.pi}, "positive periods",
                          ("Lu*u/(2*pi)", "Lv*v/(2*pi)", "0*u", "0*u"),
@@ -80,22 +80,6 @@ _SCENARIOS = {
 SCENARIO_NAMES = tuple(_SCENARIOS)
 # the rows' float parameters, first seen first
 SCENARIO_PARAMS = tuple(dict.fromkeys(key for row in _SCENARIOS.values() for key in row[0]))
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    name: str
-    nu: int
-    nv: int
-    params: dict = field(default_factory=dict)
-
-
-def scenario(name, nu, nv, **params):
-    for key, val in (("nu", nu), ("nv", nv)):
-        # int() would floor 8.7 and raise bare on NaN and inf; a bool is an int too
-        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-            raise InputError(f"grid size {key} must be an integer, got {val!r}")
-    return ScenarioSpec(name, int(nu), int(nv), params)
 
 
 @dataclass
@@ -173,44 +157,47 @@ def _eval_expr(expr, names, shape):
     return np.broadcast_to(np.asarray(out, float), shape)
 
 
-def build_immersion(spec):
-    """Sample a _SCENARIOS row onto the periodic grid: its own parameters only,
-    each > 0, and its four coordinates on _param_axes, each finite at every node."""
-    if spec.nu < MIN_GRID or spec.nv < MIN_GRID:
+def scenario(name, nu, nv, **params):
+    """Sample a _SCENARIOS row onto the periodic nu x nv grid: its own parameters
+    only, each > 0, and its four coordinates on _param_axes, each finite at every node."""
+    for key, val in (("nu", nu), ("nv", nv)):
+        # int() would floor 8.7 and raise bare on NaN and inf; a bool is an int too
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+            raise InputError(f"grid size {key} must be an integer, got {val!r}")
+    nu, nv = int(nu), int(nv)
+    if nu < MIN_GRID or nv < MIN_GRID:
+        raise InputError(f"grid too small: nu={nu}, nv={nv}, need {MIN_GRID} x {MIN_GRID}")
+    if 9 * nu * nv > np.iinfo(np.int32).max:
         raise InputError(
-            f"grid too small: nu={spec.nu}, nv={spec.nv}, need {MIN_GRID} x {MIN_GRID}"
-        )
-    if 9 * spec.nu * spec.nv > np.iinfo(np.int32).max:
-        raise InputError(
-            f"grid too large: nu={spec.nu}, nv={spec.nv}, the nine-point stencil's "
+            f"grid too large: nu={nu}, nv={nv}, the nine-point stencil's "
             "9 * nu * nv entries exceed int32 indexing"
         )
-    if spec.name not in _SCENARIOS:
-        raise InputError(f"unknown scenario {spec.name!r}")
-    defaults, noun, coords, periods = _SCENARIOS[spec.name]
-    stray = sorted(set(spec.params) - set(defaults if coords else ("exprs", "periods")))
+    if name not in _SCENARIOS:
+        raise InputError(f"unknown scenario {name!r}")
+    defaults, noun, coords, periods = _SCENARIOS[name]
+    stray = sorted(set(params) - set(defaults if coords else ("exprs", "periods")))
     if stray:
-        raise InputError(f"{spec.name} does not take {', '.join(stray)}")
-    params = {key: float(spec.params.get(key, val)) for key, val in defaults.items()}
-    if not all(val > 0 for val in params.values()):      # NaN fails too
-        raise InputError(f"{spec.name} needs {noun}")
-    u, v = _param_axes(spec.nu, spec.nv)
-    names = dict(params, u=u, v=v, pi=np.pi)
+        raise InputError(f"{name} does not take {', '.join(stray)}")
+    values = {key: float(params.get(key, val)) for key, val in defaults.items()}
+    if not all(val > 0 for val in values.values()):      # NaN fails too
+        raise InputError(f"{name} needs {noun}")
+    u, v = _param_axes(nu, nv)
+    names = dict(values, u=u, v=v, pi=np.pi)
     if coords is None:
-        coords, periods = spec.params.get("exprs"), spec.params.get("periods")
+        coords, periods = params.get("exprs"), params.get("periods")
         if not coords or len(coords) != 4:
             raise InputError("custom-expression needs exprs = 4 strings")
     elif periods:
         periods = [_eval_expr(expr, names, ()) for expr in periods]
 
-    pos = np.empty((spec.nu, spec.nv, 4))
+    pos = np.empty((nu, nv, 4))
     for k, expr in enumerate(coords):
         pos[..., k] = _eval_expr(expr, names, u.shape)
         if not np.isfinite(pos[..., k]).all():
             ij = tuple(np.argwhere(~np.isfinite(pos[..., k]))[0].tolist())
-            raise InputError(f"coordinate {k} {expr!r} of {spec.name!r} is not finite at node {ij}")
+            raise InputError(f"coordinate {k} {expr!r} of {name!r} is not finite at node {ij}")
     ambient = AmbientSpace(tuple(periods) if periods else None)
-    return SurfaceGrid(spec.nu, spec.nv, ambient.wrap(pos), ambient)
+    return SurfaceGrid(nu, nv, ambient.wrap(pos), ambient)
 
 
 class _OnFirstRead:

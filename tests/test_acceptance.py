@@ -33,7 +33,7 @@ from hkflow.phase import (
     polar_identity_check,
 )
 from hkflow.spectral import c0_from_l2_validator, geodesic_ball_volumes, lambda1
-from hkflow.surface import build_immersion, compute_geometry, gauss_curvature_check, scenario
+from hkflow.surface import compute_geometry, gauss_curvature_check, scenario
 
 TRIPLE = standard_twistor_triple()
 TWO_PI = 2.0 * np.pi
@@ -49,7 +49,7 @@ def report(capfd, num, ok, detail):
 
 
 def cache_for(name, n, **kw):
-    return compute_geometry(build_immersion(scenario(name, n, n, **kw)))
+    return compute_geometry(scenario(name, n, n, **kw))
 
 
 @pytest.fixture(scope="module")

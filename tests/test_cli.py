@@ -22,9 +22,7 @@ from conftest import cli_env, snapshot_positions, with_positions
 
 from hkflow import cli
 from hkflow.flow import FlowConfig
-from hkflow.surface import (
-    build_immersion, compute_geometry, laplacian_matrix, load_snapshot, scenario,
-)
+from hkflow.surface import compute_geometry, laplacian_matrix, load_snapshot, scenario
 
 CLI = [sys.executable, "-m", "hkflow.cli"]
 
@@ -574,7 +572,7 @@ def test_vanishing_central_tangent_exits_3(tmp_path, nu):
 
 
 def test_small_snapshot_grid_exits_2(tmp_path):
-    # a 2 x 16 grid is refused at load, as build_immersion refuses it,
+    # a 2 x 16 grid is refused at load, as scenario() refuses it,
     # before its coinciding neighbours read as a numerical failure; a fresh
     # interpreter, whose stderr would show a traceback
     t = 2 * np.pi * np.arange(16) / 16
@@ -702,7 +700,7 @@ def test_laplacian_symmetry_meter_matches_the_sparse_formula(monkeypatch, name, 
     # the meter reads the stencil rows instead of forming mat - mat.T; it
     # must report the sparse formula's value bit for bit, and FAIL on a
     # matrix with one entry off its mirror
-    cache = compute_geometry(build_immersion(scenario(name, 16, 16, **params)))
+    cache = compute_geometry(scenario(name, 16, 16, **params))
 
     def meter():
         return next(c for c in cli._run_checks(cache) if c["name"] == "laplacian-symmetry")

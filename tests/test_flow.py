@@ -35,7 +35,7 @@ from hkflow.flow import (
 )
 from hkflow.kernel import phi_field
 from hkflow.phase import field_from_array, phase_field, tension_field, twistor_energy
-from hkflow.surface import _lam_min, build_immersion, scenario
+from hkflow.surface import _lam_min, load_snapshot, save_snapshot, scenario
 
 TWO_PI = 2.0 * np.pi
 
@@ -43,7 +43,7 @@ EQUATOR_TORUS = ["0.7*cos(u)", "0.7*cos(v)", "0.7*sin(v)", "0.7*sin(u)"]
 
 
 def state_for(name, n, **kw):
-    return make_state(build_immersion(scenario(name, n, n, **kw)))
+    return make_state(scenario(name, n, n, **kw))
 
 
 @pytest.fixture(scope="module")
@@ -529,13 +529,37 @@ def test_collapse_raises_with_step_index():
 
 def test_determinism():
     cfg = FlowConfig(steps=50, lambda1_cadence=10)
-    sc = scenario("perturbed-complex-torus", 48, 48, eps=0.05)
-    s1, f1 = run_flow(cfg, sc)
-    s2, f2 = run_flow(cfg, sc)
+    grid = scenario("perturbed-complex-torus", 48, 48, eps=0.05)
+    s1, f1 = run_flow(cfg, grid)
+    s2, f2 = run_flow(cfg, grid)
     for a, b in zip(s1.records, s2.records):
         assert a == b
     assert s1.final_phase_spread == s2.final_phase_spread
     assert np.array_equal(f1.cache.grid.positions, f2.cache.grid.positions)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("clifford", dict(R=1.0, r=1.0)),
+    ("perturbed-complex-torus", dict(eps=0.3)),
+    ("custom-expression", dict(exprs=["u", "v", "0.3*sin(u+v)", "cos(v)"], periods=[TWO_PI] * 4)),
+], ids=["clifford", "perturbed", "custom"])
+def test_run_from_a_snapshot_matches_the_sampled_run(tmp_path, name, params):
+    # run_flow starts from any grid: a snapshot read back gives the run
+    # the sampled scenario gives, row for row and bit for bit
+    cfg = FlowConfig(steps=20, lambda1_cadence=5)
+    grid = scenario(name, 16, 16, **params)
+    save_snapshot(grid, tmp_path / "start.json")
+    sampled, f1 = run_flow(cfg, grid)
+    loaded, f2 = run_flow(cfg, load_snapshot(tmp_path / "start.json"))
+    assert len(sampled.records) == 21 and sampled.records[-1].lambda1 is not None
+    assert [repr(dataclasses.astuple(r)) for r in loaded.records] == [
+        repr(dataclasses.astuple(r)) for r in sampled.records
+    ]
+    assert loaded.stop_reason == sampled.stop_reason
+    assert repr(loaded.final_phase_spread) == repr(sampled.final_phase_spread)
+    assert f2.cache.grid.ambient == f1.cache.grid.ambient
+    assert f2.cache.grid.positions.tobytes() == f1.cache.grid.positions.tobytes()
+    assert f2.phase.a.tobytes() == f1.phase.a.tobytes()
 
 
 # ---------------------------------------------------------------- decay

@@ -6,8 +6,8 @@ import hkflow
 
 ROOT_NAMES = [
     "FlowConfig", "FrameError", "HkflowError", "IOFailure", "InputError", "NumericalError",
-    "PreconditionError", "__version__", "bja_identity", "build_immersion",
-    "c0_from_l2_validator", "canonical_phase_from_frame", "compute_geometry", "decay_fit",
+    "PreconditionError", "__version__", "bja_identity", "c0_from_l2_validator",
+    "canonical_phase_from_frame", "compute_geometry", "decay_fit",
     "gauss_curvature_check", "geodesic_ball_volumes", "holomorphic_symplectic",
     "hyper_lagrangian_residual", "kahler_angle", "lagrangian_angle", "lambda1", "phase_field",
     "phase_operator", "plf_residual", "polar_identity_check", "run_flow", "scenario",
@@ -27,7 +27,6 @@ def test_root_exports_the_entry_points():
 # dropped cannot come back without an edit here
 ROOT_SIGNATURES = {
     "bja_identity": "(cache, pf)",
-    "build_immersion": "(spec)",
     "c0_from_l2_validator": "(sigma, lam, cache, radius=0.5)",
     "canonical_phase_from_frame": "(e1, e2, e3, e4)",
     "compute_geometry": "(grid)",
@@ -43,7 +42,7 @@ ROOT_SIGNATURES = {
     "phase_operator": "(a)",
     "plf_residual": "(cache, pf)",
     "polar_identity_check": "(pf, cache)",
-    "run_flow": "(cfg, scenario, observe=None)",
+    "run_flow": "(cfg, grid, observe=None)",
     "scenario": "(name, nu, nv, **params)",
     "standard_twistor_triple": "()",
     "surface_integral": "(density, cache)",

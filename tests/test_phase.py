@@ -28,9 +28,7 @@ from hkflow.phase import (
     tension_field,
     twistor_energy,
 )
-from hkflow.surface import (
-    _planes, build_immersion, compute_geometry, laplace_beltrami, scenario, surface_integral,
-)
+from hkflow.surface import _planes, compute_geometry, laplace_beltrami, scenario, surface_integral
 
 TWO_PI = 2.0 * np.pi
 
@@ -40,7 +38,7 @@ EQUATOR_TORUS = ["0.7*cos(u)", "0.7*cos(v)", "0.7*sin(v)", "0.7*sin(u)"]
 
 
 def cache_for(name, n, **params):
-    return compute_geometry(build_immersion(scenario(name, n, n, **params)))
+    return compute_geometry(scenario(name, n, n, **params))
 
 
 def equator_pair(n):

@@ -9,6 +9,7 @@ independent oracle.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hkflow.errors import InputError, NumericalError, PreconditionError
 from hkflow.spectral import (
     RESIDUAL_TOL,
     SHIFT_FRACTION,
+    STALL_SWEEPS,
     CollapseReport,
     _chord_graph,
     c0_from_l2_validator,
@@ -29,7 +31,7 @@ from hkflow.spectral import (
     geodesic_ball_volumes,
     lambda1,
 )
-from hkflow.surface import build_immersion, compute_geometry, laplace_beltrami, laplacian_matrix, scenario
+from hkflow.surface import compute_geometry, laplace_beltrami, laplacian_matrix, scenario
 
 TWO_PI = 2.0 * np.pi
 SHEAR = dict(
@@ -39,7 +41,7 @@ SHEAR = dict(
 
 
 def cache_for(name, n, **params):
-    return compute_geometry(build_immersion(scenario(name, n, n, **params)))
+    return compute_geometry(scenario(name, n, n, **params))
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +85,8 @@ def test_matrix_matches_pointwise_operator(perturbed64):
     for c in (
         perturbed64,
         cache_for("custom-expression", 48, **SHEAR),
-        compute_geometry(build_immersion(scenario("perturbed-complex-torus", 5, 9, eps=0.05))),
-        compute_geometry(build_immersion(scenario("lagrangian-graph", 7, 4, eps=0.1))),
+        compute_geometry(scenario("perturbed-complex-torus", 5, 9, eps=0.05)),
+        compute_geometry(scenario("lagrangian-graph", 7, 4, eps=0.1)),
     ):
         a, w = laplacian_matrix(c)
         assert abs(a - a.T).max() == 0.0
@@ -177,7 +179,7 @@ def test_lambda1_grid_tables_are_read_only_and_exact():
     # the start block and the Fourier factors are cached per grid size;
     # each equals its formula evaluated afresh on the grid's param_axes
     nu, nv = 40, 24
-    uu, vv = build_immersion(scenario("flat-plane-torus", nu, nv)).param_axes()
+    uu, vv = scenario("flat-plane-torus", nu, nv).param_axes()
     block = np.stack(
         [np.cos(uu).ravel(), np.sin(vv).ravel(), np.cos(uu + 2 * vv).ravel(),
          np.sin(2 * uu - vv).ravel()],
@@ -201,9 +203,7 @@ def test_lambda1_grid_tables_do_not_leak_between_grids():
         return res.lambda1, res.iterations, res.residual, res.vector.tobytes()
 
     square = cache_for("perturbed-complex-torus", 32, eps=0.05)
-    oblong = compute_geometry(
-        build_immersion(scenario("perturbed-complex-torus", 40, 24, eps=0.05))
-    )
+    oblong = compute_geometry(scenario("perturbed-complex-torus", 40, 24, eps=0.05))
     cold = {}
     for key, cache in (("square", square), ("oblong", oblong)):
         spectral._start_block.cache_clear()
@@ -297,6 +297,34 @@ def test_lambda1_stall_raises(monkeypatch, name, params):
     with pytest.raises(NumericalError, match="eigensolver stalled after 6 iterations") as exc:
         lambda1(cache_for(name, 32, **params))
     assert "nan" not in str(exc.value)
+
+
+def thin_cylinder(r, n=32):
+    # a circle of radius r times the u-circle in T^4: the metric is constant,
+    # so the preconditioner is exact, and lambda1 is the u-circle's
+    # (2 - 2 cos h) / h^2; the pencil's norm grows as 1 / r^2
+    exprs = ["u", "0*u", f"{r!r}*cos(v)", f"{r!r}*sin(v)"]
+    return compute_geometry(scenario("custom-expression", n, n, exprs=exprs, periods=[TWO_PI] * 4))
+
+
+def test_lambda1_thin_cylinder_converges():
+    h = TWO_PI / 32
+    res = lambda1(thin_cylinder(1e-3))
+    assert abs(res.lambda1 - (2 - 2 * np.cos(h)) / h**2) <= 1e-9
+    assert res.iterations > 5
+
+
+@pytest.mark.parametrize("r", [3e-4, 1e-4])
+def test_lambda1_stops_at_its_roundoff_floor(r):
+    # the residual's floor, eps times the pencil's norm, sits above
+    # RESIDUAL_TOL: the solve ends once its best residual stops halving,
+    # not after MAX_ITERATIONS sweeps
+    with pytest.raises(NumericalError, match="residual stopped falling") as exc:
+        lambda1(thin_cylinder(r))
+    sweep = int(re.search(r"at sweep (\d+):", str(exc.value)).group(1))
+    best = float(re.search(r"the best, (\S+) at sweep", str(exc.value)).group(1))
+    assert STALL_SWEEPS < sweep <= 200
+    assert RESIDUAL_TOL < best < 1e-3
 
 
 def test_ball_volumes_flat(flat64):

@@ -30,7 +30,6 @@ from hkflow.surface import (
     _lam_min,
     _planes,
     _shift,
-    build_immersion,
     compute_geometry,
     dirichlet_energy_density,
     gauss_curvature_check,
@@ -188,7 +187,7 @@ def node_major_meters(cache, pf):
 
 
 def cache_for(name, n, **params):
-    return compute_geometry(build_immersion(scenario(name, n, n, **params)))
+    return compute_geometry(scenario(name, n, n, **params))
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +372,7 @@ def test_normal_frame_is_adapted_to_the_phase(name, params):
 
 
 def test_non_finite_node_is_named():
-    grid = build_immersion(scenario("perturbed-complex-torus", 16, 16, eps=0.05))
+    grid = scenario("perturbed-complex-torus", 16, 16, eps=0.05)
     grid.positions[3, 5, 2] = np.nan
     with pytest.raises(NumericalError, match=r"non-finite position at node \(3, 5\)") as err:
         compute_geometry(grid)
@@ -382,9 +381,7 @@ def test_non_finite_node_is_named():
 
 def test_nan_metric_fails_the_det_floor():
     # finite positions whose squared edges overflow: det g = inf * inf - inf
-    grid = build_immersion(
-        scenario("custom-expression", 16, 16, exprs=["1e200*(u + v)", "1e200*v", "0*u", "0*u"])
-    )
+    grid = scenario("custom-expression", 16, 16, exprs=["1e200*(u + v)", "1e200*v", "0*u", "0*u"])
     with pytest.raises(NumericalError, match="metric-degenerate"), np.errstate(all="ignore"):
         compute_geometry(grid)
 
@@ -401,30 +398,28 @@ def test_gauss_residual_refines_second_order():
 
 def test_scenario_validation():
     with pytest.raises(InputError, match="unknown scenario"):
-        build_immersion(scenario("moebius", 16, 16))
+        scenario("moebius", 16, 16)
     with pytest.raises(InputError, match="grid too small"):
-        build_immersion(scenario("flat-plane-torus", 3, 16))
+        scenario("flat-plane-torus", 3, 16)
     # int() floored 8.7 to 8, and NaN and inf escaped as ValueError and OverflowError
     for size in (8.7, 8.0, np.nan, np.inf, True):
         with pytest.raises(InputError, match=re.escape(f"grid size nv must be an integer, got {size!r}")):
             scenario("flat-plane-torus", 8, size)
     assert type(scenario("flat-plane-torus", np.int64(8), 8).nu) is int
     with pytest.raises(InputError, match="eps"):
-        build_immersion(scenario("perturbed-complex-torus", 16, 16, eps=-0.1))
+        scenario("perturbed-complex-torus", 16, 16, eps=-0.1)
     with pytest.raises(InputError, match="positive radii"):
-        build_immersion(scenario("clifford", 16, 16, R=0.0))
+        scenario("clifford", 16, 16, R=0.0)
     with pytest.raises(InputError, match="positive radii"):
-        build_immersion(scenario("clifford", 16, 16, R=np.nan))
+        scenario("clifford", 16, 16, R=np.nan)
     with pytest.raises(InputError, match="positive periods"):
-        build_immersion(scenario("flat-plane-torus", 16, 16, Lu=-1.0))
+        scenario("flat-plane-torus", 16, 16, Lu=-1.0)
     with pytest.raises(InputError, match="positive periods"):
-        build_immersion(scenario("flat-plane-torus", 16, 16, Lu=np.nan))
+        scenario("flat-plane-torus", 16, 16, Lu=np.nan)
     with pytest.raises(InputError, match="4 strings"):
-        build_immersion(scenario("custom-expression", 16, 16, exprs=["u"]))
+        scenario("custom-expression", 16, 16, exprs=["u"])
     with pytest.raises(InputError, match="cannot evaluate"):
-        build_immersion(
-            scenario("custom-expression", 16, 16, exprs=["__import__('os')", "v", "u", "v"])
-        )
+        scenario("custom-expression", 16, 16, exprs=["__import__('os')", "v", "u", "v"])
 
 
 def test_oversized_grid_is_refused_before_allocation():
@@ -434,7 +429,7 @@ def test_oversized_grid_is_refused_before_allocation():
     try:
         for nu, nv in ((huge, 8), (2**16, 2**16)):
             with pytest.raises(InputError, match=f"grid too large: nu={nu}, nv={nv}"):
-                build_immersion(scenario("flat-plane-torus", nu, nv))
+                scenario("flat-plane-torus", nu, nv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,7 +457,7 @@ def _sheared_oracle(u, v, exprs, periods):
 
 
 def assert_matches_oracle(name, params, oracle, nu, nv):
-    grid = build_immersion(scenario(name, nu, nv, **params))
+    grid = scenario(name, nu, nv, **params)
     u = np.arange(nu)[:, None] * (TWO_PI / nu) * np.ones((1, nv))
     v = np.ones((nu, 1)) * np.arange(nv)[None, :] * (TWO_PI / nv)
     coords, periods = oracle(u, v, **params)
@@ -526,15 +521,13 @@ def test_non_finite_coordinate_is_refused_by_name(name, params, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError) as err:
-            build_immersion(scenario(name, 8, 8, **params))
+            scenario(name, 8, 8, **params)
     assert message in str(err.value)
 
 
 def test_degenerate_metric_detected():
     # collapses the v-direction entirely
-    grid = build_immersion(
-        scenario("custom-expression", 16, 16, exprs=["cos(u)", "sin(u)", "0*u", "0*u"])
-    )
+    grid = scenario("custom-expression", 16, 16, exprs=["cos(u)", "sin(u)", "0*u", "0*u"])
     with pytest.raises(NumericalError, match="metric-degenerate"):
         compute_geometry(grid)
 
@@ -542,7 +535,7 @@ def test_degenerate_metric_detected():
 def test_degenerate_node_is_named():
     # zeroing the second coordinate of the flat torus collapses every
     # v-edge; the node prints as plain integers
-    grid = build_immersion(scenario("flat-plane-torus", 16, 16))
+    grid = scenario("flat-plane-torus", 16, 16)
     grid.positions[..., 1] = 0.0
     with pytest.raises(NumericalError, match=r"metric-degenerate at node \(0, 0\): det g"):
         compute_geometry(grid)
@@ -575,7 +568,7 @@ def test_laplacian_shape_mismatch(flat64):
 
 
 def test_snapshot_roundtrip(tmp_path):
-    grid = build_immersion(scenario("perturbed-complex-torus", 16, 16, eps=0.03))
+    grid = scenario("perturbed-complex-torus", 16, 16, eps=0.03)
     pos = grid.positions.copy()
     pos[0, 0, 2], pos[3, 5, 1] = -0.0, 5e-324          # a signed zero and a subnormal
     grid = SurfaceGrid(16, 16, pos, grid.ambient)
@@ -592,7 +585,7 @@ def test_snapshot_roundtrip(tmp_path):
 
 
 def test_snapshot_version_1_still_loads(tmp_path):
-    grid = build_immersion(scenario("clifford", 8, 8, R=1.0, r=1.0))
+    grid = scenario("clifford", 8, 8, R=1.0, r=1.0)
     save_snapshot(grid, tmp_path / "v2.json")
     v1 = {"version": 1, "nu": 8, "nv": 8, "periods": None,
           "positions": grid.positions.ravel().tolist()}
@@ -604,7 +597,7 @@ def test_snapshot_version_1_still_loads(tmp_path):
 
 def test_malformed_version_1_snapshot_is_refused(tmp_path, capsys):
     # version 1 was only ever written as a flat list (positions.reshape(-1).tolist())
-    grid = build_immersion(scenario("flat-plane-torus", 8, 8))
+    grid = scenario("flat-plane-torus", 8, 8)
     flat = grid.positions.ravel().tolist()
     v1 = {"version": 1, "nu": 8, "nv": 8, "periods": list(grid.ambient.periods),
           "positions": flat}
@@ -640,7 +633,7 @@ def test_malformed_version_1_snapshot_is_refused(tmp_path, capsys):
 
 def test_hostile_snapshot_positions_exit_2(tmp_path, capsys):
     good = tmp_path / "good.json"
-    save_snapshot(build_immersion(scenario("flat-plane-torus", 8, 8)), good)
+    save_snapshot(scenario("flat-plane-torus", 8, 8), good)
     doc = json.loads(good.read_text())
     pos = snapshot_positions(doc)
     spoiled = pos.copy()
@@ -668,7 +661,7 @@ def test_snapshot_validation(tmp_path):
     with pytest.raises(InputError, match="not valid JSON"):
         load_snapshot(bad)
 
-    grid = build_immersion(scenario("flat-plane-torus", 8, 8))
+    grid = scenario("flat-plane-torus", 8, 8)
     good = tmp_path / "good.json"
     save_snapshot(grid, good)
     doc = json.loads(good.read_text())
@@ -784,7 +777,7 @@ def test_plane_core_matches_node_major_oracle(name, params, nu, nv):
     # off the sampled surface, so no two edges share a length: g's diagonal
     # and min_edge read squared forward edges once, against the oracle's
     # recomputed backward squares and its least edge length
-    sampled = build_immersion(scenario(name, nu, nv, **params))
+    sampled = scenario(name, nu, nv, **params)
     jitter = 0.02 * np.random.default_rng(nu * nv).standard_normal(sampled.positions.shape)
     jittered = SurfaceGrid(nu, nv, sampled.ambient.wrap(sampled.positions + jitter),
                            sampled.ambient)
@@ -805,7 +798,7 @@ def test_plane_core_matches_node_major_oracle(name, params, nu, nv):
 def test_pointwise_closed_forms_match_node_major_oracle(name, params, nu, nv):
     # the closed forms on planes against the generic numpy they replaced:
     # equal up to the rounding of a different evaluation order
-    cache = compute_geometry(build_immersion(scenario(name, nu, nv, **params)))
+    cache = compute_geometry(scenario(name, nu, nv, **params))
     pf = phase_field(cache)
     ref = node_major_meters(cache, pf)
     checks = {c["name"]: c for c in _run_checks(cache)}
