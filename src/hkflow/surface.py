@@ -486,24 +486,6 @@ def _stencil_pattern(nu, nv):
     return indptr, indices
 
 
-def _laplacian_asymmetry(mat, nu, nv):
-    """abs(mat - mat.T).max() / abs(mat).max() of a laplacian_matrix, read
-    off its (nu, nv, 9) stencil rows without a sparse transpose.
-
-    The transpose partner of slot k at a node is slot 7 - k of the
-    neighbour at slot k's offset; slot 8, the diagonal, is its own.  Each
-    difference is the one the sparse subtraction forms, and a max does not
-    depend on order, so the value is the same bit for bit.
-    """
-    rows = mat.data.reshape(nu, nv, len(_STENCIL_OFFSETS))
-    # np.max, not the builtin: a NaN must reach the report, as it does sparse
-    asym = np.max([
-        np.abs(rows[..., k] - _shift(_shift(rows[..., 7 - k], -di, 0), -dj, 1)).max()
-        for k, (di, dj) in enumerate(_STENCIL_OFFSETS[:-1])
-    ])
-    return asym / max(np.abs(rows).max(), 1e-300)
-
-
 def laplacian_matrix(cache):
     """Sparse (A, w) with A = -W Lap, w the node-area diagonal.
 

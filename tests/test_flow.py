@@ -18,6 +18,7 @@ import hkflow.flow
 from hkflow.cli import main
 from hkflow.errors import InputError, NumericalError, PreconditionError
 from hkflow.flow import (
+    DiagnosticsSeries,
     FlowConfig,
     SurfaceState,
     cfl_dt,
@@ -378,6 +379,10 @@ def test_area_monotone(clifford_run, pert_run):
         recs = series.records
         for a, b in zip(recs, recs[1:]):
             assert b.area <= a.area * (1 + 1e-10)
+    # a row whose area reached 0 breaks the series
+    row = dataclasses.replace(clifford_run[0].records[0], area=0.0)
+    with pytest.raises(NumericalError, match=r"non-positive area 0\.0 at t = 0\.0"):
+        DiagnosticsSeries().append(row)
 
 
 def test_twistor_energy_monotone(pert_run):

@@ -84,6 +84,7 @@ def test_matrix_matches_pointwise_operator(perturbed64):
     # pattern next to a different neighbour
     for c in (
         perturbed64,
+        cache_for("clifford", 16, R=1.0, r=1.0),
         cache_for("custom-expression", 48, **SHEAR),
         compute_geometry(scenario("perturbed-complex-torus", 5, 9, eps=0.05)),
         compute_geometry(scenario("lagrangian-graph", 7, 4, eps=0.1)),
