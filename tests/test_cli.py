@@ -262,6 +262,9 @@ def test_run_plot_writes_svgs(tmp_path, run_cli):
         svg = (tmp_path / f"perturbed-complex-torus-32x32_{name}.svg").read_text()
         assert svg.startswith("<svg")
         assert "<polyline" in svg
+
+
+def test_run_plot_draws_no_data_and_a_constant_series(tmp_path, run_cli):
     # one row is too few points to draw
     flat = ["init", "--scenario", "flat-plane-torus", "--nu", "8", "--nv", "8"]
     succeeded(run_cli(*flat, "--steps", "0", "--out", "zero"))
@@ -525,9 +528,6 @@ def test_check_rejects_non_numeric_snapshot(flat_dir, tmp_path, run_cli):
     ):
         bad.write_text(json.dumps({**good, key: val}))
         assert repr(key) in assert_validation_failure(run_cli("check", str(bad)))
-    bad.write_text(json.dumps({**good, "positions": [10**400] + good["positions"][1:]}))
-    assert ("field 'positions' is not numeric: int too large to convert to float"
-            in assert_validation_failure(run_cli("check", str(bad))))
     bad.write_text(json.dumps({**good, "nu": float("inf")}))    # int() overflows
     assert_validation_failure(run_cli("check", str(bad)))
     bad.write_text(json.dumps({**good, "nu": -2, "nv": -2, "positions": [0.0] * 16}))
@@ -536,6 +536,15 @@ def test_check_rejects_non_numeric_snapshot(flat_dir, tmp_path, run_cli):
     assert_validation_failure(run_cli("check", str(bad)))
     bad.write_text(json.dumps({**good, "periods": [float("nan")] + good["periods"][1:]}))
     assert "periods" in assert_validation_failure(run_cli("check", str(bad)))
+
+
+def test_check_rejects_a_snapshot_entry_beyond_float_range(flat_dir, tmp_path, run_cli):
+    good = json.loads((flat_dir / "flat-plane-torus-32x32.snapshot.json").read_text())
+    good = {**good, "version": 1, "positions": snapshot_positions(good).tolist()}
+    bad = tmp_path / "bad.snapshot.json"
+    bad.write_text(json.dumps({**good, "positions": [10**400] + good["positions"][1:]}))
+    assert ("field 'positions' is not numeric: int too large to convert to float"
+            in assert_validation_failure(run_cli("check", str(bad))))
 
 
 def test_spectrum_flat(flat_dir, run_cli):

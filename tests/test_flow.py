@@ -379,6 +379,9 @@ def test_area_monotone(clifford_run, pert_run):
         recs = series.records
         for a, b in zip(recs, recs[1:]):
             assert b.area <= a.area * (1 + 1e-10)
+
+
+def test_series_refuses_a_non_positive_area(clifford_run):
     # a row whose area reached 0 breaks the series
     row = dataclasses.replace(clifford_run[0].records[0], area=0.0)
     with pytest.raises(NumericalError, match=r"non-positive area 0\.0 at t = 0\.0"):

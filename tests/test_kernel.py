@@ -126,6 +126,9 @@ def test_phase_operator_generic_direction():
 def test_phase_operator_rejects_non_unit():
     with pytest.raises(InputError):
         phase_operator([1.0, 1.0, 0.0])
+
+
+def test_phase_operator_rejects_non_3_vector():
     with pytest.raises(InputError, match=r"must be a 3-vector, got shape \(2,\)"):
         phase_operator([1.0, 0.0])
 
