@@ -42,7 +42,7 @@ from .phase import (
     plf_residual,
     polar_identity_check,
 )
-from .spectral import RESIDUAL_TOL, lambda1
+from .spectral import _residual_tol, lambda1
 from .surface import (
     SCENARIO_NAMES,
     SCENARIO_PARAMS,
@@ -273,8 +273,6 @@ def _svg_line_plot(path, xs, ys, xlabel, ylabel):
         x1 = max(p[0] for p in pts)
         y0 = min(p[1] for p in pts)
         y1 = max(p[1] for p in pts)
-        if x1 == x0:
-            x0, x1 = x0 - 0.5, x1 + 0.5
         if y1 == y0:
             y0, y1 = y0 - 1.0, y1 + 1.0
 
@@ -422,7 +420,7 @@ def _run_checks(cache):
 
     spec_res = lambda1(cache)
     record("lambda1-positive", spec_res.lambda1, 1e-10, "above")
-    record("lambda1-residual", spec_res.residual, RESIDUAL_TOL)
+    record("lambda1-residual", spec_res.residual, _residual_tol(spec_res.lambda1))
     return checks
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its one file boundary.
+"""The package's exception types, its one file boundary and its scalar rules.
 
 The CLI maps these onto exit codes: input/validation problems exit 2,
 numerical failures during a run exit 3, I/O problems exit 4.  Every file
@@ -6,6 +6,9 @@ the package reads or writes whole goes through _read_text and
 _write_text, so a failure to open, read or write becomes IOFailure and
 bytes that are not UTF-8 become InputError, both naming the file.
 """
+
+import math
+import numbers
 
 
 class HkflowError(Exception):
@@ -57,3 +60,23 @@ def _write_text(path, what, text):
             fh.write(text)
     except OSError as exc:
         raise IOFailure(f"cannot write {what} {path}: {exc}") from exc
+
+
+def _real(name, value):
+    """value as a float, or InputError unless it is a real number (a bool is not)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _finite_real(name, value):
+    """InputError unless value is a finite real number."""
+    if not math.isfinite(_real(name, value)):
+        raise InputError(f"{name} must be finite, got {value}")
+
+
+def _integer(name, value):
+    """value as an int, or InputError unless it is an integer (a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)

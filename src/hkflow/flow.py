@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, NumericalError, PreconditionError
+from .errors import InputError, NumericalError, PreconditionError, _finite_real, _integer, _real
 from .kernel import _dot
 from .phase import PhaseField, field_from_array, phase_field, tension_field, twistor_energy
 from .spectral import lambda1
@@ -48,17 +48,16 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("dt", "max_h_below", "t_final"):
-            val = getattr(self, name)
-            if val is not None and not math.isfinite(val):
-                raise InputError(f"{name} must be finite, got {val}")
+            if getattr(self, name) is not None:
+                _finite_real(name, getattr(self, name))
         if self.dt is not None and self.dt <= 0:
             raise InputError(f"fixed dt must be positive, got {self.dt}")
-        if not 0 < self.safety <= 1:
+        if not 0 < _real("cfl safety", self.safety) <= 1:
             raise InputError(f"cfl safety must lie in (0, 1], got {self.safety}")
         if self.scheme not in SCHEMES:
             raise InputError(f"unknown scheme {self.scheme!r}")
         for name, low in (("steps", 0), ("lambda1_cadence", 1), ("consistency_cadence", 0)):
-            if not getattr(self, name) >= low:
+            if not _integer(name, getattr(self, name)) >= low:
                 raise InputError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameError, InputError
+from .errors import FrameError, InputError, _real
 
 UNIT_TOL = 1e-9          # tolerance on |a| = 1 for caller-supplied coefficients
 ORTHO_TOL = 1e-9         # tolerance on a . b = 0 for coefficient pairs
@@ -100,7 +100,7 @@ class AmbientSpace:
 
     def __post_init__(self):
         if self.periods is not None:
-            p = tuple(float(x) for x in self.periods)
+            p = tuple(_real("period", x) for x in self.periods)
             if len(p) != 4 or not all(math.isfinite(x) and x > 0 for x in p):
                 raise InputError(f"periods must be 4 positive finite lengths, got {self.periods}")
             object.__setattr__(self, "periods", p)

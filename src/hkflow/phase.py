@@ -1,7 +1,7 @@
 """Complex phase field of an immersed surface and the pointwise meters.
 
-The phase a(x) is the canonical twistor coefficient, under the kernel's
-one fixed triple, of the oriented orthonormal frame at each node.
+The phase a(x), a_d = <J_d e1, e2> under the kernel's one fixed triple,
+reads the tangent pair alone; the frame's relations are pinned by a test.
 Gradients of a are central differences in parameter space; the energy
 density is the edge (Dirichlet form) density of
 surface.dirichlet_energy_density, so that the integral of |grad a|^2
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameError, PreconditionError
-from .kernel import VERIFY_TOL, _apply_j, _apply_phase, _companion, _dot, _tangent_phase
+from .errors import PreconditionError
+from .kernel import _apply_j, _apply_phase, _companion, _dot, _tangent_phase
 from .surface import (
     _central,
     _cometric,
@@ -63,20 +63,9 @@ def field_from_array(a, cache):
 
 
 def phase_field(cache):
-    """Canonical phase of every node frame, with the defining relations
-    verified in bulk (mirrors kernel.canonical_phase_from_frame)."""
-    e1, e2, e3, e4 = (_planes(e) for e in (cache.e1, cache.e2, cache.e3, cache.e4))
-    a = _tangent_phase(e1, e2)
-    d1 = _apply_phase(a, e1) - e2
-    d3 = _apply_phase(a, e3) + e4
-    residual = np.sqrt(_dot(d1, d1)) + np.sqrt(_dot(d3, d3))
-    worst = float(residual.max())
-    if worst > VERIFY_TOL:
-        ij = tuple(int(k) for k in np.unravel_index(np.argmax(residual), residual.shape))
-        raise FrameError(
-            f"node frame at {ij} violates the twistor relations: residual {worst:.3e}"
-        )
-    return _phase_from_planes(a, cache)
+    """Canonical phase a_d = <J_d e1, e2> of every node's tangent pair; it reads
+    no normal (the frame's relations are pinned by a test)."""
+    return _phase_from_planes(_tangent_phase(_planes(cache.e1), _planes(cache.e2)), cache)
 
 
 def twistor_energy(pf, cache):

@@ -20,13 +20,11 @@ search's scipy.sparse.csgraph at the first ball volume.
 """
 
 import functools
-import math
-import numbers
 from collections import namedtuple
 
 import numpy as np
 
-from .errors import InputError, NumericalError, PreconditionError
+from .errors import InputError, NumericalError, PreconditionError, _finite_real
 from .kernel import _dot
 from .surface import (
     _central, _cometric, _displacement, _param_axes, _planes, _shift, laplacian_matrix,
@@ -101,6 +99,11 @@ def _fft_inverse(cache, w, gamma):
     return apply
 
 
+def _residual_tol(lam):
+    """lambda1's stopping rule for its residual, which scales like lam; check judges by it."""
+    return RESIDUAL_TOL * max(1.0, abs(lam))
+
+
 def lambda1(cache):
     """First nonzero eigenvalue of the surface Laplacian.
 
@@ -113,8 +116,9 @@ def lambda1(cache):
     and P the previous update outside X.  No matrix is factorized; the
     fixed start block keeps the result deterministic.
 
-    A best residual that has not halved in STALL_SWEEPS sweeps sits at its
-    roundoff floor (a thin T^4 cylinder's is above RESIDUAL_TOL) and raises.
+    The residual's one stopping rule is _residual_tol.  A best residual not
+    halved in STALL_SWEEPS sweeps sits at its roundoff floor (a thin T^4
+    cylinder's is above the rule) and raises.
     """
     import scipy.linalg as sla
 
@@ -161,7 +165,7 @@ def lambda1(cache):
         residual = float(np.sqrt((r * r / w).sum()))
         if (
             abs(lam - lam_prev) <= RAYLEIGH_RTOL * max(abs(lam), 1e-30)
-            and residual <= RESIDUAL_TOL * max(1.0, abs(lam))
+            and residual <= _residual_tol(lam)
         ):
             shape = (cache.grid.nu, cache.grid.nv)
             return SpectralResult(lam, v.reshape(shape), iteration, residual)
@@ -228,14 +232,6 @@ def geodesic_ball_volumes(cache, radius=0.5):
     """
     radius = _radius(radius)
     return cache._memoized(("ball_volumes", radius), lambda: _ball_volumes(cache, radius))
-
-
-def _finite_real(name, value):
-    """InputError unless value is a finite real number (a bool is not)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise InputError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value}")
 
 
 def _radius(radius):

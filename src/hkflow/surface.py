@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, _read_text, _write_text
+from .errors import InputError, NumericalError, _integer, _read_text, _real, _write_text
 from .kernel import AmbientSpace, _apply_phase, _companion, _dot, _tangent_phase
 
 DET_FLOOR_REL = 1e-10
@@ -160,11 +160,7 @@ def _eval_expr(expr, names, shape):
 def scenario(name, nu, nv, **params):
     """Sample a _SCENARIOS row onto the periodic nu x nv grid: its own parameters
     only, each > 0, and its four coordinates on _param_axes, each finite at every node."""
-    for key, val in (("nu", nu), ("nv", nv)):
-        # int() would floor 8.7 and raise bare on NaN and inf; a bool is an int too
-        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-            raise InputError(f"grid size {key} must be an integer, got {val!r}")
-    nu, nv = int(nu), int(nv)
+    nu, nv = _integer("grid size nu", nu), _integer("grid size nv", nv)
     if nu < MIN_GRID or nv < MIN_GRID:
         raise InputError(f"grid too small: nu={nu}, nv={nv}, need {MIN_GRID} x {MIN_GRID}")
     if 9 * nu * nv > np.iinfo(np.int32).max:
@@ -178,17 +174,18 @@ def scenario(name, nu, nv, **params):
     stray = sorted(set(params) - set(defaults if coords else ("exprs", "periods")))
     if stray:
         raise InputError(f"{name} does not take {', '.join(stray)}")
-    values = {key: float(params.get(key, val)) for key, val in defaults.items()}
+    values = {key: _real(key, params.get(key, val)) for key, val in defaults.items()}
     if not all(val > 0 for val in values.values()):      # NaN fails too
         raise InputError(f"{name} needs {noun}")
     u, v = _param_axes(nu, nv)
     names = dict(values, u=u, v=v, pi=np.pi)
     if coords is None:
         coords, periods = params.get("exprs"), params.get("periods")
-        if not coords or len(coords) != 4:
+        if not (isinstance(coords, (list, tuple)) and len(coords) == 4
+                and all(isinstance(expr, str) for expr in coords)):
             raise InputError("custom-expression needs exprs = 4 strings")
     elif periods:
-        periods = [_eval_expr(expr, names, ()) for expr in periods]
+        periods = [float(_eval_expr(expr, names, ())) for expr in periods]
 
     pos = np.empty((nu, nv, 4))
     for k, expr in enumerate(coords):

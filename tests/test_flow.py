@@ -34,7 +34,7 @@ from hkflow.flow import (
     phase_heat_step,
     run_flow,
 )
-from hkflow.kernel import phi_field
+from hkflow.kernel import AmbientSpace, phi_field
 from hkflow.phase import field_from_array, phase_field, tension_field, twistor_energy
 from hkflow.surface import _lam_min, load_snapshot, save_snapshot, scenario
 
@@ -90,6 +90,41 @@ def test_config_validation():
         with pytest.raises(InputError, match=f"{name} must be finite"):
             FlowConfig(**{name: float("nan")})
     FlowConfig(dt=1e-3, scheme="rk2", max_h_below=1e-6, t_final=2.0)
+    assert FlowConfig(dt=np.float32(1e-3), safety=np.float64(0.5), steps=np.int64(3)).steps == 3
+
+
+# a scalar of the wrong kind is refused by name: not coerced (a cadence
+# of 2.5 would sample every 5 steps, R = "2" a radius-2 torus) and not
+# left to escape as a bare TypeError or ValueError
+@pytest.mark.parametrize("make, message", [
+    (lambda: FlowConfig(steps=2.5), "steps must be an integer, got 2.5"),
+    (lambda: FlowConfig(steps=None), "steps must be an integer, got None"),
+    (lambda: FlowConfig(steps=True), "steps must be an integer, got True"),
+    (lambda: FlowConfig(lambda1_cadence=2.5), "lambda1_cadence must be an integer, got 2.5"),
+    (lambda: FlowConfig(consistency_cadence=1.5), "consistency_cadence must be an integer, got 1.5"),
+    (lambda: FlowConfig(dt="0.1"), "dt must be a real number, got '0.1'"),
+    (lambda: FlowConfig(max_h_below="1e-6"), "max_h_below must be a real number, got '1e-6'"),
+    (lambda: FlowConfig(t_final=True), "t_final must be a real number, got True"),
+    (lambda: FlowConfig(safety="0.9"), "cfl safety must be a real number, got '0.9'"),
+    (lambda: scenario("clifford", 8, 8, R="abc"), "R must be a real number, got 'abc'"),
+    (lambda: scenario("clifford", 8, 8, R="2"), "R must be a real number, got '2'"),
+    (lambda: scenario("clifford", 8, 8, R=True), "R must be a real number, got True"),
+    (lambda: scenario("custom-expression", 8, 8, exprs=[1, 2, 3, 4]),
+     "custom-expression needs exprs = 4 strings"),
+    (lambda: scenario("custom-expression", 8, 8, exprs="u;v;u;v"),
+     "custom-expression needs exprs = 4 strings"),
+    (lambda: scenario("custom-expression", 8, 8, exprs=["u", "v", "0*u", "0*u"],
+                      periods=["2*pi", 1.0, 1.0, 1.0]), "period must be a real number, got '2*pi'"),
+    (lambda: AmbientSpace((1.0, 1.0, 1.0, None)), "period must be a real number, got None"),
+], ids=[
+    "steps-2.5", "steps-None", "steps-True", "lambda1_cadence-2.5", "consistency_cadence-1.5",
+    "dt-str", "max_h_below-str", "t_final-True", "safety-str", "R-abc", "R-str", "R-True",
+    "exprs-int", "exprs-str", "period-str", "period-None",
+])
+def test_api_refuses_a_scalar_that_is_not_a_number(make, message):
+    with pytest.raises(InputError) as err:
+        make()
+    assert str(err.value) == message
 
 
 def test_cfl_formula(pert64):

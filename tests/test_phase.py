@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hkflow import phase
-from hkflow.errors import FrameError, PreconditionError
+from hkflow.errors import PreconditionError
 from hkflow.kernel import phi_field
 from hkflow.phase import (
     bja_identity,
@@ -260,16 +260,6 @@ def test_tangent_rotation_invariance(perturbed):
     rotated = dataclasses.replace(c, e1=cb * c.e1 + sb * c.e2, e2=-sb * c.e1 + cb * c.e2)
     pf2 = phase_field(rotated)
     assert np.abs(pf2.a - pf.a).max() < 1e-13
-
-
-def test_phase_field_rejects_broken_frames(perturbed):
-    # swapping the normals gives a mirror frame: orthonormal, but the
-    # second twistor relation fails by |2 e3| at every node
-    c, _ = perturbed[64]
-    broken = dataclasses.replace(c)
-    broken.e3, broken.e4 = c.e4, c.e3
-    with pytest.raises(FrameError, match=r"node frame at \(\d+, \d+\) violates the twistor"):
-        phase_field(broken)
 
 
 def test_field_from_array_renormalizes(perturbed):

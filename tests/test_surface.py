@@ -371,14 +371,19 @@ def test_frames_orthonormal_oriented(perturbed48):
 )
 def test_normal_frame_is_adapted_to_the_phase(name, params):
     # e3 = J_b e1, e4 = J_b e2 for the tangent phase a_d = <J_d e1, e2>
-    # and its companion b, written out with the triple's matrices
+    # and its companion b, written out with the triple's matrices; then the
+    # twistor relations J_a e1 = e2 and J_a e3 = -e4, which phase_field
+    # relies on and does not re-verify
     c = cache_for(name, 48, **params)
     js = twistor_stack()
     a = np.stack([((c.e1 @ j.T) * c.e2).sum(-1) for j in js], axis=-1)
-    b = phi_field(a / np.linalg.norm(a, axis=-1, keepdims=True))
-    j_b = sum(b[..., d, None, None] * js[d] for d in range(3))
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    b = phi_field(a)
+    j_a, j_b = (sum(x[..., d, None, None] * js[d] for d in range(3)) for x in (a, b))
     assert np.abs(c.e3 - np.einsum("...kl,...l->...k", j_b, c.e1)).max() < 1e-14
     assert np.abs(c.e4 - np.einsum("...kl,...l->...k", j_b, c.e2)).max() < 1e-14
+    assert np.abs(np.einsum("...kl,...l->...k", j_a, c.e1) - c.e2).max() < 1e-14
+    assert np.abs(np.einsum("...kl,...l->...k", j_a, c.e3) + c.e4).max() < 1e-14
 
 
 def test_non_finite_node_is_named():
@@ -416,6 +421,7 @@ def test_scenario_validation():
         with pytest.raises(InputError, match=re.escape(f"grid size nv must be an integer, got {size!r}")):
             scenario("flat-plane-torus", 8, size)
     assert type(scenario("flat-plane-torus", np.int64(8), 8).nu) is int
+    assert scenario("clifford", 8, 8, R=np.float32(2.0)).positions[0, 0, 0] == 2.0
     with pytest.raises(InputError, match="eps"):
         scenario("perturbed-complex-torus", 16, 16, eps=-0.1)
     with pytest.raises(InputError, match="positive radii"):
