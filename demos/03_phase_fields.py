@@ -11,7 +11,6 @@ import numpy as np
 from hkflow import (
     bja_identity,
     compute_geometry,
-    hyper_lagrangian_residual,
     kahler_angle,
     lagrangian_angle,
     phase_field,
@@ -79,9 +78,6 @@ def main():
         rows.setdefault("frame-vs-curvature", []).append(np.abs(lhs - rhs).max())
         rows.setdefault("phase-gradient", []).append(plf_residual(cache, pf).max())
         rows.setdefault("polar-chart", []).append(polar_identity_check(pf, cache).max())
-        rows.setdefault("hyper-lagrangian", []).append(
-            hyper_lagrangian_residual(cache, pf).max()
-        )
     for name, (a64, a128) in rows.items():
         print(f"  {name:<22} {a64:>10.3e} {a128:>10.3e}")
 

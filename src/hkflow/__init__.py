@@ -37,7 +37,6 @@ from .phase import (
     plf_residual,
     bja_identity,
     polar_identity_check,
-    hyper_lagrangian_residual,
 )
 from .spectral import (
     lambda1,
@@ -75,7 +74,6 @@ __all__ = [
     "plf_residual",
     "bja_identity",
     "polar_identity_check",
-    "hyper_lagrangian_residual",
     "lambda1",
     "geodesic_ball_volumes",
     "c0_from_l2_validator",

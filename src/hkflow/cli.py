@@ -37,7 +37,6 @@ from .flow import C_MON, SCHEMES, FlowConfig, run_flow
 from .kernel import GRAM_TOL, _dot
 from .phase import (
     bja_identity,
-    hyper_lagrangian_residual,
     phase_field,
     plf_residual,
     polar_identity_check,
@@ -413,7 +412,6 @@ def _run_checks(cache):
         record("etd-polar-identity", polar_identity_check(pf, cache).max(), tol_id)
     except PreconditionError as exc:
         checks.append({"name": "etd-polar-identity", "status": "SKIP", "reason": str(exc)})
-    record("hyper-lagrangian-residual", hyper_lagrangian_residual(cache, pf).max(), tol_id)
     margin = (2.0 * pf.energy_density - cache.norm_H_sq).min()
     slack = 10.0 * h**2 * cache.norm_A_sq.max()
     record("hdp-margin", margin, -slack, "above")

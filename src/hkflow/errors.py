@@ -66,7 +66,10 @@ def _real(name, value):
     """value as a float, or InputError unless it is a real number (a bool is not)."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise InputError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:             # an integer beyond float64
+        raise InputError(f"{name} must be a real number within float range: {exc}") from exc
 
 
 def _finite_real(name, value):

@@ -100,7 +100,8 @@ class AmbientSpace:
 
     def __post_init__(self):
         if self.periods is not None:
-            p = tuple(_real("period", x) for x in self.periods)
+            seq = isinstance(self.periods, (list, tuple, np.ndarray))    # a str is not
+            p = tuple(_real("period", x) for x in self.periods) if seq else ()
             if len(p) != 4 or not all(math.isfinite(x) and x > 0 for x in p):
                 raise InputError(f"periods must be 4 positive finite lengths, got {self.periods}")
             object.__setattr__(self, "periods", p)
@@ -129,13 +130,26 @@ class AmbientSpace:
         return d - per * np.round(d / per)
 
 
+def _vector(what, value, size):
+    """value as a float64 array of shape (size,), or InputError unless it is
+    one: entries that are not real numbers (strings, bools) are refused."""
+    try:
+        arr = np.asarray(value)
+        numeric = arr.dtype.kind in "iuf"
+    except ValueError:                   # a ragged nesting
+        numeric = False
+    if not numeric:
+        raise InputError(f"{what} must hold real numbers, got {value!r}")
+    if arr.shape != (size,):
+        raise InputError(f"{what} must be a {size}-vector, got shape {arr.shape}")
+    return arr.astype(float)
+
+
 def as_unit_coefficient(a):
     """Validate a twistor coefficient (unit 3-vector) and return it as float64."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise InputError(f"twistor coefficient must be a 3-vector, got shape {a.shape}")
+    a = _vector("twistor coefficient", a, 3)
     n = np.linalg.norm(a)
-    if abs(n - 1.0) > UNIT_TOL:
+    if not abs(n - 1.0) <= UNIT_TOL:     # NaN fails too
         raise InputError(f"twistor coefficient is not unit: |a| = {n!r}")
     return a / n
 
@@ -239,7 +253,7 @@ def holomorphic_symplectic(a, b):
     """
     a = as_unit_coefficient(a)
     b = as_unit_coefficient(b)
-    if abs(float(np.dot(a, b))) > ORTHO_TOL:
+    if not abs(float(np.dot(a, b))) <= ORTHO_TOL:
         raise InputError(f"coefficient pair is not orthogonal: a.b = {np.dot(a, b)!r}")
     j = phase_operator(a)
     k = phase_operator(b)
@@ -255,17 +269,17 @@ def canonical_phase_from_frame(e1, e2, e3, e4):
     """Phase coefficient of an oriented orthonormal frame of R^4.
 
     Returns the unique unit a with J_a e1 = e2 and J_a e3 = -e4.
-    Raises FrameError when the frame is not orthonormal, is negatively
-    oriented, or fails the defining relations (inconsistent input).
+    Raises InputError when a vector is not four real numbers, and
+    FrameError when the frame is not orthonormal (a NaN entry included),
+    is negatively oriented, or fails the defining relations.
     """
-    frame = np.stack([np.asarray(e, float) for e in (e1, e2, e3, e4)])
-    gram = frame @ frame.T
-    if np.max(np.abs(gram - np.eye(4))) > GRAM_TOL:
-        raise FrameError(
-            f"frame is not orthonormal: max Gram deviation "
-            f"{np.max(np.abs(gram - np.eye(4))):.3e}"
-        )
-    if np.linalg.det(frame) <= 0.0:
+    vectors = enumerate([e1, e2, e3, e4], 1)
+    frame = np.stack([_vector(f"frame vector e{k}", e, 4) for k, e in vectors])
+    with np.errstate(invalid="ignore"):    # an infinite entry makes the Gram matrix NaN
+        deviation = np.max(np.abs(frame @ frame.T - np.eye(4)))
+    if not deviation <= GRAM_TOL:          # NaN fails too, before det sees it
+        raise FrameError(f"frame is not orthonormal: max Gram deviation {deviation:.3e}")
+    if not np.linalg.det(frame) > 0.0:
         raise FrameError("frame is negatively oriented")
     js = np.stack([_TRIPLE.j1, _TRIPLE.j2, _TRIPLE.j3])
     a = js @ frame[0] @ frame[1]          # a_d = <J_d e1, e2>
@@ -274,7 +288,7 @@ def canonical_phase_from_frame(e1, e2, e3, e4):
     residual = np.linalg.norm(jpsi @ frame[0] - frame[1]) + np.linalg.norm(
         jpsi @ frame[2] + frame[3]
     )
-    if residual > VERIFY_TOL:
+    if not residual <= VERIFY_TOL:
         raise FrameError(
             f"frame is inconsistent with the twistor relations: residual {residual:.3e}"
         )

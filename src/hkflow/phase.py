@@ -7,11 +7,11 @@ density is the edge (Dirichlet form) density of
 surface.dirichlet_energy_density, so that the integral of |grad a|^2
 matches the quadratic form of the discrete Laplacian exactly.
 
-The identity meters (mean-curvature formula, frame identity, polar
-identity, hyper-Lagrangian residual) all work in the basis adapted to
-the pair (a, b) where b is a deterministic pointwise-orthogonal
-companion phase; every exported number is independent of that choice
-and of the normal gauge, which the tests pin down.
+The identity meters are the mean-curvature formula (in the basis adapted
+to a and a deterministic pointwise-orthogonal companion b), the frame
+identity (in the cache's adapted frame) and the polar identity; every
+exported number is independent of b and of the normal gauge, which the
+tests pin down.
 """
 
 from collections import namedtuple
@@ -26,7 +26,6 @@ from .surface import (
     _cometric,
     _node_major,
     _planes,
-    _second_fundamental_form,
     _shift,
     dirichlet_energy_density,
     laplace_beltrami,
@@ -177,16 +176,14 @@ BjaResult = namedtuple("BjaResult", "lhs rhs ratio")
 def bja_identity(cache, pf):
     """Both sides of the frame identity for |nabla J_a|^2.
 
-    lhs = 4 |grad a|^2; rhs is the curvature expression in the frame
-    adapted to (a, b): tangent (e1, e2), normals (J_b e1, J_b e2).
-    Also returns the pointwise ratio |grad a| / |A|.
+    lhs = 4 |grad a|^2; rhs is the curvature expression in the cache's
+    positive frame (e1, e2, e3, e4) with its h: a rotation of the normals
+    by theta turns x + iy into e^{-i theta} (x + iy), so rhs does not see
+    the normal gauge.  Also returns the pointwise ratio |grad a| / |A|.
     """
-    b = _companion(_planes(pf.a))
-    normals = tuple(_apply_phase(b, _planes(e)) for e in (cache.e1, cache.e2))
-    f_uu, f_uv, f_vv = (_planes(f) for f in (cache.f_uu, cache.f_uv, cache.f_vv))
-    hp = _second_fundamental_form(f_uu, f_uv, f_vv, normals)
-    # gs hp gs^T: the lower-triangular gs rows act on the row index, then the column index
-    rows = _to_frame(hp[:, 0], hp[:, 1], cache)
+    h = _planes(cache.h, 3)
+    # gs h gs^T: the lower-triangular gs rows act on the row index, then the column index
+    rows = _to_frame(h[:, 0], h[:, 1], cache)
     horth = [_to_frame(r[:, 0], r[:, 1], cache) for r in rows]   # horth[i][j][alpha]
 
     x = np.stack([horth[1][i][0] - horth[0][i][1] for i in (0, 1)])    # h3_{2i} - h4_{1i}
@@ -221,16 +218,3 @@ def polar_identity_check(pf, cache):
     sq_th = _cometric(cache.ginv, dth[0], dth[1])
     rhs = np.sin(phi) ** 2 * sq_th + _cometric(cache.ginv, dph[0], dph[1])
     return np.abs(pf.energy_density - rhs)
-
-
-def hyper_lagrangian_residual(cache, pf):
-    """Max modulus of Omega_{a(x)} on the tangent pair, per node.
-
-    Identically zero in the continuum for any surface with its canonical
-    phase; here it meters frame and phase self-consistency."""
-    a = _planes(pf.a)
-    e1, e2 = _planes(cache.e1), _planes(cache.e2)
-    kb_e1 = _apply_phase(_companion(a), e1)
-    real = _dot(_apply_phase(a, kb_e1), e2)
-    imag = -_dot(kb_e1, e2)
-    return np.maximum(np.abs(real), np.abs(imag))

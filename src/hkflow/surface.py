@@ -168,7 +168,7 @@ def scenario(name, nu, nv, **params):
             f"grid too large: nu={nu}, nv={nv}, the nine-point stencil's "
             "9 * nu * nv entries exceed int32 indexing"
         )
-    if name not in _SCENARIOS:
+    if not isinstance(name, str) or name not in _SCENARIOS:
         raise InputError(f"unknown scenario {name!r}")
     defaults, noun, coords, periods = _SCENARIOS[name]
     stray = sorted(set(params) - set(defaults if coords else ("exprs", "periods")))
@@ -193,7 +193,7 @@ def scenario(name, nu, nv, **params):
         if not np.isfinite(pos[..., k]).all():
             ij = tuple(np.argwhere(~np.isfinite(pos[..., k]))[0].tolist())
             raise InputError(f"coordinate {k} {expr!r} of {name!r} is not finite at node {ij}")
-    ambient = AmbientSpace(tuple(periods) if periods else None)
+    ambient = AmbientSpace(periods)
     return SurfaceGrid(nu, nv, ambient.wrap(pos), ambient)
 
 
@@ -326,16 +326,6 @@ def _displacement(ambient, p, q):
     return ambient.displacement(p.T, q.T).T
 
 
-def _second_fundamental_form(f_uu, f_uv, f_vv, normals):
-    """h[alpha, i, j] = <f_ij, n_alpha> on planes: (2, 2, 2, nu, nv)."""
-    h = np.empty((2, 2, 2) + f_uu.shape[1:])
-    for alpha, n in enumerate(normals):
-        h[alpha, 0, 0] = _dot(f_uu, n)
-        h[alpha, 0, 1] = h[alpha, 1, 0] = _dot(f_uv, n)
-        h[alpha, 1, 1] = _dot(f_vv, n)
-    return h
-
-
 def compute_geometry(grid):
     """GeometryCache of a sampled surface, its intrinsic half built here.
 
@@ -450,7 +440,11 @@ def _extrinsic_half(cache):
     b = _companion(_tangent_phase(e1, e2))
     e3 = _apply_phase(b, e1)
     e4 = _apply_phase(b, e2)
-    h = _second_fundamental_form(f_uu, f_uv, f_vv, (e3, e4))
+    h = np.empty((2, 2, 2) + f_uu.shape[1:])
+    for alpha, n in enumerate((e3, e4)):
+        h[alpha, 0, 0] = _dot(f_uu, n)
+        h[alpha, 0, 1] = h[alpha, 1, 0] = _dot(f_uv, n)
+        h[alpha, 1, 1] = _dot(f_vv, n)
 
     trace = ginv[0, 0] * f_uu + 2 * ginv[0, 1] * f_uv + ginv[1, 1] * f_vv
     big_h = trace - _dot(trace, e1) * e1 - _dot(trace, e2) * e2

@@ -27,7 +27,6 @@ from hkflow.flow import (
 from hkflow.kernel import standard_twistor_triple
 from hkflow.phase import (
     bja_identity,
-    hyper_lagrangian_residual,
     phase_field,
     plf_residual,
     polar_identity_check,
@@ -141,7 +140,6 @@ def test_criterion_3_pointwise_identities(caches, capfd):
             "plf": plf_residual(cache, pf).max(),
             "bja": np.abs(lhs - rhs).max(),
             "gauss": gauss_curvature_check(cache).max(),
-            "hyperlag": hyper_lagrangian_residual(cache, pf).max(),
         }
         if key[0] == "perturbed":
             # the clifford phase sits at the poles where the polar chart
@@ -158,7 +156,7 @@ def test_criterion_3_pointwise_identities(caches, capfd):
     for scen in ("clifford", "perturbed"):
         m64, m128 = meters[scen, 64], meters[scen, 128]
         ok = ok and m64["hdp_ok"] and m128["hdp_ok"]
-        for name in ("plf", "bja", "gauss", "hyperlag", "etd"):
+        for name in ("plf", "bja", "gauss", "etd"):
             if name not in m64:
                 continue
             worst64 = max(worst64, m64[name])

@@ -93,9 +93,10 @@ def test_config_validation():
     assert FlowConfig(dt=np.float32(1e-3), safety=np.float64(0.5), steps=np.int64(3)).steps == 3
 
 
-# a scalar of the wrong kind is refused by name: not coerced (a cadence
-# of 2.5 would sample every 5 steps, R = "2" a radius-2 torus) and not
-# left to escape as a bare TypeError or ValueError
+# a scalar, container or name of the wrong kind is refused by name: not
+# coerced (a cadence of 2.5 would sample every 5 steps, R = "2" a radius-2
+# torus, periods "abcd" four string periods) and not left to escape as a
+# bare TypeError, ValueError or OverflowError
 @pytest.mark.parametrize("make, message", [
     (lambda: FlowConfig(steps=2.5), "steps must be an integer, got 2.5"),
     (lambda: FlowConfig(steps=None), "steps must be an integer, got None"),
@@ -116,10 +117,20 @@ def test_config_validation():
     (lambda: scenario("custom-expression", 8, 8, exprs=["u", "v", "0*u", "0*u"],
                       periods=["2*pi", 1.0, 1.0, 1.0]), "period must be a real number, got '2*pi'"),
     (lambda: AmbientSpace((1.0, 1.0, 1.0, None)), "period must be a real number, got None"),
+    (lambda: FlowConfig(dt=10**400),
+     "dt must be a real number within float range: int too large to convert to float"),
+    (lambda: scenario("clifford", 8, 8, R=10**400),
+     "R must be a real number within float range: int too large to convert to float"),
+    (lambda: AmbientSpace(5), "periods must be 4 positive finite lengths, got 5"),
+    (lambda: AmbientSpace("abcd"), "periods must be 4 positive finite lengths, got abcd"),
+    (lambda: scenario("custom-expression", 8, 8, exprs=["u", "v", "0*u", "0*u"], periods=5),
+     "periods must be 4 positive finite lengths, got 5"),
+    (lambda: scenario(["clifford"], 8, 8), "unknown scenario ['clifford']"),
 ], ids=[
     "steps-2.5", "steps-None", "steps-True", "lambda1_cadence-2.5", "consistency_cadence-1.5",
     "dt-str", "max_h_below-str", "t_final-True", "safety-str", "R-abc", "R-str", "R-True",
-    "exprs-int", "exprs-str", "period-str", "period-None",
+    "exprs-int", "exprs-str", "period-str", "period-None", "dt-huge-int", "R-huge-int",
+    "periods-int", "periods-str", "scenario-periods-int", "name-list",
 ])
 def test_api_refuses_a_scalar_that_is_not_a_number(make, message):
     with pytest.raises(InputError) as err:

@@ -123,14 +123,31 @@ def test_phase_operator_generic_direction():
         )
 
 
-def test_phase_operator_rejects_non_unit():
-    with pytest.raises(InputError):
-        phase_operator([1.0, 1.0, 0.0])
+# NaN fails the unit test too, rather than giving an all-NaN J_a
+@pytest.mark.parametrize("make", [
+    lambda: phase_operator([1.0, 1.0, 0.0]),
+    lambda: phase_operator([np.nan, 0.0, 0.0]),
+    lambda: phase_operator([np.inf, 0.0, 0.0]),
+    lambda: holomorphic_symplectic((1.0, 0.0, 0.0), (0.0, np.nan, 0.0)),
+], ids=["sqrt2", "nan", "inf", "pair-nan"])
+def test_phase_operator_rejects_non_unit(make):
+    with pytest.raises(InputError, match="twistor coefficient is not unit"):
+        make()
 
 
-def test_phase_operator_rejects_non_3_vector():
-    with pytest.raises(InputError, match=r"must be a 3-vector, got shape \(2,\)"):
-        phase_operator([1.0, 0.0])
+@pytest.mark.parametrize("coeff, message", [
+    ([1.0, 0.0], r"must be a 3-vector, got shape \(2,\)"),
+    ([[1.0, 0.0, 0.0]], r"must be a 3-vector, got shape \(1, 3\)"),
+    ("abc", "must hold real numbers, got 'abc'"),
+    (["1", "0", "0"], "must hold real numbers"),
+    ([True, False, False], "must hold real numbers"),
+    ([[1.0], [0.0, 0.0]], "must hold real numbers"),
+    (None, "must hold real numbers, got None"),
+    ([10**400, 0, 0], "must hold real numbers"),
+], ids=["2-vector", "1x3", "str", "str-entries", "bools", "ragged", "None", "huge-int"])
+def test_phase_operator_rejects_non_3_vector(coeff, message):
+    with pytest.raises(InputError, match=message):
+        phase_operator(coeff)
 
 
 def test_symplectic_form_compatibility_and_antisymmetry(triple):
@@ -273,6 +290,14 @@ def test_canonical_phase_error_paths():
         canonical_phase_from_frame(2 * e[0], e[1], e[2], e[3])
     with pytest.raises(FrameError, match="oriented"):
         canonical_phase_from_frame(e[1], e[0], e[2], e[3])
+    # a NaN or infinite entry fails the Gram test, before det can warn on it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FrameError, match="not orthonormal: max Gram deviation nan"):
+            canonical_phase_from_frame([bad, 0.0, 0.0, 0.0], e[1], e[2], e[3])
+    with pytest.raises(InputError, match=r"frame vector e1 must be a 4-vector, got shape \(3,\)"):
+        canonical_phase_from_frame(*np.eye(4, 3))       # four 3-vectors
+    with pytest.raises(InputError, match="frame vector e3 must hold real numbers, got 'abcd'"):
+        canonical_phase_from_frame(e[0], e[1], "abcd", e[3])
     # small orthonormality slack below the gate is accepted
     wiggle = e[0] + 1e-9 * e[1]
     a = canonical_phase_from_frame(wiggle, e[1], e[2], e[3])

@@ -9,7 +9,7 @@ ROOT_NAMES = [
     "PreconditionError", "__version__", "bja_identity", "c0_from_l2_validator",
     "canonical_phase_from_frame", "compute_geometry", "decay_fit",
     "gauss_curvature_check", "geodesic_ball_volumes", "holomorphic_symplectic",
-    "hyper_lagrangian_residual", "kahler_angle", "lagrangian_angle", "lambda1", "phase_field",
+    "kahler_angle", "lagrangian_angle", "lambda1", "phase_field",
     "phase_operator", "plf_residual", "polar_identity_check", "run_flow", "scenario",
     "standard_twistor_triple", "surface_integral", "symplectic_form", "tension_field",
     "twistor_energy",
@@ -34,7 +34,6 @@ ROOT_SIGNATURES = {
     "gauss_curvature_check": "(cache)",
     "geodesic_ball_volumes": "(cache, radius=0.5)",
     "holomorphic_symplectic": "(a, b)",
-    "hyper_lagrangian_residual": "(cache, pf)",
     "kahler_angle": "(pf)",
     "lagrangian_angle": "(pf, cache)",
     "lambda1": "(cache)",

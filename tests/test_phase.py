@@ -19,7 +19,6 @@ from hkflow.kernel import phi_field
 from hkflow.phase import (
     bja_identity,
     field_from_array,
-    hyper_lagrangian_residual,
     kahler_angle,
     lagrangian_angle,
     phase_field,
@@ -206,11 +205,6 @@ def test_gradient_curvature_ratio_bounded(eq64, perturbed, graph):
     assert min(ratios) > 0.9
 
 
-def test_hyper_lagrangian_residual_machine_zero(eq64, perturbed, graph):
-    for c, pf in (eq64, perturbed[64], graph[64]):
-        assert hyper_lagrangian_residual(c, pf).max() < 1e-14
-
-
 def test_polar_identity_equator(eq64, eq128):
     c, pf = eq64
     res = polar_identity_check(pf, c)
@@ -250,6 +244,26 @@ def test_normal_gauge_invariance(perturbed):
     rotated.e3, rotated.e4 = cg * c.e3 + sg * c.e4, -sg * c.e3 + cg * c.e4
     pf2 = phase_field(rotated)
     assert np.array_equal(pf2.a, pf.a)
+
+
+def test_frame_identity_ignores_the_normal_gauge():
+    # bja_identity reads the cache's h: a rotation of the normal pair turns
+    # x + iy into e^{-i gam} (x + iy), which rhs does not see, while the
+    # reflection (e3, e4) -> (e4, e3) changes it wherever the normal
+    # curvature [h3, h4] is not zero (it is zero on the named scenarios)
+    c = cache_for("custom-expression", 32, exprs=["u", "v", "0.3*sin(u)*cos(v)", "0.3*sin(v)"],
+                  periods=[TWO_PI] * 4)
+    pf = phase_field(c)
+    uu, vv = c.grid.param_axes()
+    gam = 0.3 + 0.2 * np.sin(uu + vv)
+    cg, sg = np.cos(gam)[..., None, None], np.sin(gam)[..., None, None]
+    h0, h1 = c.h[..., 0, :, :], c.h[..., 1, :, :]
+    rotated, reflected = dataclasses.replace(c), dataclasses.replace(c)
+    rotated.h = np.stack([cg * h0 + sg * h1, -sg * h0 + cg * h1], axis=2)
+    reflected.h = c.h[..., ::-1, :, :]
+    base = bja_identity(c, pf).rhs
+    assert np.abs(bja_identity(rotated, pf).rhs - base).max() < 1e-14 * base.max()
+    assert np.abs(bja_identity(reflected, pf).rhs - base).max() > 0.5 * base.max()
 
 
 def test_tangent_rotation_invariance(perturbed):

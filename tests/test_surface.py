@@ -422,6 +422,9 @@ def test_scenario_validation():
             scenario("flat-plane-torus", 8, size)
     assert type(scenario("flat-plane-torus", np.int64(8), 8).nu) is int
     assert scenario("clifford", 8, 8, R=np.float32(2.0)).positions[0, 0, 0] == 2.0
+    for periods in ([1.0, 2.0, 3.0, 4.0], (1.0, 2.0, 3.0, 4.0), np.array([1.0, 2.0, 3.0, 4.0])):
+        grid = scenario("custom-expression", 8, 8, exprs=["u", "v", "0*u", "0*u"], periods=periods)
+        assert grid.ambient.periods == (1.0, 2.0, 3.0, 4.0)
     with pytest.raises(InputError, match="eps"):
         scenario("perturbed-complex-torus", 16, 16, eps=-0.1)
     with pytest.raises(InputError, match="positive radii"):
