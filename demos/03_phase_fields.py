@@ -1,9 +1,10 @@
 """Complex phases of the scenario surfaces and the identities they obey.
 
 The phase of a surface point is the unit coefficient a with J_a mapping
-the first tangent direction to the second.  Three stories below: where
-each scenario sits on the coefficient sphere, the Lagrangian angle of
-the clifford torus, and the pointwise meters on a perturbed surface.
+the first tangent direction to the second.  Four stories below: where
+each scenario sits on the coefficient sphere, the clifford phase as a
+great circle, the mean-curvature formula on a Lagrangian torus, and the
+pointwise meters on a perturbed surface.
 """
 
 import numpy as np
@@ -11,8 +12,6 @@ import numpy as np
 from hkflow import (
     bja_identity,
     compute_geometry,
-    kahler_angle,
-    lagrangian_angle,
     phase_field,
     plf_residual,
     polar_identity_check,
@@ -46,10 +45,10 @@ def main():
     print("\nthe clifford phase is a great circle, not a point")
     cache = cache_for("clifford", R=1.0, r=1.0)
     pf = phase_field(cache)
-    # a = (0, -cos(u - v), sin(u - v)) up to discretization, so the
-    # Kahler angle sweeps the full range while a1 stays pinned at 0
-    print(f"  max |a1|          = {np.abs(pf.a[..., 0]).max():.3e}")
-    print(f"  kahler angle range = [{kahler_angle(pf).min():.4f}, {kahler_angle(pf).max():.4f}]")
+    # a = (0, -cos(u - v), sin(u - v)) up to discretization, so a3
+    # sweeps the full range while a1 stays pinned at 0
+    print(f"  max |a1|           = {np.abs(pf.a[..., 0]).max():.3e}")
+    print(f"  a3 range           = [{pf.a[..., 2].min():+.4f}, {pf.a[..., 2].max():+.4f}]")
     u, v = cache.grid.param_axes()
     predicted = np.stack(
         [np.zeros_like(u), -np.cos(u - v), np.sin(u - v)], axis=-1
@@ -57,16 +56,17 @@ def main():
     print(f"  max |a - a(u - v)| = {np.abs(pf.a - predicted).max():.3e}")
     print(f"  tension max        = {np.abs(tension_field(pf, cache)).max():.3e} (harmonic)")
 
-    print("\nLagrangian angle of a product-of-circles torus")
-    # the clifford phase crosses the poles, so the angle chart refuses
-    # it; this torus keeps a3 = 0 and winds once around each factor
+    print("\nthe mean-curvature formula on a Lagrangian product-of-circles torus")
+    # this torus keeps a3 = 0, so it is Lagrangian for J_3 and the formula
+    # i_H Omega + 2 dbar(a'_2 + i a'_3) = 0 reduces to i_H omega + d theta = 0;
+    # plf_residual meters the formula for any phase, here to roundoff
     eq = cache_for(
         "custom-expression",
         exprs=["0.7*cos(u)", "0.7*cos(v)", "0.7*sin(v)", "0.7*sin(u)"],
     )
-    ang = lagrangian_angle(phase_field(eq), eq)
-    print(f"  winding (u, v) = {ang.winding}")
-    print(f"  exactness residual |i_H omega + d theta|_L2 = {ang.residual:.3e}")
+    pf = phase_field(eq)
+    print(f"  max |a3|           = {np.abs(pf.a[..., 2]).max():.3e}")
+    print(f"  max plf_residual   = {plf_residual(eq, pf).max():.3e}")
 
     print("\npointwise meters on perturbed-complex-torus, 64^2 vs 128^2")
     print(f"  {'meter':<22} {'64^2':>10} {'128^2':>10}")

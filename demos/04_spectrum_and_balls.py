@@ -14,7 +14,6 @@ from hkflow import (
     geodesic_ball_volumes,
     lambda1,
     scenario,
-    surface_integral,
 )
 
 TWO_PI = 2.0 * np.pi

@@ -32,8 +32,6 @@ from .phase import (
     phase_field,
     twistor_energy,
     tension_field,
-    kahler_angle,
-    lagrangian_angle,
     plf_residual,
     bja_identity,
     polar_identity_check,
@@ -69,8 +67,6 @@ __all__ = [
     "phase_field",
     "twistor_energy",
     "tension_field",
-    "kahler_angle",
-    "lagrangian_angle",
     "plf_residual",
     "bja_identity",
     "polar_identity_check",

@@ -26,7 +26,7 @@ class FrameError(InputError):
 
 class PreconditionError(InputError):
     """A diagnostic was asked for outside its domain of validity, e.g. the
-    Lagrangian angle of a visibly non-Lagrangian surface."""
+    polar chart of a phase field that comes close to its poles."""
 
 
 class NumericalError(HkflowError):

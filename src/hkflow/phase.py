@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .kernel import _apply_j, _apply_phase, _companion, _dot, _tangent_phase
+from .kernel import _apply_phase, _companion, _dot, _tangent_phase
 from .surface import (
     _central,
     _cometric,
@@ -33,7 +33,6 @@ from .surface import (
 )
 
 POLE_TOL = 0.05          # refuse polar charts closer than this to |a3| = 1
-LAGRANGIAN_TOL = 0.05    # refuse the Lagrangian angle beyond this |a3|
 
 
 @dataclass
@@ -76,10 +75,6 @@ def tension_field(pf, cache):
     return laplace_beltrami(pf.a, cache) + pf.energy_density[..., None] * pf.a
 
 
-def kahler_angle(pf):
-    return np.arccos(np.clip(pf.a[..., 2], -1.0, 1.0))
-
-
 def _wrap_angle(t):
     return (t + np.pi) % (2 * np.pi) - np.pi
 
@@ -90,45 +85,6 @@ def _angle_grad(theta, cache):
     du = _wrap_angle(_shift(theta, -1, 0) - _shift(theta, 1, 0)) / (2 * hu)
     dv = _wrap_angle(_shift(theta, -1, 1) - _shift(theta, 1, 1)) / (2 * hv)
     return np.stack([du, dv])
-
-
-def _winding(theta, axis):
-    jumps = _wrap_angle(_shift(theta, -1, axis) - theta)
-    total = jumps.sum(axis=axis)
-    return int(np.round(np.mean(total) / (2 * np.pi)))
-
-
-LagrangianAngle = namedtuple("LagrangianAngle", "theta residual winding")
-
-
-def lagrangian_angle(pf, cache):
-    """Unwrapped Lagrangian angle and the L2 exactness residual.
-
-    theta = atan2(a2, a1).  For a Lagrangian surface the contraction of
-    the mean curvature with omega_{J3} is an exact form; under the pinned
-    triple the identity reads i_H omega + d theta = 0, and the residual
-    is the L2 norm of that combination.  Only claimed for surfaces that
-    are Lagrangian to begin with, hence the a3 gate.
-    """
-    max_a3 = float(np.abs(pf.a[..., 2]).max())
-    if max_a3 >= LAGRANGIAN_TOL:
-        raise PreconditionError(
-            f"not-lagrangian: max |a3| = {max_a3:.3f} exceeds {LAGRANGIAN_TOL}"
-        )
-    raw = np.arctan2(pf.a[..., 1], pf.a[..., 0])
-    rows = np.unwrap(raw, axis=1)
-    col0 = np.unwrap(raw[:, 0])
-    theta = rows + (col0 - raw[:, 0])[:, None]
-
-    # omega_{J3}(H, f_i) in the pinned convention
-    j3h = _apply_j(2, _planes(cache.H))
-    r_u = _dot(j3h, _planes(cache.f_u))
-    r_v = _dot(j3h, _planes(cache.f_v))
-    dth = _angle_grad(theta, cache)
-    sq = _cometric(cache.ginv, r_u + dth[0], r_v + dth[1])
-    residual = float(np.sqrt(max(surface_integral(sq, cache), 0.0)))
-    winding = (_winding(raw, 0), _winding(raw, 1))
-    return LagrangianAngle(theta, residual, winding)
 
 
 def _to_frame(comp_u, comp_v, cache):

@@ -6,7 +6,6 @@ wall-clock ceilings measured per criterion, not per test session.
 """
 
 import itertools
-import json
 import subprocess
 import sys
 import time

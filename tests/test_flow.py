@@ -22,7 +22,6 @@ from hkflow.flow import (
     FlowConfig,
     SurfaceState,
     cfl_dt,
-    consistency_check,
     coupled_step,
     decay_fit,
     efa_monitor,
@@ -35,7 +34,7 @@ from hkflow.flow import (
     run_flow,
 )
 from hkflow.kernel import AmbientSpace, phi_field
-from hkflow.phase import field_from_array, phase_field, tension_field, twistor_energy
+from hkflow.phase import field_from_array, tension_field
 from hkflow.surface import _lam_min, load_snapshot, save_snapshot, scenario
 
 TWO_PI = 2.0 * np.pi

@@ -9,10 +9,9 @@ ROOT_NAMES = [
     "PreconditionError", "__version__", "bja_identity", "c0_from_l2_validator",
     "canonical_phase_from_frame", "compute_geometry", "decay_fit",
     "gauss_curvature_check", "geodesic_ball_volumes", "holomorphic_symplectic",
-    "kahler_angle", "lagrangian_angle", "lambda1", "phase_field",
-    "phase_operator", "plf_residual", "polar_identity_check", "run_flow", "scenario",
-    "standard_twistor_triple", "surface_integral", "symplectic_form", "tension_field",
-    "twistor_energy",
+    "lambda1", "phase_field", "phase_operator", "plf_residual", "polar_identity_check",
+    "run_flow", "scenario", "standard_twistor_triple", "surface_integral",
+    "symplectic_form", "tension_field", "twistor_energy",
 ]
 
 
@@ -34,8 +33,6 @@ ROOT_SIGNATURES = {
     "gauss_curvature_check": "(cache)",
     "geodesic_ball_volumes": "(cache, radius=0.5)",
     "holomorphic_symplectic": "(a, b)",
-    "kahler_angle": "(pf)",
-    "lagrangian_angle": "(pf, cache)",
     "lambda1": "(cache)",
     "phase_field": "(cache)",
     "phase_operator": "(a)",
