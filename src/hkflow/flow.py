@@ -185,17 +185,14 @@ def consistency_check(state):
 
 
 def metric_evolution_monitor(before, after, dt):
-    """Defect of d/dt g_ij = -2 H^alpha h^alpha_ij at the step scale."""
-    rate = (_planes(after.cache.g, 2) - _planes(before.cache.g, 2)) / dt
-    n3, n4 = _normal_H(before.cache)
-    h = _planes(before.cache.h, 3)
-    return float(np.abs(rate + 2.0 * (n3 * h[0] + n4 * h[1])).max())
-
-
-def _normal_H(cache):
-    """(<H, e3>, <H, e4>) as planes (2, nu, nv)."""
+    """Defect of d/dt g_ij = -2 <H, f_ij> at the step scale, with H and the
+    second differences f_ij of the cache before the step.  H is normal, so
+    <H, f_ij> is <H, A_ij>: the monitor reads the normal core and no frame."""
+    cache = before.cache
+    rate = (_planes(after.cache.g, 2) - _planes(cache.g, 2)) / dt
     big_h = _planes(cache.H)
-    return np.stack([_dot(big_h, _planes(cache.e3)), _dot(big_h, _planes(cache.e4))])
+    uu, uv, vv = (_dot(big_h, _planes(f)) for f in (cache.f_uu, cache.f_uv, cache.f_vv))
+    return float(np.abs(rate + 2.0 * np.array([[uu, uv], [uv, vv]])).max())
 
 
 def _record(state, t, dt, e_accum):

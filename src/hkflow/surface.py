@@ -36,11 +36,19 @@ those planes; the phase fields of the phase module follow the same layout.
 Two halves: compute_geometry builds the intrinsic half (tangents, second
 differences, metric, tangent frame, Laplacian fluxes) and makes every
 refusal, a non-finite position, a degenerate metric or tangent pair.  The
-extrinsic half, f_uv, gs, e3, e4, h, H, norm_H_sq and norm_A_sq, is built
-all at once on the first read of any of its fields, from the intrinsic
-planes the cache holds; its expressions are elementwise, so its bits do
-not depend on when it is built.  lambda1, the validator, `init` and
-`spectrum` never read it, so they never pay for it.
+extrinsic half comes in two groups, each built whole on the first read of
+any of its fields, from the intrinsic planes the cache holds:
+
+- the normal core, f_uv, H, norm_H_sq and norm_A_sq, reads no normal
+  frame: H and |A|^2 come from the normal parts of the second
+  differences, so they do not depend on a gauge;
+- the adapted frame, gs, e3, e4 and h, is the twistor-adapted normal
+  frame above and the second fundamental form in it; only the frame
+  identity meters read it.
+
+Their expressions are elementwise, so the bits do not depend on when a
+group is built.  `run` builds the normal core only, `check` builds both,
+and lambda1, the validator, `init` and `spectrum` build neither.
 """
 
 import ast
@@ -197,11 +205,85 @@ def scenario(name, nu, nv, **params):
     return SurfaceGrid(nu, nv, ambient.wrap(pos), ambient)
 
 
+def _normal_part(x, e1, e2):
+    """x with its parts along the tangent pair e1, e2 removed, on planes."""
+    return x - _dot(x, e1) * e1 - _dot(x, e2) * e2
+
+
+def _normal_core(cache):
+    """The normal core of a cache, f_uv, H, norm_H_sq and norm_A_sq, as
+    read-only node-major views by field name.
+
+    Gauge-free: the normal parts f_ij^perp of the second differences,
+    with the e1, e2 parts removed, stand for the second fundamental form,
+    so no normal frame is built.  Elementwise expressions of the intrinsic
+    planes the cache holds, so the bits do not depend on when it is built.
+    """
+    f_u, f_uu, f_vv, e1, e2 = (_planes(f) for f in (cache.f_u, cache.f_uu, cache.f_vv,
+                                                    cache.e1, cache.e2))
+    ginv = _planes(cache.ginv, 2)
+    # cross derivative: central difference of the (seam-free) tangent field
+    f_uv = _central(f_u, 2, cache.hv)
+
+    trace = ginv[0, 0] * f_uu + 2 * ginv[0, 1] * f_uv + ginv[1, 1] * f_vv
+    big_h = _normal_part(trace, e1, e2)
+    norm_h_sq = _dot(big_h, big_h)
+    # |A|^2 = g^ik g^jl <A_ij, A_kl> for A_ij = f_ij^perp, expanded over the
+    # Gram entries <A_p, A_q> of the second differences p, q in (uu, uv, vv)
+    n_uu, n_uv, n_vv = (_normal_part(f, e1, e2) for f in (f_uu, f_uv, f_vv))
+    a, b, c = ginv[0, 0], ginv[0, 1], ginv[1, 1]
+    norm_a_sq = (
+        a * a * _dot(n_uu, n_uu) + 4 * a * b * _dot(n_uu, n_uv) + 2 * b * b * _dot(n_uu, n_vv)
+        + 2 * (a * c + b * b) * _dot(n_uv, n_uv) + 4 * b * c * _dot(n_uv, n_vv)
+        + c * c * _dot(n_vv, n_vv)
+    )
+
+    return _read_only_views(dict(f_uv=f_uv, H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq))
+
+
+def _adapted_frame(cache):
+    """The twistor-adapted frame of a cache, gs, e3, e4 and h, as read-only
+    node-major views by field name; h reads the normal core's f_uv.
+    Elementwise like the core, so the bits do not depend on when it is built.
+    """
+    f_uu, f_uv, f_vv, e1, e2 = (_planes(f) for f in (cache.f_uu, cache.f_uv, cache.f_vv,
+                                                    cache.e1, cache.e2))
+    g = _planes(cache.g, 2)
+
+    # metric Gram-Schmidt rows for converting parameter indices to the
+    # orthonormal frame; uses the edge metric, not ambient dots, so tensor
+    # conversions share the Laplacian's symbol
+    ell = np.sqrt(g[1, 1] - g[0, 1] ** 2 / g[0, 0])
+    gs = np.zeros_like(g)
+    gs[0, 0] = 1.0 / np.sqrt(g[0, 0])
+    gs[1, 0] = -g[0, 1] / (g[0, 0] * ell)
+    gs[1, 1] = 1.0 / ell
+
+    # normals adapted to the tangent phase a (J_a e1 = e2) and its companion
+    # b: J_a J_b = -J_b J_a gives J_a e3 = -e4, so the frame is positive
+    b = _companion(_tangent_phase(e1, e2))
+    e3 = _apply_phase(b, e1)
+    e4 = _apply_phase(b, e2)
+    h = np.empty((2, 2, 2) + f_uu.shape[1:])
+    for alpha, n in enumerate((e3, e4)):
+        h[alpha, 0, 0] = _dot(f_uu, n)
+        h[alpha, 0, 1] = h[alpha, 1, 0] = _dot(f_uv, n)
+        h[alpha, 1, 1] = _dot(f_vv, n)
+
+    return _read_only_views(dict(gs=gs, e3=e3, e4=e4, h=h))
+
+
 class _OnFirstRead:
-    """A field of GeometryCache's extrinsic half.  The first read of any of
-    them on a cache builds all eight (_extrinsic_half) into the instance
-    dict, where every later read finds them without reaching this
-    descriptor; a field assigned before that read is kept."""
+    """A field of one of GeometryCache's two extrinsic groups, built on first
+    read.  Each field holds its group's builder, _normal_core or
+    _adapted_frame; the first read of any field of a group on a cache builds
+    the whole group into the instance dict, where every later read finds it
+    without reaching this descriptor; a field assigned before that read is
+    kept.  The frame's h reads the core's f_uv, so building the frame builds
+    the core too; building the core never builds the frame."""
+
+    def __init__(self, build):
+        self.build = build
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -210,7 +292,7 @@ class _OnFirstRead:
         if cache is None:
             return self
         fields = vars(cache)
-        for name, view in _extrinsic_half(cache).items():
+        for name, view in self.build(cache).items():
             fields.setdefault(name, view)
         return fields[self.name]
 
@@ -219,15 +301,15 @@ class _OnFirstRead:
 class GeometryCache:
     """Every array field is a read-only (nu, nv, ...) view of the component
     planes compute_geometry works on; index [..., k] reads a contiguous plane.
-    The extrinsic half, f_uv through norm_A_sq below, is built on its
-    first read (see the module docstring); every refusal stays in
-    compute_geometry.
+    The extrinsic half below, the normal core and the adapted frame, is
+    built one group at a time on the first read of a field of the group
+    (see the module docstring); every refusal stays in compute_geometry.
 
     A cache is a value: what depends on the geometry alone (ball volume
     reports, the metric spacing) is computed on the first call and kept
     in a private memo, so it describes grid.positions as they were then.
     dataclasses.replace builds a new cache with an empty memo, whose
-    extrinsic half is built again from its own fields.
+    extrinsic groups are built again from its own fields.
     """
 
     grid: SurfaceGrid
@@ -246,16 +328,17 @@ class GeometryCache:
     min_edge: float              # shortest ambient grid edge, stability proxy
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    # the extrinsic half, built on first read
-    f_uv = _OnFirstRead()        # cross second difference, (nu, nv, 4)
-    gs = _OnFirstRead()          # (nu, nv, 2, 2) metric Gram-Schmidt rows:
-                                 # e_i (metric sense) = gs[i, k] f_k
-    e3 = _OnFirstRead()          # normals completing e1, e2 to a positive
-    e4 = _OnFirstRead()          # ambient-orthonormal frame, (nu, nv, 4)
-    h = _OnFirstRead()           # (nu, nv, 2, 2, 2): [alpha, i, j] = <f_ij, e_{3+alpha}>
-    H = _OnFirstRead()           # (nu, nv, 4) mean curvature vector
-    norm_H_sq = _OnFirstRead()
-    norm_A_sq = _OnFirstRead()
+    # the normal core, built on first read; every flow step reads it
+    f_uv = _OnFirstRead(_normal_core)       # cross second difference, (nu, nv, 4)
+    H = _OnFirstRead(_normal_core)          # (nu, nv, 4) mean curvature vector
+    norm_H_sq = _OnFirstRead(_normal_core)
+    norm_A_sq = _OnFirstRead(_normal_core)
+    # the twistor-adapted frame, built on first read; only check's meters read it
+    gs = _OnFirstRead(_adapted_frame)       # (nu, nv, 2, 2) metric Gram-Schmidt rows:
+                                            # e_i (metric sense) = gs[i, k] f_k
+    e3 = _OnFirstRead(_adapted_frame)       # normals completing e1, e2 to a positive
+    e4 = _OnFirstRead(_adapted_frame)       # ambient-orthonormal frame, (nu, nv, 4)
+    h = _OnFirstRead(_adapted_frame)        # (nu, nv, 2, 2, 2): [alpha, i, j] = <f_ij, e_{3+alpha}>
 
     @property
     def hu(self):
@@ -332,8 +415,8 @@ def compute_geometry(grid):
     Computed on contiguous component planes, (4, nu, nv) for vectors and
     (2, 2, nu, nv) for metric-like tensors, so every inner product is a
     plane sum; the cache exposes each field as a (nu, nv, ...) view.
-    Every refusal is made here: the extrinsic half, built on first read
-    by _extrinsic_half, runs on a surface that passed them.
+    Every refusal is made here: the extrinsic groups, built on first read
+    by _normal_core and _adapted_frame, run on a surface that passed them.
     """
     hu, hv = grid.hu, grid.hv
     p = np.ascontiguousarray(np.moveaxis(grid.positions, -1, 0))
@@ -412,51 +495,6 @@ def _read_only_views(planes):
     for plane in planes.values():
         plane.flags.writeable = False
     return {name: _node_major(plane) for name, plane in planes.items()}
-
-
-def _extrinsic_half(cache):
-    """The extrinsic half of a cache, read-only node-major views by field name.
-
-    Elementwise expressions of the intrinsic planes the cache holds, so
-    the bits do not depend on when the half is built.
-    """
-    f_u, f_uu, f_vv, e1, e2 = (_planes(f) for f in (cache.f_u, cache.f_uu, cache.f_vv,
-                                                    cache.e1, cache.e2))
-    g, ginv = _planes(cache.g, 2), _planes(cache.ginv, 2)
-    # cross derivative: central difference of the (seam-free) tangent field
-    f_uv = _central(f_u, 2, cache.hv)
-
-    # metric Gram-Schmidt rows for converting parameter indices to the
-    # orthonormal frame; uses the edge metric, not ambient dots, so tensor
-    # conversions share the Laplacian's symbol
-    ell = np.sqrt(g[1, 1] - g[0, 1] ** 2 / g[0, 0])
-    gs = np.zeros_like(g)
-    gs[0, 0] = 1.0 / np.sqrt(g[0, 0])
-    gs[1, 0] = -g[0, 1] / (g[0, 0] * ell)
-    gs[1, 1] = 1.0 / ell
-
-    # normals adapted to the tangent phase a (J_a e1 = e2) and its companion
-    # b: J_a J_b = -J_b J_a gives J_a e3 = -e4, so the frame is positive
-    b = _companion(_tangent_phase(e1, e2))
-    e3 = _apply_phase(b, e1)
-    e4 = _apply_phase(b, e2)
-    h = np.empty((2, 2, 2) + f_uu.shape[1:])
-    for alpha, n in enumerate((e3, e4)):
-        h[alpha, 0, 0] = _dot(f_uu, n)
-        h[alpha, 0, 1] = h[alpha, 1, 0] = _dot(f_uv, n)
-        h[alpha, 1, 1] = _dot(f_vv, n)
-
-    trace = ginv[0, 0] * f_uu + 2 * ginv[0, 1] * f_uv + ginv[1, 1] * f_vv
-    big_h = trace - _dot(trace, e1) * e1 - _dot(trace, e2) * e2
-    norm_h_sq = _dot(big_h, big_h)
-    # |A|^2 = sum_alpha tr((g^-1 h_alpha)^2), with (g^-1 h_alpha)_ij = g^ik h_alpha,kj
-    m = [[ginv[i, 0] * h[:, 0, j] + ginv[i, 1] * h[:, 1, j] for j in (0, 1)] for i in (0, 1)]
-    tr_sq = m[0][0] ** 2 + 2 * m[0][1] * m[1][0] + m[1][1] ** 2
-    norm_a_sq = tr_sq[0] + tr_sq[1]
-
-    return _read_only_views(dict(
-        f_uv=f_uv, gs=gs, e3=e3, e4=e4, h=h, H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq,
-    ))
 
 
 # the (di, dj) neighbour offsets of a stencil row in storage order: slot

@@ -368,6 +368,26 @@ def test_metric_monitor_first_order_in_dt():
     assert vals[1e-4] < 5e-4
 
 
+@pytest.mark.parametrize("name, params", [
+    ("custom-expression", dict(exprs=["u", "v", "0.3*sin(u)*cos(v)", "0.3*sin(v)"],
+                               periods=[TWO_PI] * 4)),
+    ("clifford", dict(R=1.0, r=0.5)),
+])
+def test_metric_monitor_is_the_frame_form(name, params):
+    # H is normal, so <H, f_ij> = sum_alpha <H, e_alpha> h_alpha,ij; the twisted
+    # graph has normal curvature, Clifford (1, 0.5) two unequal circles.
+    # Measured at the CFL step: 2.7e-14 relative at most, pointwise 5e-16
+    st = state_for(name, 32, **params)
+    c, dt = st.cache, cfl_dt(st.cache)
+    after = mcf_step(st, dt)
+    normal_h = np.stack([(c.H * c.e3).sum(-1), (c.H * c.e4).sum(-1)], -1)
+    frame = np.einsum("...a,...aij->...ij", normal_h, c.h)
+    want = float(np.abs((after.cache.g - c.g) / dt + 2 * frame).max())
+    assert abs(metric_evolution_monitor(st, after, dt) - want) <= 1e-12 * want
+    direct = np.stack([(c.H * f).sum(-1) for f in (c.f_uu, c.f_uv, c.f_uv, c.f_vv)], -1)
+    assert np.abs(direct - frame.reshape(direct.shape)).max() <= 1e-12 * np.abs(frame).max()
+
+
 def test_monitor_insufficient_records(pert_run):
     series, _ = pert_run
     left, right = [r for r in series.records if r.lambda1 is not None][:2]
@@ -417,6 +437,36 @@ def test_clifford_shrinks_at_rate_two(clifford_run):
     r2 = [r.area / scale for r in recs[1:]]
     slope = np.polyfit(ts, r2, 1)[0]
     assert slope == pytest.approx(-2.0, rel=0.05)
+
+
+def clifford_closed_form(t, big_r=1.0, r=0.5):
+    """max|A|, max|H|, area and twistor energy of the Clifford torus
+    (big_r, r) after flow time t: each circle shrinks as R(t)^2 = R^2 - 2t,
+    |A|^2 = |H|^2 = 1/R^2 + 1/r^2, area 4 pi^2 R r and, the phase winding
+    once along each circle, T = 4 pi^2 (R/r + r/R)."""
+    big_rt, rt = math.sqrt(big_r**2 - 2 * t), math.sqrt(r**2 - 2 * t)
+    curv = math.sqrt(1 / big_rt**2 + 1 / rt**2)
+    return dict(max_A=curv, max_H=curv, area=4 * math.pi**2 * big_rt * rt,
+                twistor_energy=4 * math.pi**2 * (big_rt / rt + rt / big_rt))
+
+
+def test_clifford_flow_converges_to_the_closed_form():
+    # relative errors at the first row past t = 0.05, measured 16^2 -> 32^2:
+    # max|A| and max|H| 4.43e-3 -> 1.20e-3, area 7.53e-3 -> 1.77e-3, T
+    # 1.63e-2 -> 4.17e-3; second order in h, as the O(h^2) stencils and the
+    # explicit dt ~ h^2 allow, and bounded at 32^2 with a margin of 1.5
+    bound = dict(max_A=1.8e-3, max_H=1.8e-3, area=2.7e-3, twistor_energy=6.3e-3)
+    errs = {}
+    for n in (16, 32):
+        cfg = FlowConfig(t_final=0.05, steps=10_000, lambda1_cadence=10_000)
+        series, _ = run_flow(cfg, scenario("clifford", n, n, R=1.0, r=0.5))
+        last = series.records[-1]
+        assert series.stop_reason == "t_final" and 0.05 <= last.t < 0.05 + last.dt
+        want = clifford_closed_form(last.t)
+        errs[n] = {key: abs(getattr(last, key) / val - 1) for key, val in want.items()}
+    for key in errs[16]:
+        assert math.log2(errs[16][key] / errs[32][key]) >= 1.8, key
+        assert errs[32][key] < bound[key], key
 
 
 def test_area_monotone(clifford_run, pert_run):

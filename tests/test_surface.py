@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from conftest import snapshot_positions, with_positions
 
-from hkflow import surface
+from hkflow import flow, surface
 from hkflow.cli import _run_checks, main
 from hkflow.errors import InputError, IOFailure, NumericalError
+from hkflow.flow import FlowConfig, run_flow
 from hkflow.kernel import AmbientSpace, phi_field, standard_twistor_triple
 from hkflow.phase import bja_identity, phase_field
 from hkflow.spectral import c0_from_l2_validator, lambda1
@@ -44,6 +45,8 @@ from hkflow.surface import (
 TWO_PI = 2.0 * np.pi
 # constant shear, g_uv = 1/2, det g = 1; closes over x0-period pi
 SHEARED = dict(exprs=["u + 0.5*v", "v", "0*u", "0*u"], periods=[np.pi, TWO_PI, TWO_PI, TWO_PI])
+# a graph in T^4 whose normal curvature [h3, h4] is not zero, unlike the named scenarios
+TWISTED = dict(exprs=["u", "v", "0.3*sin(u)*cos(v)", "0.3*sin(v)"], periods=[TWO_PI] * 4)
 
 
 def twistor_stack():
@@ -367,6 +370,7 @@ def test_frames_orthonormal_oriented(perturbed48):
         ("clifford", {"R": 1.0, "r": 1.0}),
         ("lagrangian-graph", {"eps": 0.2}),
         ("custom-expression", SHEARED),
+        ("custom-expression", TWISTED),
     ],
 )
 def test_normal_frame_is_adapted_to_the_phase(name, params):
@@ -717,16 +721,18 @@ def test_node_area_definition(perturbed48):
     assert np.array_equal(c.node_area(), c.sqrt_det_g * c.hu * c.hv)
 
 
-EXTRINSIC = ["f_uv", "gs", "e3", "e4", "h", "H", "norm_H_sq", "norm_A_sq"]
+NORMAL_CORE = ["f_uv", "H", "norm_H_sq", "norm_A_sq"]
+ADAPTED_FRAME = ["gs", "e3", "e4", "h"]
 
 
 def test_cache_arrays_are_read_only(perturbed48):
     # a memoized report must not drift from the arrays it was computed from
     c = perturbed48
     eager = [f.name for f in dataclasses.fields(GeometryCache) if f.type is np.ndarray]
-    lazy = [k for k, v in vars(GeometryCache).items() if isinstance(v, _OnFirstRead)]
-    assert lazy == EXTRINSIC
-    for name in eager + lazy:
+    lazy = {k: v.build for k, v in vars(GeometryCache).items() if isinstance(v, _OnFirstRead)}
+    assert lazy == dict.fromkeys(NORMAL_CORE, surface._normal_core) | dict.fromkeys(
+        ADAPTED_FRAME, surface._adapted_frame)
+    for name in eager + list(lazy):
         arr = getattr(c, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
@@ -735,34 +741,74 @@ def test_cache_arrays_are_read_only(perturbed48):
         with pytest.raises(ValueError, match="read-only"):
             arr += 0.0
     # every array the cache holds, once all of them were read
-    assert sorted(eager + lazy) == sorted(k for k, v in vars(c).items() if isinstance(v, np.ndarray))
+    assert sorted(eager + list(lazy)) == sorted(
+        k for k, v in vars(c).items() if isinstance(v, np.ndarray))
 
 
-def counting_extrinsic_half(monkeypatch):
-    """Count the extrinsic halves built: one per cache whose half is read."""
-    built = []
-    build = surface._extrinsic_half
+def counting_groups(monkeypatch):
+    """Count the extrinsic groups built, by group: {"core": [cache, ...],
+    "frame": [...]}, one entry per cache whose group is read."""
+    built = {"core": [], "frame": []}
+    for key, build in (("core", surface._normal_core), ("frame", surface._adapted_frame)):
+        def counted(cache, key=key, build=build):
+            built[key].append(cache)
+            return build(cache)
 
-    def counted(cache):
-        built.append(cache)
-        return build(cache)
-
-    monkeypatch.setattr(surface, "_extrinsic_half", counted)
+        for desc in vars(GeometryCache).values():
+            if isinstance(desc, _OnFirstRead) and desc.build is build:
+                monkeypatch.setattr(desc, "build", counted)
     return built
 
 
-def test_extrinsic_half_is_built_once_on_first_read(monkeypatch):
-    built = counting_extrinsic_half(monkeypatch)
+def test_each_group_is_built_once_on_first_read(monkeypatch):
+    built = counting_groups(monkeypatch)
     c = cache_for("perturbed-complex-torus", 16, eps=0.05)
-    assert built == []
-    first = {name: getattr(c, name) for name in EXTRINSIC}
-    assert len(built) == 1 and built[0] is c
-    assert all(getattr(c, name) is arr for name, arr in first.items())
-    assert len(built) == 1
+    assert built == {"core": [], "frame": []}
+    core = {name: getattr(c, name) for name in NORMAL_CORE}
+    assert built == {"core": [c], "frame": []}
+    frame = {name: getattr(c, name) for name in ADAPTED_FRAME}
+    assert built == {"core": [c], "frame": [c]}
+    assert all(getattr(c, name) is arr for name, arr in (core | frame).items())
+    assert built == {"core": [c], "frame": [c]}
+
+    # reading the frame first builds the core it reads f_uv from, once
+    fresh = dataclasses.replace(c)
+    assert np.array_equal(fresh.h, c.h)
+    assert built == {"core": [c, fresh], "frame": [c, fresh]}
+    assert np.array_equal(fresh.norm_A_sq, c.norm_A_sq)
+    assert built == {"core": [c, fresh], "frame": [c, fresh]}
+
+
+def test_check_builds_each_group_once(monkeypatch):
+    built = counting_groups(monkeypatch)
+    c = cache_for("perturbed-complex-torus", 16, eps=0.05)
+    _run_checks(c)
+    assert built == {"core": [c], "frame": [c]}
+
+
+@pytest.mark.parametrize("scheme, cadence", [("euler", 0), ("rk2", 0), ("euler", 1), ("rk2", 1)])
+def test_run_flow_builds_the_normal_core_once_per_cache_and_never_the_frame(
+    monkeypatch, scheme, cadence
+):
+    built = counting_groups(monkeypatch)
+    made = []
+
+    def counted_geometry(grid):
+        made.append(compute_geometry(grid))
+        return made[-1]
+
+    monkeypatch.setattr(flow, "compute_geometry", counted_geometry)
+    cfg = FlowConfig(steps=6, scheme=scheme, lambda1_cadence=3, consistency_cadence=cadence)
+    series, _ = run_flow(cfg, scenario("perturbed-complex-torus", 12, 12, eps=0.3))
+    assert len(series.records) == 7
+    # euler makes the first cache and one per step; rk2 one more per step at the half step
+    assert len(made) == (1 + 6 if scheme == "euler" else 1 + 12)
+    assert sorted(map(id, built["core"])) == sorted(map(id, made))
+    assert built["frame"] == []
 
 
 def test_spectrum_init_and_validator_never_build_the_extrinsic_half(monkeypatch, tmp_path):
-    built = counting_extrinsic_half(monkeypatch)
+    built = counting_groups(monkeypatch)
     monkeypatch.chdir(tmp_path)
     stem = "perturbed-complex-torus-16x16"
     assert main(["init", "--scenario", "perturbed-complex-torus", "--nu", "16", "--nv", "16"]) == 0
@@ -771,7 +817,7 @@ def test_spectrum_init_and_validator_never_build_the_extrinsic_half(monkeypatch,
     lam = lambda1(c).lambda1
     u, _ = c.grid.param_axes()
     assert c0_from_l2_validator(1e-4 * np.sin(u), lam, c).holds
-    assert built == []
+    assert built == {"core": [], "frame": []}
 
 
 # odd and non-square grids put every roll and reindexing next to a different neighbour
@@ -785,6 +831,7 @@ ORACLE_SURFACES = pytest.mark.parametrize(
         ("flat-plane-torus", {"Lu": 2 * TWO_PI, "Lv": 0.5 * TWO_PI}),
         ("lagrangian-graph", {"eps": 0.1}),
         ("custom-expression", SHEARED),
+        ("custom-expression", TWISTED),
     ],
 )
 
