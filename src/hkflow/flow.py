@@ -3,7 +3,9 @@
 A SurfaceState is what evolves: the geometry cache, whose grid is
 cache.grid, and the phase under the kernel's one fixed triple.  One
 step = move positions along H, rebuild the geometry, then heat-step the
-phase on the updated metric.  The splitting defect is not assumed small:
+phase on the updated metric.  The phase is projected to the sphere once per
+step, by the heat step; the motion carries it onto the moved cache as it is,
+reweighting its metric-free differences.  The splitting defect is not assumed small:
 consistency_check measures it by re-deriving the phase from the moved
 frames and comparing against the heat-flow prediction.
 
@@ -23,9 +25,9 @@ import numpy as np
 
 from .errors import InputError, NumericalError, PreconditionError, _finite_real, _integer, _real
 from .kernel import _dot
-from .phase import PhaseField, field_from_array, phase_field, tension_field, twistor_energy
+from .phase import PhaseField, _carried, field_from_array, phase_field, tension_field, twistor_energy
 from .spectral import lambda1
-from .surface import _lam_min, _planes, compute_geometry, surface_integral
+from .surface import _lam_min, _node_major, _planes, compute_geometry, surface_integral
 
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
 DRIFT_MARGIN = 1.5              # on the predicted pre-projection unit drift
@@ -128,7 +130,7 @@ def cfl_dt(cache, safety=0.9):
 
 
 def mcf_step(state, dt, scheme="euler"):
-    """Move the immersion by its mean curvature for one step."""
+    """Move the immersion by its mean curvature; the phase is carried as it is."""
     cache, grid = state.cache, state.cache.grid
     if scheme == "euler":
         disp = dt * cache.H
@@ -148,7 +150,7 @@ def mcf_step(state, dt, scheme="euler"):
             else f"non-finite displacement {moved} in the mean curvature step"
         )
     after = compute_geometry(replace(grid, positions=grid.ambient.wrap(grid.positions + disp)))
-    return SurfaceState(after, field_from_array(state.phase.a, after))
+    return SurfaceState(after, _carried(state.phase, after))
 
 
 def phase_heat_step(pf, cache, dt):
@@ -159,12 +161,12 @@ def phase_heat_step(pf, cache, dt):
             f"stability-violation: dt {dt:.3e} exceeds the parabolic bound "
             f"{0.25 * hg**2:.3e}"
         )
-    tau = tension_field(pf, cache)
-    raw = pf.a + dt * tau
-    raw_p, tau_p = _planes(raw), _planes(tau)
-    drift = float(np.abs(np.sqrt(_dot(raw_p, raw_p)) - 1.0).max())
-    tau_sq = float(_dot(tau_p, tau_p).max())
-    defect = float(np.abs(_dot(_planes(pf.a), tau_p)).max())
+    # a, tau and raw are contiguous planes (3, nu, nv) for every reduce below
+    a, tau = _planes(pf.a), _planes(tension_field(pf, cache))
+    raw = a + dt * tau
+    drift = float(np.abs(np.sqrt(_dot(raw, raw)) - 1.0).max())
+    tau_sq = float(_dot(tau, tau).max())
+    defect = float(np.abs(_dot(a, tau)).max())
     bound = DRIFT_MARGIN * (dt**2 * tau_sq + dt * defect) + 1e-13
     if not drift <= bound:                      # NaN fails too
         raise NumericalError(
@@ -172,7 +174,7 @@ def phase_heat_step(pf, cache, dt):
             if math.isfinite(drift)
             else f"non-finite phase: unit drift {drift} before the projection"
         )
-    return field_from_array(raw, cache)
+    return field_from_array(_node_major(raw), cache)
 
 
 def consistency_check(state):
@@ -189,10 +191,12 @@ def metric_evolution_monitor(before, after, dt):
     second differences f_ij of the cache before the step.  H is normal, so
     <H, f_ij> is <H, A_ij>: the monitor reads the normal core and no frame."""
     cache = before.cache
-    rate = (_planes(after.cache.g, 2) - _planes(cache.g, 2)) / dt
-    big_h = _planes(cache.H)
-    uu, uv, vv = (_dot(big_h, _planes(f)) for f in (cache.f_uu, cache.f_uv, cache.f_vv))
-    return float(np.abs(rate + 2.0 * np.array([[uu, uv], [uv, vv]])).max())
+    g0, g1, big_h = _planes(cache.g, 2), _planes(after.cache.g, 2), _planes(cache.H)
+    defect = np.empty((3,) + big_h.shape[1:])       # the three distinct entries
+    for out, (i, j, f) in zip(defect, ((0, 0, cache.f_uu), (0, 1, cache.f_uv), (1, 1, cache.f_vv))):
+        np.divide(np.subtract(g1[i, j], g0[i, j], out=out), dt, out=out)
+        out += 2.0 * _dot(big_h, _planes(f))
+    return float(np.abs(defect, out=defect).max())
 
 
 def _record(state, t, dt, e_accum):

@@ -173,7 +173,10 @@ def _dot(x, y):
     """Inner product of two stacks of component planes, x0 y0 + x1 y1 + ...
 
     One reduce over the short first axis, which numpy sums left to right
-    for contiguous planes and transposed views alike.  The -0.0 start
+    for contiguous planes and transposed views alike, with the same bits.
+    It wants contiguous planes: on the transposed view of a node-major
+    (nu, nv, 3) array it is 5-7x slower (15 against 3 us at 32^2, 210
+    against 30 us at 128^2, on one core of a 2-core x86-64).  The -0.0 start
     keeps the sign of an all -0.0 sum, as the explicit left-to-right sum
     does; numpy's default start, +0.0, would flip it.
     """

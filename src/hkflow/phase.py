@@ -15,19 +15,20 @@ tests pin down.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .kernel import _apply_phase, _companion, _dot, _tangent_phase
 from .surface import (
     _central,
     _cometric,
+    _difference_gram,
     _node_major,
     _planes,
     _shift,
-    dirichlet_energy_density,
+    _weighted_density,
     laplace_beltrami,
     surface_integral,
 )
@@ -37,10 +38,13 @@ POLE_TOL = 0.05          # refuse polar charts closer than this to |a3| = 1
 
 @dataclass
 class PhaseField:
-    """Fields are (nu, nv, ...) views of component planes, as in GeometryCache."""
+    """Fields are (nu, nv, ...) views of component planes, as in GeometryCache.
+    _gram, the metric-free difference Gram of `a` that _carried reuses, is no
+    init field: dataclasses.replace leaves it empty, never stale."""
 
     a: np.ndarray                 # (nu, nv, 3) unit phase vectors
     energy_density: np.ndarray    # (nu, nv) edge-form |grad a|^2
+    _gram: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
 def _central_grad(fld, cache):
@@ -48,16 +52,33 @@ def _central_grad(fld, cache):
     return np.stack([_central(fld, -2, cache.hu), _central(fld, -1, cache.hv)])
 
 
-def _phase_from_planes(a, cache):
-    """PhaseField of a unit direction field given as planes (3, nu, nv)."""
-    node_a = _node_major(a)
-    return PhaseField(node_a, dirichlet_energy_density(node_a, cache))
+def _phase_from_planes(a, cache, gram=None):
+    """PhaseField, with `a` read-only, of unit planes a (3, nu, nv) and their Gram."""
+    gram = _difference_gram(a, cache.hu, cache.hv) if gram is None else gram
+    a.flags.writeable = False           # every caller passes a fresh array or view
+    pf = PhaseField(_node_major(a), _weighted_density(gram, cache))
+    pf._gram = gram
+    return pf
+
+
+def _carried(pf, cache):
+    """pf.a as it is on a cache of its grid size: only the metric weighting is redone."""
+    return _phase_from_planes(_planes(pf.a), cache, pf._gram)
 
 
 def field_from_array(a, cache):
-    """PhaseField from a raw per-node direction field (normalized first)."""
-    a = np.ascontiguousarray(_planes(np.asarray(a, float)))
-    return _phase_from_planes(a / np.sqrt(_dot(a, a)), cache)
+    """PhaseField of a raw (nu, nv, 3) direction field, normalized first; another
+    shape, and a zero or non-finite vector (named by its node), raise InputError."""
+    a, shape = np.asarray(a, float), cache.sqrt_det_g.shape + (3,)
+    if a.shape != shape:
+        raise InputError(f"phase array shape {a.shape} does not match the grid's {shape}")
+    a = np.ascontiguousarray(_planes(a))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_dot(a, a))
+    if not (norm.min() > 0 and norm.max() < np.inf):    # NaN fails too
+        i, j = np.argwhere(~((norm > 0) & (norm < np.inf)))[0]
+        raise InputError(f"phase vector at node {int(i), int(j)} is zero or not finite: {a[:, i, j]}")
+    return _phase_from_planes(a / norm, cache)
 
 
 def phase_field(cache):
@@ -71,8 +92,10 @@ def twistor_energy(pf, cache):
 
 
 def tension_field(pf, cache):
-    """Delta a + |grad a|^2 a, the sphere-projected driving term."""
-    return laplace_beltrami(pf.a, cache) + pf.energy_density[..., None] * pf.a
+    """Delta a + |grad a|^2 a, the sphere-projected driving term (a view of contiguous planes)."""
+    tau = np.ascontiguousarray(_planes(laplace_beltrami(pf.a, cache)))
+    tau += pf.energy_density * _planes(pf.a)
+    return _node_major(tau)
 
 
 def _wrap_angle(t):

@@ -556,20 +556,29 @@ def laplace_beltrami(fld, cache):
     return (-(a @ f.reshape(w.size, -1)) / w[:, None]).reshape(f.shape)
 
 
+def _difference_gram(f, hu, hv):
+    """The metric-free half of dirichlet_energy_density on planes f (k, nu, nv): the
+    squared forward differences along u and along v, and the dot of the central ones."""
+    du = (_shift(f, -1, 1) - f) / hu             # forward edge differences
+    dv = (_shift(f, -1, 2) - f) / hv
+    return _dot(du, du), _dot(dv, dv), _dot(_central(f, 1, hu), _central(f, 2, hv))
+
+
+def _weighted_density(gram, cache):
+    """The metric half: a _difference_gram weighted by au, av, cuv and sqrt_det_g."""
+    e_u, e_v = cache.au * gram[0], cache.av * gram[1]
+    # each edge contributes half to its two endpoint nodes
+    density = 0.5 * (e_u + _shift(e_u, 1, 0) + e_v + _shift(e_v, 1, 1))
+    density += 2.0 * cache.cuv * gram[2]
+    return density / cache.sqrt_det_g
+
+
 def dirichlet_energy_density(fld, cache):
     """Pointwise energy density |grad f|^2 distributed so that its area
     integral equals the quadratic form of -laplace_beltrami exactly."""
     f = np.asarray(fld, float)
     f = f[None] if f.ndim == 2 else _planes(f)
-    hu, hv = cache.hu, cache.hv
-    du = (_shift(f, -1, 1) - f) / hu             # forward edge differences
-    dv = (_shift(f, -1, 2) - f) / hv
-    e_u = cache.au * _dot(du, du)
-    e_v = cache.av * _dot(dv, dv)
-    # each edge contributes half to its two endpoint nodes
-    density = 0.5 * (e_u + _shift(e_u, 1, 0) + e_v + _shift(e_v, 1, 1))
-    density += 2.0 * cache.cuv * _dot(_central(f, 1, hu), _central(f, 2, hv))
-    return density / cache.sqrt_det_g
+    return _weighted_density(_difference_gram(f, cache.hu, cache.hv), cache)
 
 
 def surface_integral(density, cache):

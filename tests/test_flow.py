@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import hkflow.flow
+from hkflow import kernel, phase, surface
 from hkflow.cli import main
 from hkflow.errors import InputError, NumericalError, PreconditionError
 from hkflow.flow import (
@@ -35,7 +36,14 @@ from hkflow.flow import (
 )
 from hkflow.kernel import AmbientSpace, phi_field
 from hkflow.phase import field_from_array, tension_field
-from hkflow.surface import _lam_min, load_snapshot, save_snapshot, scenario
+from hkflow.surface import (
+    _lam_min,
+    _planes,
+    dirichlet_energy_density,
+    load_snapshot,
+    save_snapshot,
+    scenario,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -299,6 +307,55 @@ def test_coupled_step_record_fields(pert64):
     _, nxt = coupled_step(new_state, cfg, rec)
     assert nxt.t == rec.t + nxt.dt
     assert nxt.E_accum == rec.E_accum + nxt.dt * (rec.max_H**2 + rec.max_A * rec.max_H)
+
+
+@pytest.mark.parametrize("scheme, with_consistency", [("euler", False), ("rk2", False),
+                                                      ("euler", True)])
+def test_every_reduce_of_a_step_reads_contiguous_planes(monkeypatch, scheme, with_consistency):
+    # _dot's one reduce over the first axis is several times slower on a
+    # transposed view of a node-major array than on contiguous planes
+    strided = []
+    dot = kernel._dot
+
+    def spy(x, y):
+        for operand in (x, y):
+            if np.prod(np.shape(operand)[1:]) > 1 and not operand.flags.c_contiguous:
+                strided.append(np.shape(operand))
+        return dot(x, y)
+
+    for module in (kernel, surface, phase, hkflow.flow):
+        monkeypatch.setattr(module, "_dot", spy)
+    state = state_for("perturbed-complex-torus", 32, eps=0.05)
+    cfg = FlowConfig(scheme=scheme, lambda1_cadence=1000)
+    last = None
+    for _ in range(2):
+        state, last = coupled_step(state, cfg, last, with_consistency=with_consistency)
+    assert strided == []
+
+
+def test_a_replaced_phase_gets_a_fresh_difference_pass(monkeypatch):
+    # replace() leaves the private difference Gram empty, so no step reuses
+    # the Gram of the phase it replaced
+    state = state_for("perturbed-complex-torus", 16, eps=0.3)
+    other = field_from_array(state.phase.a + [0.5, 0.0, 0.0], state.cache).a
+    replaced = dataclasses.replace(state.phase, a=other)
+    passes = []
+    gram = phase._difference_gram
+    monkeypatch.setattr(phase, "_difference_gram",
+                        lambda f, hu, hv: passes.append(f.copy()) or gram(f, hu, hv))
+    dt = 0.5 * cfl_dt(state.cache)
+
+    mcf_step(state, dt)
+    assert passes == []                 # the state's own phase carries its Gram
+    moved = mcf_step(SurfaceState(state.cache, replaced), dt)
+    assert len(passes) == 1 and np.array_equal(passes[0], _planes(other))
+    assert np.array_equal(moved.phase.energy_density,
+                          dirichlet_energy_density(other, moved.cache))
+
+    stepped = phase_heat_step(replaced, state.cache, dt)
+    assert len(passes) == 2 and np.array_equal(passes[1], _planes(stepped.a))
+    assert np.array_equal(stepped.energy_density,
+                          dirichlet_energy_density(stepped.a, state.cache))
 
 
 # ---------------------------------------------------------------- consistency

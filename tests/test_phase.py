@@ -9,12 +9,13 @@ with the refinement ratio asserting second order.
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from hkflow import phase
-from hkflow.errors import PreconditionError
+from hkflow.errors import InputError, PreconditionError
 from hkflow.kernel import phi_field
 from hkflow.phase import (
     bja_identity,
@@ -279,6 +280,33 @@ def test_field_from_array_renormalizes(perturbed):
     doubled = field_from_array(2.0 * pf.a, c)
     assert np.abs(doubled.a - pf.a).max() < 1e-14
     assert np.abs(doubled.energy_density - pf.energy_density).max() < 1e-13
+
+
+@pytest.mark.parametrize("value", [0.0, np.nan, np.inf, 1e200])
+def test_field_from_array_refuses_a_vector_it_cannot_normalize(value):
+    # 1e200 squares past the float range, so its norm is not finite either
+    c = cache_for("flat-plane-torus", 8)
+    a = np.broadcast_to([0.0, 0.0, 1.0], (8, 8, 3)).copy()
+    a[3, 5] = [value, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"phase vector at node \(3, 5\) is zero or not finite"):
+            field_from_array(a, c)
+
+
+@pytest.mark.parametrize("shape", [(4, 4, 3), (8, 8, 4), (8, 8), (8, 8, 3, 1)])
+def test_field_from_array_refuses_another_shape(shape):
+    c = cache_for("flat-plane-torus", 8)
+    with pytest.raises(InputError, match=r"does not match the grid's \(8, 8, 3\)"):
+        field_from_array(np.ones(shape), c)
+
+
+def test_phase_fields_are_read_only(perturbed):
+    # a carried phase shares its a with the state it came from
+    c, pf = perturbed[64]
+    for field in (pf, field_from_array(pf.a, c)):
+        with pytest.raises(ValueError, match="read-only"):
+            field.a[0, 0, 0] = 1.0
 
 
 def test_twistor_energy_positive(graph):

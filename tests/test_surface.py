@@ -21,13 +21,14 @@ from hkflow import flow, surface
 from hkflow.cli import _run_checks, main
 from hkflow.errors import InputError, IOFailure, NumericalError
 from hkflow.flow import FlowConfig, run_flow
-from hkflow.kernel import AmbientSpace, phi_field, standard_twistor_triple
-from hkflow.phase import bja_identity, phase_field
+from hkflow.kernel import AmbientSpace, _dot, phi_field, standard_twistor_triple
+from hkflow.phase import bja_identity, phase_field, tension_field
 from hkflow.spectral import c0_from_l2_validator, lambda1
 from hkflow.surface import (
     GeometryCache,
     SurfaceGrid,
     _OnFirstRead,
+    _central,
     _lam_min,
     _planes,
     _shift,
@@ -885,3 +886,51 @@ def test_pointwise_closed_forms_match_node_major_oracle(name, params, nu, nv):
 
     # both sum the four component products in order, so the Gram agrees to the bit
     assert checks["frame-orthonormality"]["measured"] == ref["gram"]
+
+
+def one_piece_energy_density(fld, cache):
+    """Reference: dirichlet_energy_density in one piece, the differences and
+    their metric weights together, as it was before the split into
+    _difference_gram and _weighted_density."""
+    f = np.asarray(fld, float)
+    f = f[None] if f.ndim == 2 else _planes(f)
+    hu, hv = cache.hu, cache.hv
+    du = (_shift(f, -1, 1) - f) / hu
+    dv = (_shift(f, -1, 2) - f) / hv
+    e_u = cache.au * _dot(du, du)
+    e_v = cache.av * _dot(dv, dv)
+    density = 0.5 * (e_u + _shift(e_u, 1, 0) + e_v + _shift(e_v, 1, 1))
+    density += 2.0 * cache.cuv * _dot(_central(f, 1, hu), _central(f, 2, hv))
+    return density / cache.sqrt_det_g
+
+
+def same_bits(x, y):
+    return np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@ORACLE_GRIDS
+@ORACLE_SURFACES
+def test_energy_density_halves_compose_to_the_one_piece_oracle(name, params, nu, nv):
+    # scalar and vector fields, node-major arrays and views of planes alike
+    cache = compute_geometry(scenario(name, nu, nv, **params))
+    rng = np.random.default_rng(nu * nv)
+    pf = phase_field(cache)
+    for f in (rng.standard_normal((nu, nv)), rng.standard_normal((nu, nv, 3)), pf.a, cache.f_u):
+        assert same_bits(dirichlet_energy_density(f, cache), one_piece_energy_density(f, cache))
+    assert same_bits(pf.energy_density, one_piece_energy_density(pf.a, cache))
+
+
+@ORACLE_GRIDS
+@ORACLE_SURFACES
+@pytest.mark.parametrize("scheme", ["euler", "rk2"])
+def test_the_mcf_step_carries_the_phase_as_it_is(name, params, nu, nv, scheme):
+    state = flow.make_state(scenario(name, nu, nv, **params))
+    moved = flow.mcf_step(state, flow.cfl_dt(state.cache), scheme)
+    # no second normalization of a phase that is unit since its projection
+    assert same_bits(moved.phase.a, state.phase.a)
+    # its differences, weighted by the moved metric, are the one-piece density
+    assert same_bits(moved.phase.energy_density,
+                     one_piece_energy_density(state.phase.a, moved.cache))
+    for pf, cache in ((state.phase, state.cache), (moved.phase, moved.cache)):
+        lap = laplace_beltrami(pf.a, cache)
+        assert same_bits(tension_field(pf, cache), lap + pf.energy_density[..., None] * pf.a)
