@@ -14,7 +14,6 @@ from hkflow import (
     compute_geometry,
     phase_field,
     plf_residual,
-    polar_identity_check,
     scenario,
     tension_field,
     twistor_energy,
@@ -77,7 +76,6 @@ def main():
         lhs, rhs, _ = bja_identity(cache, pf)
         rows.setdefault("frame-vs-curvature", []).append(np.abs(lhs - rhs).max())
         rows.setdefault("phase-gradient", []).append(plf_residual(cache, pf).max())
-        rows.setdefault("polar-chart", []).append(polar_identity_check(pf, cache).max())
     for name, (a64, a128) in rows.items():
         print(f"  {name:<22} {a64:>10.3e} {a128:>10.3e}")
 

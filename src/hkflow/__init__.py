@@ -34,7 +34,6 @@ from .phase import (
     tension_field,
     plf_residual,
     bja_identity,
-    polar_identity_check,
 )
 from .spectral import (
     lambda1,
@@ -69,7 +68,6 @@ __all__ = [
     "tension_field",
     "plf_residual",
     "bja_identity",
-    "polar_identity_check",
     "lambda1",
     "geodesic_ball_volumes",
     "c0_from_l2_validator",

@@ -30,17 +30,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    HkflowError, InputError, IOFailure, NumericalError, PreconditionError, _read_text, _write_text,
-)
+from .errors import HkflowError, InputError, IOFailure, NumericalError, _read_text, _write_text
 from .flow import C_MON, SCHEMES, FlowConfig, run_flow
 from .kernel import GRAM_TOL, _dot
-from .phase import (
-    bja_identity,
-    phase_field,
-    plf_residual,
-    polar_identity_check,
-)
+from .phase import bja_identity, phase_field, plf_residual
 from .spectral import _residual_tol, lambda1
 from .surface import (
     SCENARIO_NAMES,
@@ -408,10 +401,6 @@ def _run_checks(cache):
     record("plf-identity", plf_residual(cache, pf).max(), tol_id)
     lhs, rhs, _ = bja_identity(cache, pf)
     record("bja-identity", np.abs(lhs - rhs).max(), tol_id)
-    try:
-        record("etd-polar-identity", polar_identity_check(pf, cache).max(), tol_id)
-    except PreconditionError as exc:
-        checks.append({"name": "etd-polar-identity", "status": "SKIP", "reason": str(exc)})
     margin = (2.0 * pf.energy_density - cache.norm_H_sq).min()
     slack = 10.0 * h**2 * cache.norm_A_sq.max()
     record("hdp-margin", margin, -slack, "above")
@@ -427,15 +416,12 @@ def cmd_check(args):
     cache = compute_geometry(grid)
     checks = _run_checks(cache)
     for chk in checks:
-        if chk["status"] == "SKIP":
-            print(f"{chk['name']:<26} SKIP ({chk['reason']})")
-        else:
-            rel = "<=" if chk["direction"] == "below" else ">="
-            print(
-                f"{chk['name']:<26} {chk['status']} measured {chk['measured']:.3e} "
-                f"{rel} {chk['tolerance']:.3e}"
-            )
-    all_pass = all(chk["status"] != "FAIL" for chk in checks)
+        rel = "<=" if chk["direction"] == "below" else ">="
+        print(
+            f"{chk['name']:<26} {chk['status']} measured {chk['measured']:.3e} "
+            f"{rel} {chk['tolerance']:.3e}"
+        )
+    all_pass = all(chk["status"] == "PASS" for chk in checks)
     if args.json:
         doc = {"snapshot": args.snapshot, "all_pass": all_pass, "checks": checks}
         _write_text(args.json, "report", json.dumps(doc, indent=2) + "\n")

@@ -26,7 +26,7 @@ class FrameError(InputError):
 
 class PreconditionError(InputError):
     """A diagnostic was asked for outside its domain of validity, e.g. the
-    polar chart of a phase field that comes close to its poles."""
+    sup-from-L2 validator on a field whose L2 mass exceeds radius^4."""
 
 
 class NumericalError(HkflowError):

@@ -8,10 +8,9 @@ surface.dirichlet_energy_density, so that the integral of |grad a|^2
 matches the quadratic form of the discrete Laplacian exactly.
 
 The identity meters are the mean-curvature formula (in the basis adapted
-to a and a deterministic pointwise-orthogonal companion b), the frame
-identity (in the cache's adapted frame) and the polar identity; every
-exported number is independent of b and of the normal gauge, which the
-tests pin down.
+to a and a deterministic pointwise-orthogonal companion b) and the frame
+identity (in the cache's adapted frame); every exported number is
+independent of b and of the normal gauge, which the tests pin down.
 """
 
 from collections import namedtuple
@@ -19,21 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 from .kernel import _apply_phase, _companion, _dot, _tangent_phase
 from .surface import (
     _central,
-    _cometric,
     _difference_gram,
     _node_major,
     _planes,
-    _shift,
     _weighted_density,
     laplace_beltrami,
     surface_integral,
 )
-
-POLE_TOL = 0.05          # refuse polar charts closer than this to |a3| = 1
 
 
 @dataclass
@@ -96,18 +91,6 @@ def tension_field(pf, cache):
     tau = np.ascontiguousarray(_planes(laplace_beltrami(pf.a, cache)))
     tau += pf.energy_density * _planes(pf.a)
     return _node_major(tau)
-
-
-def _wrap_angle(t):
-    return (t + np.pi) % (2 * np.pi) - np.pi
-
-
-def _angle_grad(theta, cache):
-    """Central gradient of an angle field with 2 pi jumps removed."""
-    hu, hv = cache.hu, cache.hv
-    du = _wrap_angle(_shift(theta, -1, 0) - _shift(theta, 1, 0)) / (2 * hu)
-    dv = _wrap_angle(_shift(theta, -1, 1) - _shift(theta, 1, 1)) / (2 * hv)
-    return np.stack([du, dv])
 
 
 def _to_frame(comp_u, comp_v, cache):
@@ -178,22 +161,3 @@ def bja_identity(cache, pf):
         pf.energy_density[meaningful] / cache.norm_A_sq[meaningful]
     )
     return BjaResult(lhs, rhs, ratio)
-
-
-def polar_identity_check(pf, cache):
-    """Residual of |grad a|^2 = sin^2(phi) |grad theta|^2 + |grad phi|^2
-    in the polar chart around the third axis; refuses fields that touch
-    the chart poles."""
-    a3 = pf.a[..., 2]
-    closeness = float((1.0 - np.abs(a3)).min())
-    if closeness <= POLE_TOL:
-        raise PreconditionError(
-            f"pole-proximity: min(1 - |a3|) = {closeness:.3f} is inside {POLE_TOL}"
-        )
-    theta = np.arctan2(pf.a[..., 1], pf.a[..., 0])
-    phi = np.arccos(np.clip(a3, -1.0, 1.0))
-    dth = _angle_grad(theta, cache)
-    dph = _central_grad(phi, cache)
-    sq_th = _cometric(cache.ginv, dth[0], dth[1])
-    rhs = np.sin(phi) ** 2 * sq_th + _cometric(cache.ginv, dph[0], dph[1])
-    return np.abs(pf.energy_density - rhs)

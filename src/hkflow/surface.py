@@ -436,30 +436,29 @@ def compute_geometry(grid):
     f_uu = (du_f - du_b) / hu**2
     f_vv = (dv_f - dv_b) / hv**2
 
-    # squared forward edge lengths; a backward square is the shift of a forward one
-    du_sq = _dot(du_f, du_f)
-    dv_sq = _dot(dv_f, dv_f)
-    g = np.empty((2, 2) + finite.shape)
-    g[0, 0] = 0.5 * (du_sq + _shift(du_sq, 1, 0)) / hu**2
-    g[1, 1] = 0.5 * (dv_sq + _shift(dv_sq, 1, 1)) / hv**2
-    g[0, 1] = g[1, 0] = _dot(f_u, f_v)
+    # an overflowing metric and a vanishing f_u are refused below, not warned about
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # squared forward edge lengths; a backward square is the shift of a forward one
+        du_sq = _dot(du_f, du_f)
+        dv_sq = _dot(dv_f, dv_f)
+        g = np.empty((2, 2) + finite.shape)
+        g[0, 0] = 0.5 * (du_sq + _shift(du_sq, 1, 0)) / hu**2
+        g[1, 1] = 0.5 * (dv_sq + _shift(dv_sq, 1, 1)) / hv**2
+        g[0, 1] = g[1, 0] = _dot(f_u, f_v)
 
-    det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-    floor = DET_FLOOR_REL * float(np.mean(det))
-    if not np.min(det) > max(floor, 0.0):       # NaN fails too
-        ij = tuple(int(k) for k in np.unravel_index(np.argmin(det), det.shape))
-        raise NumericalError(
-            f"metric-degenerate at node {ij}: det g = {np.min(det):.3e}"
-        )
+        det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
+        floor = DET_FLOOR_REL * float(np.mean(det))
+        if not np.min(det) > max(floor, 0.0):       # NaN fails too, and so does any inf
+            bad = ~np.isfinite(det)
+            at = np.argmax(bad) if bad.any() else np.argmin(det)
+            ij = tuple(int(k) for k in np.unravel_index(at, det.shape))
+            msg = f"metric-degenerate at node {ij}: det g = {det[ij]:.3e}"
+            if bad[ij]:
+                msg += " is not finite, (g_uu, g_uv, g_vv) = ({:.3e}, {:.3e}, {:.3e})".format(
+                    *g[(0, 0, 1), (0, 1, 1), ij[0], ij[1]])
+            raise NumericalError(msg)
 
-    ginv = np.empty_like(g)
-    ginv[0, 0] = g[1, 1] / det
-    ginv[1, 1] = g[0, 0] / det
-    ginv[0, 1] = ginv[1, 0] = -g[0, 1] / det
-    sqrt_det_g = np.sqrt(det)
-
-    # ambient-orthonormal tangent pair; the det floor reads edge lengths, so f_u can vanish
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # ambient-orthonormal tangent pair; the det floor reads edge lengths, so f_u can vanish
         e1 = f_u / np.sqrt(_dot(f_u, f_u))
         e2 = f_v - _dot(f_v, e1) * e1
         e2 /= np.sqrt(_dot(e2, e2))
@@ -469,6 +468,12 @@ def compute_geometry(grid):
             f"tangent-degenerate at node {ij}: f_u = {f_u[:, ij[0], ij[1]]}, "
             f"f_v = {f_v[:, ij[0], ij[1]]}"
         )
+
+    ginv = np.empty_like(g)
+    ginv[0, 0] = g[1, 1] / det
+    ginv[1, 1] = g[0, 0] / det
+    ginv[0, 1] = ginv[1, 0] = -g[0, 1] / det
+    sqrt_det_g = np.sqrt(det)
 
     # diagonal fluxes sqrt(g) g^ii, averaged once onto the grid edges
     flux_u = sqrt_det_g * ginv[0, 0]

@@ -470,10 +470,9 @@ def test_check_passes_on_flat(flat_dir, tmp_path, run_cli):
     assert doc["all_pass"] is True
     names = {c["name"] for c in doc["checks"]}
     assert {"metric-positivity", "frame-orthonormality", "gauss-curvature", "plf-identity",
-            "bja-identity", "etd-polar-identity", "hdp-margin", "lambda1-positive",
-            "lambda1-residual"} == names
+            "bja-identity", "hdp-margin", "lambda1-positive", "lambda1-residual"} == names
     for chk in doc["checks"]:
-        if chk["status"] != "SKIP" and chk.get("direction") == "below":
+        if chk["direction"] == "below":
             assert chk["measured"] <= 1e-10
 
 
@@ -492,8 +491,6 @@ def test_check_tolerance_scales_with_grid(tmp_path, run_cli):
 
     assert tol(rep64, "plf-identity") == pytest.approx(5e-3)
     assert tol(rep128, "plf-identity") == pytest.approx(1.25e-3)
-    skip = next(c for c in rep64["checks"] if c["name"] == "etd-polar-identity")
-    assert skip["status"] == "SKIP" and "pole-proximity" in skip["reason"]
 
 
 def test_check_judges_lambda1_residual_by_lambda1s_rule(tmp_path, run_cli):

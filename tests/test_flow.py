@@ -208,7 +208,7 @@ def test_displacement_guard_names_nan():
     h = st.cache.H.copy()
     h[4, 7, 0] = np.nan
     cache = dataclasses.replace(st.cache)
-    cache.H = h      # assigned before its first read, so the extrinsic half keeps it
+    cache.H = h      # assigned before its first read, so building the normal core keeps it
     st = dataclasses.replace(st, cache=cache)
     with pytest.raises(NumericalError, match="non-finite displacement nan"):
         mcf_step(st, 1e-4)

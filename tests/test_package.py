@@ -9,8 +9,8 @@ ROOT_NAMES = [
     "PreconditionError", "__version__", "bja_identity", "c0_from_l2_validator",
     "canonical_phase_from_frame", "compute_geometry", "decay_fit",
     "gauss_curvature_check", "geodesic_ball_volumes", "holomorphic_symplectic",
-    "lambda1", "phase_field", "phase_operator", "plf_residual", "polar_identity_check",
-    "run_flow", "scenario", "standard_twistor_triple", "surface_integral",
+    "lambda1", "phase_field", "phase_operator", "plf_residual", "run_flow",
+    "scenario", "standard_twistor_triple", "surface_integral",
     "symplectic_form", "tension_field", "twistor_energy",
 ]
 
@@ -37,7 +37,6 @@ ROOT_SIGNATURES = {
     "phase_field": "(cache)",
     "phase_operator": "(a)",
     "plf_residual": "(cache, pf)",
-    "polar_identity_check": "(pf, cache)",
     "run_flow": "(cfg, grid, observe=None)",
     "scenario": "(name, nu, nv, **params)",
     "standard_twistor_triple": "()",

@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 from hkflow import phase
-from hkflow.errors import InputError, PreconditionError
+from hkflow.errors import InputError
 from hkflow.kernel import phi_field
 from hkflow.phase import (
     bja_identity,
     field_from_array,
     phase_field,
     plf_residual,
-    polar_identity_check,
     tension_field,
     twistor_energy,
 )
@@ -30,7 +29,6 @@ from hkflow.surface import (
     _planes,
     compute_geometry,
     gauss_curvature_check,
-    laplace_beltrami,
     scenario,
     surface_integral,
 )
@@ -99,7 +97,6 @@ def test_flat_phase_constant():
     pf = phase_field(c)
     assert np.abs(pf.a - np.array([-1.0, 0.0, 0.0])).max() < 1e-14
     assert twistor_energy(pf, c) < 1e-15
-    assert polar_identity_check(pf, c).max() < 1e-15
 
 
 def test_equator_tension_machine_zero(eq64):
@@ -134,14 +131,6 @@ def test_twistor_energy_is_the_willmore_energy_on_product_tori(name, params, n):
     c = cache_for(name, n, **params)
     willmore = surface_integral(c.norm_H_sq, c)
     assert abs(twistor_energy(phase_field(c), c) - willmore) <= 1e-12 * willmore
-
-
-def test_energy_agrees_with_laplacian_form(perturbed):
-    c, pf = perturbed[64]
-    w = c.node_area()
-    byparts = -np.sum(pf.a * laplace_beltrami(pf.a, c) * w[..., None])
-    e = twistor_energy(pf, c)
-    assert abs(e - byparts) < 1e-10 * max(e, 1.0)
 
 
 def test_mean_curvature_formula_machine_zero_on_equator(eq64, eq128):
@@ -197,21 +186,6 @@ def test_gradient_curvature_ratio_bounded(eq64, perturbed, graph):
         ratios.append(bja_identity(c, pf).ratio.max())
     assert max(ratios) < 1.45
     assert min(ratios) > 0.9
-
-
-def test_polar_identity_equator(eq64, eq128):
-    c, pf = eq64
-    res = polar_identity_check(pf, c)
-    assert res.max() < 5e-3             # 3.28e-3 measured
-    c2, pf2 = eq128
-    assert 3.4 < res.max() / polar_identity_check(pf2, c2).max() < 4.6
-
-
-def test_polar_identity_pole_gate():
-    c = cache_for("flat-plane-torus", 16)
-    pf = field_from_array(np.broadcast_to([0.0, 0.0, 1.0], (16, 16, 3)).copy(), c)
-    with pytest.raises(PreconditionError, match="pole-proximity"):
-        polar_identity_check(pf, c)
 
 
 def test_phi_field_charts():

@@ -22,7 +22,7 @@ from hkflow.cli import _run_checks, main
 from hkflow.errors import InputError, IOFailure, NumericalError
 from hkflow.flow import FlowConfig, run_flow
 from hkflow.kernel import AmbientSpace, _dot, phi_field, standard_twistor_triple
-from hkflow.phase import bja_identity, phase_field, tension_field
+from hkflow.phase import bja_identity, phase_field, tension_field, twistor_energy
 from hkflow.spectral import c0_from_l2_validator, lambda1
 from hkflow.surface import (
     GeometryCache,
@@ -325,21 +325,6 @@ def test_laplacian_self_adjoint_and_negative(perturbed48, sheared64):
         assert -np.sum(x * lx * w) > -1e-12
 
 
-def test_energy_density_is_the_quadratic_form(perturbed48):
-    # integral of the edge-form density must equal -<f, Lap f>_W exactly,
-    # scalar and vector fields alike
-    c = perturbed48
-    rng = np.random.default_rng(5)
-    w = c.node_area()
-    for shape in [w.shape, w.shape + (3,)]:
-        f = rng.standard_normal(shape)
-        lhs = surface_integral(dirichlet_energy_density(f, c), c)
-        wt = w[..., None] if f.ndim == 3 else w
-        rhs = -np.sum(f * laplace_beltrami(f, c) * wt)
-        assert lhs >= 0
-        assert abs(lhs - rhs) < 1e-10 * max(lhs, 1.0)
-
-
 def test_surface_integral_trig(flat64):
     uu, _ = flat64.grid.param_axes()
     # uniform grid sums sin^2 exactly: n/2 per row
@@ -399,10 +384,18 @@ def test_non_finite_node_is_named():
     assert "folding" not in str(err.value)
 
 
-def test_nan_metric_fails_the_det_floor():
-    # finite positions whose squared edges overflow: det g = inf * inf - inf
-    grid = scenario("custom-expression", 16, 16, exprs=["1e200*(u + v)", "1e200*v", "0*u", "0*u"])
-    with pytest.raises(NumericalError, match="metric-degenerate"), np.errstate(all="ignore"):
+@pytest.mark.parametrize("exprs, det", [
+    # squared edges overflow: det g = inf * inf - inf
+    (["1e200*(u + v)", "1e200*v", "0*u", "0*u"], "nan"),
+    # finite squared edges whose product overflows at some nodes only
+    (["u", "v", "1e155*sin(u)**8", "0*u"], "inf"),
+])
+def test_non_finite_metric_fails_the_det_floor(exprs, det):
+    # finite positions; the first node whose det g is not finite is named, with
+    # no RuntimeWarning, which the suite turns into an error
+    grid = scenario("custom-expression", 8, 8, exprs=exprs)
+    message = rf"metric-degenerate at node \(0, 0\): det g = {det} is not finite, \(g_uu"
+    with pytest.raises(NumericalError, match=message):
         compute_geometry(grid)
 
 
@@ -808,7 +801,9 @@ def test_run_flow_builds_the_normal_core_once_per_cache_and_never_the_frame(
     assert built["frame"] == []
 
 
-def test_spectrum_init_and_validator_never_build_the_extrinsic_half(monkeypatch, tmp_path):
+def test_spectrum_init_and_validator_build_neither_the_normal_core_nor_the_adapted_frame(
+    monkeypatch, tmp_path
+):
     built = counting_groups(monkeypatch)
     monkeypatch.chdir(tmp_path)
     stem = "perturbed-complex-torus-16x16"
@@ -918,6 +913,28 @@ def test_energy_density_halves_compose_to_the_one_piece_oracle(name, params, nu,
     for f in (rng.standard_normal((nu, nv)), rng.standard_normal((nu, nv, 3)), pf.a, cache.f_u):
         assert same_bits(dirichlet_energy_density(f, cache), one_piece_energy_density(f, cache))
     assert same_bits(pf.energy_density, one_piece_energy_density(pf.a, cache))
+
+
+@ORACLE_GRIDS
+@ORACLE_SURFACES
+def test_energy_density_is_the_quadratic_form(name, params, nu, nv):
+    # the identity the density is built to satisfy, a meter and not a copy of
+    # its code: the integral of the edge-form density is sum_k f_k^T A f_k over
+    # the components, A = -W Lap the stiffness matrix, exactly up to rounding;
+    # the phase is read through twistor_energy, and on the flat and sheared
+    # tori it is constant, so both sides are 0
+    cache = compute_geometry(scenario(name, nu, nv, **params))
+    a, _ = laplacian_matrix(cache)
+    rng = np.random.default_rng(nu * nv)
+    pf = phase_field(cache)
+    fields = [(pf.a, twistor_energy(pf, cache))]
+    for f in (rng.standard_normal((nu, nv)), rng.standard_normal((nu, nv, 3))):
+        fields.append((f, surface_integral(dirichlet_energy_density(f, cache), cache)))
+    for f, energy in fields:
+        f = f.reshape(nu * nv, -1)
+        form = float(np.sum(f * (a @ f)))
+        assert energy >= 0
+        assert abs(energy - form) <= 1e-11 * energy + 1e-15, (energy, form)
 
 
 @ORACLE_GRIDS
