@@ -2,9 +2,9 @@
 
 Four subcommands: `init` samples a scenario onto a grid and writes a
 snapshot plus a run manifest, `run` replays a manifest into a CSV series
-(and optional SVG plots), `check` meters one snapshot (metric, frame,
-curvature and phase identities, energy margin, lambda1; the triple's
-relations and A's exact symmetry are built in and pinned by tests),
+(and optional SVG plots), `check` meters one snapshot in seven rows
+(metric, curvature and phase identities, energy margin, lambda1; the
+triple's relations and A's exact symmetry are built in and pinned by tests),
 `spectrum` reports the first nonzero eigenvalue.  `main`
 builds its argument parser once per process, on its first call, and
 looks each subcommand up by name when it runs.
@@ -32,7 +32,6 @@ import numpy as np
 from . import __version__
 from .errors import HkflowError, InputError, IOFailure, NumericalError, _read_text, _write_text
 from .flow import C_MON, SCHEMES, FlowConfig, run_flow
-from .kernel import GRAM_TOL, _dot
 from .phase import bja_identity, phase_field, plf_residual
 from .spectral import _residual_tol, lambda1
 from .surface import (
@@ -390,11 +389,6 @@ def _run_checks(cache):
         ))
 
     record("metric-positivity", _lam_min(_planes(cache.g, 2)).min(), 1e-10, "above")
-    frame = [_planes(e) for e in (cache.e1, cache.e2, cache.e3, cache.e4)]
-    gram = max(
-        np.abs(_dot(frame[i], frame[j]) - (i == j)).max() for i in range(4) for j in range(i, 4)
-    )
-    record("frame-orthonormality", gram, GRAM_TOL)
     record("gauss-curvature", gauss_curvature_check(cache).max(), tol_id)
 
     pf = phase_field(cache)

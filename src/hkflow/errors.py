@@ -1,4 +1,4 @@
-"""The package's exception types, its one file boundary and its scalar rules.
+"""The package's exception types, its one file boundary and its value rules.
 
 The CLI maps these onto exit codes: input/validation problems exit 2,
 numerical failures during a run exit 3, I/O problems exit 4.  Every file
@@ -9,6 +9,8 @@ bytes that are not UTF-8 become InputError, both naming the file.
 
 import math
 import numbers
+
+import numpy as np
 
 
 class HkflowError(Exception):
@@ -83,3 +85,17 @@ def _integer(name, value):
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise InputError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real_array(name, value):
+    """value as a float64 array, or InputError unless its dtype kind is i, u or f:
+    a complex array is refused, not cast to its real part with a mere warning."""
+    try:
+        arr = np.asarray(value)
+        numeric = arr.dtype.kind in "iuf"
+    except ValueError:                   # a ragged nesting
+        numeric = False
+    if not numeric:
+        got = f"{arr.dtype} entries" if isinstance(value, np.ndarray) else repr(value)
+        raise InputError(f"{name} must hold real numbers, got {got}")
+    return arr.astype(float, copy=False)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameError, InputError, _real
+from .errors import FrameError, InputError, _real, _real_array
 
 UNIT_TOL = 1e-9          # tolerance on |a| = 1 for caller-supplied coefficients
 ORTHO_TOL = 1e-9         # tolerance on a . b = 0 for coefficient pairs
@@ -133,16 +133,10 @@ class AmbientSpace:
 def _vector(what, value, size):
     """value as a float64 array of shape (size,), or InputError unless it is
     one: entries that are not real numbers (strings, bools) are refused."""
-    try:
-        arr = np.asarray(value)
-        numeric = arr.dtype.kind in "iuf"
-    except ValueError:                   # a ragged nesting
-        numeric = False
-    if not numeric:
-        raise InputError(f"{what} must hold real numbers, got {value!r}")
+    arr = _real_array(what, value)
     if arr.shape != (size,):
         raise InputError(f"{what} must be a {size}-vector, got shape {arr.shape}")
-    return arr.astype(float)
+    return arr
 
 
 def as_unit_coefficient(a):

@@ -8,9 +8,9 @@ surface.dirichlet_energy_density, so that the integral of |grad a|^2
 matches the quadratic form of the discrete Laplacian exactly.
 
 The identity meters are the mean-curvature formula (in the basis adapted
-to a and a deterministic pointwise-orthogonal companion b) and the frame
-identity (in the cache's adapted frame); every exported number is
-independent of b and of the normal gauge, which the tests pin down.
+to a and a deterministic pointwise-orthogonal companion b, which a test
+shows it does not depend on) and the frame identity (read off the normal
+parts of the second differences, so no normal frame or gauge enters).
 """
 
 from collections import namedtuple
@@ -18,16 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _real_array
 from .kernel import _apply_phase, _companion, _dot, _tangent_phase
 from .surface import (
-    _central,
-    _difference_gram,
-    _node_major,
-    _planes,
-    _weighted_density,
-    laplace_beltrami,
-    surface_integral,
+    _central, _difference_gram, _node_major, _normal_parts, _planes, _weighted_density,
+    laplace_beltrami, surface_integral,
 )
 
 
@@ -64,7 +59,7 @@ def _carried(pf, cache):
 def field_from_array(a, cache):
     """PhaseField of a raw (nu, nv, 3) direction field, normalized first; another
     shape, and a zero or non-finite vector (named by its node), raise InputError."""
-    a, shape = np.asarray(a, float), cache.sqrt_det_g.shape + (3,)
+    a, shape = _real_array("phase array", a), cache.sqrt_det_g.shape + (3,)
     if a.shape != shape:
         raise InputError(f"phase array shape {a.shape} does not match the grid's {shape}")
     a = np.ascontiguousarray(_planes(a))
@@ -94,10 +89,12 @@ def tension_field(pf, cache):
 
 
 def _to_frame(comp_u, comp_v, cache):
-    """Convert 1-form components on (f_u, f_v) to the orthonormal frame
-    using the metric Gram-Schmidt rows."""
-    gs = _planes(cache.gs, 2)
-    return gs[0, 0] * comp_u, gs[1, 0] * comp_u + gs[1, 1] * comp_v
+    """Convert 1-form components on (f_u, f_v) to the orthonormal frame using
+    the Gram-Schmidt rows of the edge metric, which shares the Laplacian's symbol."""
+    g = _planes(cache.g, 2)
+    ell = np.sqrt(g[1, 1] - g[0, 1] ** 2 / g[0, 0])
+    return ((1.0 / np.sqrt(g[0, 0])) * comp_u,
+            -g[0, 1] / (g[0, 0] * ell) * comp_u + (1.0 / ell) * comp_v)
 
 
 def plf_residual(cache, pf):
@@ -134,23 +131,33 @@ def plf_residual(cache, pf):
 
 BjaResult = namedtuple("BjaResult", "lhs rhs ratio")
 
+# (k, l, i, j, sign): det[e1, e2, x, y] sums sign (x ^ y)_kl (e1 ^ e2)_ij over the
+# six coordinate pairs (k, l), (i, j) the complementary pair
+_PAIRS = ((0, 1, 2, 3, 1.0), (0, 2, 1, 3, -1.0), (0, 3, 1, 2, 1.0),
+          (1, 2, 0, 3, 1.0), (1, 3, 0, 2, -1.0), (2, 3, 0, 1, 1.0))
+
 
 def bja_identity(cache, pf):
     """Both sides of the frame identity for |nabla J_a|^2.
 
-    lhs = 4 |grad a|^2; rhs is the curvature expression in the cache's
-    positive frame (e1, e2, e3, e4) with its h: a rotation of the normals
-    by theta turns x + iy into e^{-i theta} (x + iy), so rhs does not see
-    the normal gauge.  Also returns the pointwise ratio |grad a| / |A|.
+    lhs = 4 |grad a|^2; rhs = 4 (|A|^2 + 2 K_N) is the paper's expression
+    in a frame adapted to the twistor family, read off the normal parts
+    A_ij = f_ij^perp with no normal frame: the normal curvature is
+    K_N = (g^uu w(A_uu, A_uv) + g^uv w(A_uu, A_vv) + g^vv w(A_uv, A_vv)) / sqrt det g
+    with w(x, y) = det[e1, e2, x, y], 0 where the normal bundle is flat.
+    Also returns the pointwise ratio |grad a| / |A|.
     """
-    h = _planes(cache.h, 3)
-    # gs h gs^T: the lower-triangular gs rows act on the row index, then the column index
-    rows = _to_frame(h[:, 0], h[:, 1], cache)
-    horth = [_to_frame(r[:, 0], r[:, 1], cache) for r in rows]   # horth[i][j][alpha]
+    e1, e2 = _planes(cache.e1), _planes(cache.e2)
+    star = [(sign * (e1[i] * e2[j] - e1[j] * e2[i]), k, l) for k, l, i, j, sign in _PAIRS]
 
-    x = np.stack([horth[1][i][0] - horth[0][i][1] for i in (0, 1)])    # h3_{2i} - h4_{1i}
-    y = np.stack([horth[0][i][0] + horth[1][i][1] for i in (0, 1)])    # h3_{1i} + h4_{2i}
-    rhs = 4.0 * (_dot(x, x) + _dot(y, y))
+    def omega(x, y):
+        return sum(p * (x[k] * y[l] - x[l] * y[k]) for p, k, l in star)
+
+    a_uu, a_uv, a_vv = _normal_parts(cache, _planes(cache.f_uv))
+    ginv = _planes(cache.ginv, 2)
+    k_n = (ginv[0, 0] * omega(a_uu, a_uv) + ginv[0, 1] * omega(a_uu, a_vv)
+           + ginv[1, 1] * omega(a_uv, a_vv)) / cache.sqrt_det_g
+    rhs = 4.0 * (cache.norm_A_sq + 2.0 * k_n)
     lhs = 4.0 * pf.energy_density
     # ratio only means something where A is above noise level; 0/0 nodes
     # (flat spots of analytic scenarios) would otherwise dominate the max

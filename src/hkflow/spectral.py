@@ -24,7 +24,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import InputError, NumericalError, PreconditionError, _finite_real
+from .errors import InputError, NumericalError, PreconditionError, _finite_real, _real_array
 from .kernel import _dot
 from .surface import (
     _central, _cometric, _displacement, _param_axes, _planes, _shift, laplacian_matrix,
@@ -266,13 +266,13 @@ def c0_from_l2_validator(sigma, lam, cache, radius=0.5):
 
     eps is the L2 mass of sigma; the bound only claims anything when
     eps <= radius^4 and Lam really dominates the measured gradient, so
-    both preconditions are enforced rather than assumed.  A non-finite
-    sigma, a lam or radius that is not a finite real number, or a
+    both preconditions are enforced rather than assumed.  A sigma not of
+    finite reals, a lam or radius that is not a finite real number, or a
     radius <= 0, raises InputError: an inf Lam would certify nothing.
     """
-    sigma = np.asarray(sigma, float)
+    sigma = _real_array("sigma", sigma)
     if sigma.shape != cache.sqrt_det_g.shape:
-        raise InputError(f"field shape {sigma.shape} does not match the grid")
+        raise InputError(f"sigma shape {sigma.shape} does not match the grid")
     finite = np.isfinite(sigma)
     if not finite.all():
         ij = tuple(int(k) for k in np.argwhere(~finite)[0])

@@ -18,9 +18,6 @@ circles and keeps the discrete integration by parts of the Laplacian
 clean; a pure central-difference metric loses an O(h^2) factor between
 the two and visibly biases |H|^2.
 
-The normal frame (e3, e4) = (J_b e1, J_b e2) is adapted to the tangent
-phase a and its companion b = kernel.phi_field(a), positive by construction.
-
 The one surface Laplacian is laplacian_matrix: a nine-point stencil filled
 from the edge fluxes into a CSR pattern cached per grid size.  It imports
 scipy.sparse at its first call, not with this module: sampling, geometry
@@ -36,19 +33,14 @@ those planes; the phase fields of the phase module follow the same layout.
 Two halves: compute_geometry builds the intrinsic half (tangents, second
 differences, metric, tangent frame, Laplacian fluxes) and makes every
 refusal, a non-finite position, a degenerate metric or tangent pair.  The
-extrinsic half comes in two groups, each built whole on the first read of
-any of its fields, from the intrinsic planes the cache holds:
-
-- the normal core, f_uv, H, norm_H_sq and norm_A_sq, reads no normal
-  frame: H and |A|^2 come from the normal parts of the second
-  differences, so they do not depend on a gauge;
-- the adapted frame, gs, e3, e4 and h, is the twistor-adapted normal
-  frame above and the second fundamental form in it; only the frame
-  identity meters read it.
-
-Their expressions are elementwise, so the bits do not depend on when a
-group is built.  `run` builds the normal core only, `check` builds both,
-and lambda1, the validator, `init` and `spectrum` build neither.
+extrinsic half, the normal core f_uv, H, norm_H_sq and norm_A_sq, is
+built whole on the first read of any of its fields.  No normal frame is
+built: the normal parts A_ij = f_ij^perp of the second differences
+(_normal_parts) are the second fundamental form, for the core, the Gauss
+meter and the frame identity alike, so no normal gauge enters.  Its
+expressions are elementwise in the intrinsic planes, so the bits do not
+depend on when it is built.  `run` and `check` build it; lambda1, the
+validator, `init` and `spectrum` do not.
 """
 
 import ast
@@ -60,8 +52,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError, _integer, _read_text, _real, _write_text
-from .kernel import AmbientSpace, _apply_phase, _companion, _dot, _tangent_phase
+from .errors import InputError, NumericalError, _integer, _read_text, _real, _real_array, _write_text
+from .kernel import AmbientSpace, _dot
 
 DET_FLOOR_REL = 1e-10
 MIN_GRID = 4              # fewest nodes per parameter axis, sampled or loaded
@@ -210,15 +202,17 @@ def _normal_part(x, e1, e2):
     return x - _dot(x, e1) * e1 - _dot(x, e2) * e2
 
 
-def _normal_core(cache):
-    """The normal core of a cache, f_uv, H, norm_H_sq and norm_A_sq, as
-    read-only node-major views by field name.
+def _normal_parts(cache, f_uv):
+    """The second fundamental form as the normal parts A_uu, A_uv, A_vv = f_ij^perp,
+    planes (4, nu, nv) each; f_uv is passed in, since the normal core builds it."""
+    e1, e2 = _planes(cache.e1), _planes(cache.e2)
+    return tuple(_normal_part(f, e1, e2) for f in (_planes(cache.f_uu), f_uv, _planes(cache.f_vv)))
 
-    Gauge-free: the normal parts f_ij^perp of the second differences,
-    with the e1, e2 parts removed, stand for the second fundamental form,
-    so no normal frame is built.  Elementwise expressions of the intrinsic
-    planes the cache holds, so the bits do not depend on when it is built.
-    """
+
+def _normal_core(cache):
+    """The normal core f_uv, H, norm_H_sq and norm_A_sq of a cache, read-only
+    node-major views by field name; elementwise in the intrinsic planes the
+    cache holds, so the bits do not depend on when it is built."""
     f_u, f_uu, f_vv, e1, e2 = (_planes(f) for f in (cache.f_u, cache.f_uu, cache.f_vv,
                                                     cache.e1, cache.e2))
     ginv = _planes(cache.ginv, 2)
@@ -228,9 +222,9 @@ def _normal_core(cache):
     trace = ginv[0, 0] * f_uu + 2 * ginv[0, 1] * f_uv + ginv[1, 1] * f_vv
     big_h = _normal_part(trace, e1, e2)
     norm_h_sq = _dot(big_h, big_h)
-    # |A|^2 = g^ik g^jl <A_ij, A_kl> for A_ij = f_ij^perp, expanded over the
-    # Gram entries <A_p, A_q> of the second differences p, q in (uu, uv, vv)
-    n_uu, n_uv, n_vv = (_normal_part(f, e1, e2) for f in (f_uu, f_uv, f_vv))
+    # |A|^2 = g^ik g^jl <A_ij, A_kl>, expanded over the Gram entries
+    # <A_p, A_q> of the normal parts p, q in (uu, uv, vv)
+    n_uu, n_uv, n_vv = _normal_parts(cache, f_uv)
     a, b, c = ginv[0, 0], ginv[0, 1], ginv[1, 1]
     norm_a_sq = (
         a * a * _dot(n_uu, n_uu) + 4 * a * b * _dot(n_uu, n_uv) + 2 * b * b * _dot(n_uu, n_vv)
@@ -241,49 +235,11 @@ def _normal_core(cache):
     return _read_only_views(dict(f_uv=f_uv, H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq))
 
 
-def _adapted_frame(cache):
-    """The twistor-adapted frame of a cache, gs, e3, e4 and h, as read-only
-    node-major views by field name; h reads the normal core's f_uv.
-    Elementwise like the core, so the bits do not depend on when it is built.
-    """
-    f_uu, f_uv, f_vv, e1, e2 = (_planes(f) for f in (cache.f_uu, cache.f_uv, cache.f_vv,
-                                                    cache.e1, cache.e2))
-    g = _planes(cache.g, 2)
-
-    # metric Gram-Schmidt rows for converting parameter indices to the
-    # orthonormal frame; uses the edge metric, not ambient dots, so tensor
-    # conversions share the Laplacian's symbol
-    ell = np.sqrt(g[1, 1] - g[0, 1] ** 2 / g[0, 0])
-    gs = np.zeros_like(g)
-    gs[0, 0] = 1.0 / np.sqrt(g[0, 0])
-    gs[1, 0] = -g[0, 1] / (g[0, 0] * ell)
-    gs[1, 1] = 1.0 / ell
-
-    # normals adapted to the tangent phase a (J_a e1 = e2) and its companion
-    # b: J_a J_b = -J_b J_a gives J_a e3 = -e4, so the frame is positive
-    b = _companion(_tangent_phase(e1, e2))
-    e3 = _apply_phase(b, e1)
-    e4 = _apply_phase(b, e2)
-    h = np.empty((2, 2, 2) + f_uu.shape[1:])
-    for alpha, n in enumerate((e3, e4)):
-        h[alpha, 0, 0] = _dot(f_uu, n)
-        h[alpha, 0, 1] = h[alpha, 1, 0] = _dot(f_uv, n)
-        h[alpha, 1, 1] = _dot(f_vv, n)
-
-    return _read_only_views(dict(gs=gs, e3=e3, e4=e4, h=h))
-
-
 class _OnFirstRead:
-    """A field of one of GeometryCache's two extrinsic groups, built on first
-    read.  Each field holds its group's builder, _normal_core or
-    _adapted_frame; the first read of any field of a group on a cache builds
-    the whole group into the instance dict, where every later read finds it
-    without reaching this descriptor; a field assigned before that read is
-    kept.  The frame's h reads the core's f_uv, so building the frame builds
-    the core too; building the core never builds the frame."""
-
-    def __init__(self, build):
-        self.build = build
+    """A field of GeometryCache's normal core: the first read of any core field
+    on a cache builds the whole core with _normal_core into the instance
+    dict, where every later read finds it without reaching this descriptor;
+    a field assigned before that read is kept."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -292,7 +248,7 @@ class _OnFirstRead:
         if cache is None:
             return self
         fields = vars(cache)
-        for name, view in self.build(cache).items():
+        for name, view in _normal_core(cache).items():
             fields.setdefault(name, view)
         return fields[self.name]
 
@@ -301,15 +257,15 @@ class _OnFirstRead:
 class GeometryCache:
     """Every array field is a read-only (nu, nv, ...) view of the component
     planes compute_geometry works on; index [..., k] reads a contiguous plane.
-    The extrinsic half below, the normal core and the adapted frame, is
-    built one group at a time on the first read of a field of the group
-    (see the module docstring); every refusal stays in compute_geometry.
+    The extrinsic half below, the normal core, is built whole on the first
+    read of any of its fields (see the module docstring); every refusal
+    stays in compute_geometry.
 
     A cache is a value: what depends on the geometry alone (ball volume
     reports, the metric spacing) is computed on the first call and kept
     in a private memo, so it describes grid.positions as they were then.
     dataclasses.replace builds a new cache with an empty memo, whose
-    extrinsic groups are built again from its own fields.
+    normal core is built again from its own fields.
     """
 
     grid: SurfaceGrid
@@ -329,16 +285,10 @@ class GeometryCache:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # the normal core, built on first read; every flow step reads it
-    f_uv = _OnFirstRead(_normal_core)       # cross second difference, (nu, nv, 4)
-    H = _OnFirstRead(_normal_core)          # (nu, nv, 4) mean curvature vector
-    norm_H_sq = _OnFirstRead(_normal_core)
-    norm_A_sq = _OnFirstRead(_normal_core)
-    # the twistor-adapted frame, built on first read; only check's meters read it
-    gs = _OnFirstRead(_adapted_frame)       # (nu, nv, 2, 2) metric Gram-Schmidt rows:
-                                            # e_i (metric sense) = gs[i, k] f_k
-    e3 = _OnFirstRead(_adapted_frame)       # normals completing e1, e2 to a positive
-    e4 = _OnFirstRead(_adapted_frame)       # ambient-orthonormal frame, (nu, nv, 4)
-    h = _OnFirstRead(_adapted_frame)        # (nu, nv, 2, 2, 2): [alpha, i, j] = <f_ij, e_{3+alpha}>
+    f_uv = _OnFirstRead()       # cross second difference, (nu, nv, 4)
+    H = _OnFirstRead()          # (nu, nv, 4) mean curvature vector
+    norm_H_sq = _OnFirstRead()
+    norm_A_sq = _OnFirstRead()
 
     @property
     def hu(self):
@@ -415,8 +365,8 @@ def compute_geometry(grid):
     Computed on contiguous component planes, (4, nu, nv) for vectors and
     (2, 2, nu, nv) for metric-like tensors, so every inner product is a
     plane sum; the cache exposes each field as a (nu, nv, ...) view.
-    Every refusal is made here: the extrinsic groups, built on first read
-    by _normal_core and _adapted_frame, run on a surface that passed them.
+    Every refusal is made here: the normal core, built on first read by
+    _normal_core, runs on a surface that passed them.
     """
     hu, hv = grid.hu, grid.hv
     p = np.ascontiguousarray(np.moveaxis(grid.positions, -1, 0))
@@ -547,6 +497,14 @@ def laplacian_matrix(cache):
     return a, cache.node_area().ravel()
 
 
+def _grid_field(fld, cache):
+    """fld as a float64 (nu, nv) or (nu, nv, k) field of the cache's grid, or InputError."""
+    f = _real_array("field", fld)
+    if f.shape[:2] != cache.sqrt_det_g.shape or f.ndim > 3:
+        raise InputError(f"field shape {f.shape} does not match the grid")
+    return f
+
+
 def laplace_beltrami(fld, cache):
     """Conservative-form Laplace-Beltrami of a scalar or vector field.
 
@@ -554,9 +512,7 @@ def laplace_beltrami(fld, cache):
     laplacian_matrix: symmetric and nonpositive against the area weights,
     exactly 0 on constants since A's diagonal closes each row in summation order.
     """
-    f = np.asarray(fld, float)
-    if f.shape[:2] != cache.sqrt_det_g.shape:
-        raise InputError(f"field shape {f.shape} does not match the grid")
+    f = _grid_field(fld, cache)
     a, w = laplacian_matrix(cache)
     return (-(a @ f.reshape(w.size, -1)) / w[:, None]).reshape(f.shape)
 
@@ -581,7 +537,7 @@ def _weighted_density(gram, cache):
 def dirichlet_energy_density(fld, cache):
     """Pointwise energy density |grad f|^2 distributed so that its area
     integral equals the quadratic form of -laplace_beltrami exactly."""
-    f = np.asarray(fld, float)
+    f = _grid_field(fld, cache)
     f = f[None] if f.ndim == 2 else _planes(f)
     return _weighted_density(_difference_gram(f, cache.hu, cache.hv), cache)
 
@@ -593,9 +549,10 @@ def surface_integral(density, cache):
 def gauss_curvature_check(cache):
     """|K_intrinsic - K_extrinsic| per node on a flat ambient.
 
-    Extrinsic side from the second fundamental form, intrinsic side from
-    the Brioschi formula applied to the discrete metric: the difference of
-    its two 3 x 3 determinants, each expanded along the first row,
+    Extrinsic side from the normal parts A_ij of the second differences,
+    K_ext = (<A_uu, A_vv> - |A_uv|^2) / det, intrinsic side from the
+    Brioschi formula applied to the discrete metric: the difference of its
+    two 3 x 3 determinants, each expanded along the first row,
 
         | c          Eu/2  Fu - Ev/2 |   | 0     Ev/2  Gu/2 |
         | Fv - Gu/2  E     F         | - | Ev/2  E     F    |
@@ -603,11 +560,9 @@ def gauss_curvature_check(cache):
 
     with c = -Evv/2 + Fuv - Guu/2, over det^2, det = EG - F^2.
     """
-    h = _planes(cache.h, 3)
+    a_uu, a_uv, a_vv = _normal_parts(cache, _planes(cache.f_uv))
     det = cache.sqrt_det_g**2
-    k_ext = (
-        h[0, 0, 0] * h[0, 1, 1] - h[0, 0, 1] ** 2 + h[1, 0, 0] * h[1, 1, 1] - h[1, 0, 1] ** 2
-    ) / det
+    k_ext = (_dot(a_uu, a_vv) - _dot(a_uv, a_uv)) / det
 
     hu, hv = cache.hu, cache.hv
     g = _planes(cache.g, 2)

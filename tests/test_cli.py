@@ -20,9 +20,8 @@ import numpy as np
 import pytest
 from conftest import cli_env, snapshot_positions, with_positions
 
-from hkflow import cli, surface
+from hkflow import cli
 from hkflow.flow import FlowConfig
-from hkflow.kernel import _companion, _dot
 from hkflow.spectral import RESIDUAL_TOL
 from hkflow.surface import compute_geometry, load_snapshot
 
@@ -469,8 +468,8 @@ def test_check_passes_on_flat(flat_dir, tmp_path, run_cli):
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["all_pass"] is True
     names = {c["name"] for c in doc["checks"]}
-    assert {"metric-positivity", "frame-orthonormality", "gauss-curvature", "plf-identity",
-            "bja-identity", "hdp-margin", "lambda1-positive", "lambda1-residual"} == names
+    assert {"metric-positivity", "gauss-curvature", "plf-identity", "bja-identity",
+            "hdp-margin", "lambda1-positive", "lambda1-residual"} == names
     for chk in doc["checks"]:
         if chk["direction"] == "below":
             assert chk["measured"] <= 1e-10
@@ -510,26 +509,6 @@ def test_check_judges_lambda1_residual_by_lambda1s_rule(tmp_path, run_cli):
     assert row["status"] == "PASS"
     assert row["tolerance"] == RESIDUAL_TOL * lam                  # 9.54e-6
     assert RESIDUAL_TOL < row["measured"] <= row["tolerance"]
-
-
-def test_check_frame_row_judges_a_skewed_companion(tmp_path, run_cli, monkeypatch):
-    # frame-orthonormality is the adapted frame's one judge: a companion b
-    # tilted by 1e-6 toward a leaves e3 = J_b e1 off the normal plane by
-    # <J_b e1, J_a e1> = a . b = 1e-6, far above GRAM_TOL = 1e-8
-    succeeded(run_cli(
-        "init", "--scenario", "perturbed-complex-torus", "--eps", "0.3", "--nu", "32", "--nv", "32",
-    ))
-
-    def skewed(a):
-        b = _companion(a) + 1e-6 * a
-        return b / np.sqrt(_dot(b, b))
-
-    monkeypatch.setattr(surface, "_companion", skewed)
-    code, _, _ = run_cli("check", "perturbed-complex-torus-32x32.snapshot.json", "--json", "report.json")
-    assert code == 2
-    rows = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
-    assert [name for name, c in rows.items() if c["status"] == "FAIL"] == ["frame-orthonormality"]
-    assert rows["frame-orthonormality"]["measured"] == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_check_corrupt_snapshot(flat_dir, tmp_path, run_cli):

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from test_surface import node_major_geometry
 
 import hkflow.flow
 from hkflow import kernel, phase, surface
@@ -431,14 +432,16 @@ def test_metric_monitor_first_order_in_dt():
     ("clifford", dict(R=1.0, r=0.5)),
 ])
 def test_metric_monitor_is_the_frame_form(name, params):
-    # H is normal, so <H, f_ij> = sum_alpha <H, e_alpha> h_alpha,ij; the twisted
-    # graph has normal curvature, Clifford (1, 0.5) two unequal circles.
+    # H is normal, so <H, f_ij> = sum_alpha <H, e_alpha> h_alpha,ij in the
+    # paper's frame of the node-major oracle; the twisted graph has normal
+    # curvature, Clifford (1, 0.5) two unequal circles.
     # Measured at the CFL step: 2.7e-14 relative at most, pointwise 5e-16
     st = state_for(name, 32, **params)
     c, dt = st.cache, cfl_dt(st.cache)
     after = mcf_step(st, dt)
-    normal_h = np.stack([(c.H * c.e3).sum(-1), (c.H * c.e4).sum(-1)], -1)
-    frame = np.einsum("...a,...aij->...ij", normal_h, c.h)
+    ref = node_major_geometry(c.grid)
+    normal_h = np.stack([(c.H * ref["e3"]).sum(-1), (c.H * ref["e4"]).sum(-1)], -1)
+    frame = np.einsum("...a,...aij->...ij", normal_h, ref["h"])
     want = float(np.abs((after.cache.g - c.g) / dt + 2 * frame).max())
     assert abs(metric_evolution_monitor(st, after, dt) - want) <= 1e-12 * want
     direct = np.stack([(c.H * f).sum(-1) for f in (c.f_uu, c.f_uv, c.f_uv, c.f_vv)], -1)

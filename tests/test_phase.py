@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from hkflow import phase
+from hkflow.cli import _run_checks
 from hkflow.errors import InputError
 from hkflow.kernel import phi_field
 from hkflow.phase import (
@@ -28,7 +29,6 @@ from hkflow.phase import (
 from hkflow.surface import (
     _planes,
     compute_geometry,
-    gauss_curvature_check,
     scenario,
     surface_integral,
 )
@@ -38,6 +38,8 @@ TWO_PI = 2.0 * np.pi
 # product torus with the circle factors paired so the phase sits on the
 # equator of the twistor sphere (third coefficient identically zero)
 EQUATOR_TORUS = ["0.7*cos(u)", "0.7*cos(v)", "0.7*sin(v)", "0.7*sin(u)"]
+# a graph whose normal curvature [h3, h4] is not zero, unlike the named scenarios
+TWISTED = dict(exprs=["u", "v", "0.3*sin(u)*cos(v)", "0.3*sin(v)"], periods=[TWO_PI] * 4)
 
 
 def cache_for(name, n, **params):
@@ -75,13 +77,6 @@ def graph():
         c = cache_for("lagrangian-graph", n, eps=0.2)
         out[n] = (c, phase_field(c))
     return out
-
-
-@pytest.fixture(scope="module")
-def twisted():
-    # a graph whose normal curvature [h3, h4] is not zero, unlike the named scenarios
-    return cache_for("custom-expression", 32, exprs=["u", "v", "0.3*sin(u)*cos(v)", "0.3*sin(v)"],
-                     periods=[TWO_PI] * 4)
 
 
 def test_equator_phase_closed_form(eq64):
@@ -179,6 +174,20 @@ def test_frame_identity_refines(graph):
     assert 3.4 < gap / np.abs(res2.lhs - res2.rhs).max() < 4.6
 
 
+def test_frame_identity_holds_with_normal_curvature():
+    # the meter of K_N's sign, the one surface here whose normal bundle is
+    # not flat: check's bja row passes at 32^2 and 64^2 and falls at second
+    # order (1.80e-2 <= 2e-2 and 4.61e-3 <= 5e-3 measured, a 3.91x fall);
+    # with the sign of K_N flipped it reads 1.42 and 1.43
+    measured = {}
+    for n in (32, 64):
+        checks = _run_checks(cache_for("custom-expression", n, **TWISTED))
+        row = next(c for c in checks if c["name"] == "bja-identity")
+        assert row["measured"] <= row["tolerance"], (n, row)
+        measured[n] = row["measured"]
+    assert measured[32] / measured[64] >= 3.5
+
+
 def test_gradient_curvature_ratio_bounded(eq64, perturbed, graph):
     # |grad a| <= sqrt(2) |A| pointwise; measured maxima stay near 1.22
     ratios = []
@@ -201,42 +210,6 @@ def test_phi_field_charts():
     expected = np.array([0.0, -polar[0, 0, 2], polar[0, 0, 1]])
     expected /= np.linalg.norm(expected)
     assert np.abs(bp[0, 0] - expected).max() < 1e-14
-
-
-def test_gauss_check_ignores_the_normal_gauge(twisted):
-    # gauss_curvature_check reads h through sum_alpha det(h_alpha), which a
-    # rotation of the normal pair keeps; dropping the second normal does not
-    c = twisted
-    uu, vv = c.grid.param_axes()
-    gam = 0.3 + 0.2 * np.sin(uu + vv)
-    cg, sg = np.cos(gam)[..., None, None], np.sin(gam)[..., None, None]
-    h0, h1 = c.h[..., 0, :, :], c.h[..., 1, :, :]
-    rotated, flattened = dataclasses.replace(c), dataclasses.replace(c)
-    rotated.h = np.stack([cg * h0 + sg * h1, -sg * h0 + cg * h1], axis=2)
-    flattened.h = np.stack([h0, np.zeros_like(h1)], axis=2)
-    base = gauss_curvature_check(c)
-    # 4.2e-17 against a maximum of 3.3e-3 measured; the control moves 1.75e-3
-    assert np.abs(gauss_curvature_check(rotated) - base).max() < 1e-12 * base.max()
-    assert np.abs(gauss_curvature_check(flattened) - base).max() > 0.3 * base.max()
-
-
-def test_frame_identity_ignores_the_normal_gauge(twisted):
-    # bja_identity reads the cache's h: a rotation of the normal pair turns
-    # x + iy into e^{-i gam} (x + iy), which rhs does not see, while the
-    # reflection (e3, e4) -> (e4, e3) changes it wherever the normal
-    # curvature [h3, h4] is not zero (it is zero on the named scenarios)
-    c = twisted
-    pf = phase_field(c)
-    uu, vv = c.grid.param_axes()
-    gam = 0.3 + 0.2 * np.sin(uu + vv)
-    cg, sg = np.cos(gam)[..., None, None], np.sin(gam)[..., None, None]
-    h0, h1 = c.h[..., 0, :, :], c.h[..., 1, :, :]
-    rotated, reflected = dataclasses.replace(c), dataclasses.replace(c)
-    rotated.h = np.stack([cg * h0 + sg * h1, -sg * h0 + cg * h1], axis=2)
-    reflected.h = c.h[..., ::-1, :, :]
-    base = bja_identity(c, pf).rhs
-    assert np.abs(bja_identity(rotated, pf).rhs - base).max() < 1e-14 * base.max()
-    assert np.abs(bja_identity(reflected, pf).rhs - base).max() > 0.5 * base.max()
 
 
 def test_tangent_rotation_invariance(perturbed):
