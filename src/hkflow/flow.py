@@ -27,7 +27,7 @@ from .errors import InputError, NumericalError, PreconditionError, _finite_real,
 from .kernel import _dot
 from .phase import PhaseField, _carried, field_from_array, phase_field, tension_field, twistor_energy
 from .spectral import lambda1
-from .surface import _lam_min, _node_major, _planes, compute_geometry, surface_integral
+from .surface import _node_major, _planes, compute_geometry, surface_integral
 
 DISPLACEMENT_FRACTION = 0.25    # of the shortest grid edge, per step
 DRIFT_MARGIN = 1.5              # on the predicted pre-projection unit drift
@@ -111,21 +111,9 @@ class DiagnosticsSeries:
         self.records.append(rec)
 
 
-def metric_spacing(cache):
-    """sqrt(min eigenvalue of g) x the shorter parameter step.
-
-    Computed once per cache: the phase step reads it on the moved cache,
-    and the next step's cfl_dt on that same cache.
-    """
-    return cache._memoized(
-        "metric_spacing",
-        lambda: float(np.sqrt(_lam_min(_planes(cache.g, 2)).min())) * min(cache.hu, cache.hv),
-    )
-
-
 def cfl_dt(cache, safety=0.9):
     """Parabolic bound with a curvature guard on the reaction terms."""
-    hg = metric_spacing(cache)
+    hg = cache.metric_spacing
     return safety * hg**2 / (4.0 * (1.0 + float(cache.norm_A_sq.max()) * hg**2))
 
 
@@ -155,7 +143,7 @@ def mcf_step(state, dt, scheme="euler"):
 
 def phase_heat_step(pf, cache, dt):
     """Explicit step of (d/dt - Lap) a = |grad a|^2 a, projected to S^2."""
-    hg = metric_spacing(cache)
+    hg = cache.metric_spacing
     if dt > 0.25 * hg**2 * (1 + 1e-12):
         raise NumericalError(
             f"stability-violation: dt {dt:.3e} exceeds the parabolic bound "
@@ -344,8 +332,11 @@ def _phase_spread(state):
 
 
 def decay_fit(series, window):
-    """Least-squares slope of log T over records with t inside window."""
-    lo, hi = window
+    """Least-squares slope of log T over records with t inside window = (lo, hi)."""
+    try:
+        lo, hi = (_real("decay window bound", x) for x in window)
+    except (TypeError, ValueError):
+        raise InputError(f"decay window must be two real numbers, got {window!r}") from None
     records = series.records if isinstance(series, DiagnosticsSeries) else list(series)
     picked = [r for r in records if lo <= r.t <= hi]
     if any(r.twistor_energy <= 0 for r in picked):

@@ -159,8 +159,25 @@ def phi_field(a):
 
     z x a away from the poles of the third axis, x x a near them; both
     branches are normalized cross products so b is unit and b . a = 0.
+    Another shape, non-real entries and a zero or non-finite vector raise InputError.
     """
-    return np.moveaxis(_companion(np.moveaxis(np.asarray(a, float), -1, 0)), 0, -1)
+    a = _real_array("phase array", a)
+    if a.shape[-1:] != (3,):
+        raise InputError(f"phase array must have a last axis of length 3, got shape {a.shape}")
+    planes = np.moveaxis(a, -1, 0)
+    _phase_norm(planes, "index")
+    return np.moveaxis(_companion(planes), 0, -1)
+
+
+def _phase_norm(a, place):
+    """|a| of phase planes a (3, ...); a zero or non-finite vector raises InputError."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_dot(a, a))
+    if not (norm.min() > 0 and norm.max() < np.inf):    # NaN fails too
+        at = tuple(np.argwhere(~((norm > 0) & (norm < np.inf)))[0].tolist())
+        where = f" at {place} {at}" if at else ""
+        raise InputError(f"phase vector{where} is zero or not finite: {a[(slice(None), *at)]}")
+    return norm
 
 
 def _dot(x, y):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, _real_array
-from .kernel import _apply_phase, _companion, _dot, _tangent_phase
+from .kernel import _apply_phase, _companion, _dot, _phase_norm, _tangent_phase
 from .surface import (
     _central, _difference_gram, _node_major, _normal_parts, _planes, _weighted_density,
     laplace_beltrami, surface_integral,
@@ -63,12 +63,7 @@ def field_from_array(a, cache):
     if a.shape != shape:
         raise InputError(f"phase array shape {a.shape} does not match the grid's {shape}")
     a = np.ascontiguousarray(_planes(a))
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(_dot(a, a))
-    if not (norm.min() > 0 and norm.max() < np.inf):    # NaN fails too
-        i, j = np.argwhere(~((norm > 0) & (norm < np.inf)))[0]
-        raise InputError(f"phase vector at node {int(i), int(j)} is zero or not finite: {a[:, i, j]}")
-    return _phase_from_planes(a / norm, cache)
+    return _phase_from_planes(a / _phase_norm(a, "node"), cache)
 
 
 def phase_field(cache):

@@ -99,11 +99,6 @@ def _fft_inverse(cache, w, gamma):
     return apply
 
 
-def _residual_tol(lam):
-    """lambda1's stopping rule for its residual, which scales like lam; check judges by it."""
-    return RESIDUAL_TOL * max(1.0, abs(lam))
-
-
 def lambda1(cache):
     """First nonzero eigenvalue of the surface Laplacian.
 
@@ -116,9 +111,9 @@ def lambda1(cache):
     and P the previous update outside X.  No matrix is factorized; the
     fixed start block keeps the result deterministic.
 
-    The residual's one stopping rule is _residual_tol.  A best residual not
-    halved in STALL_SWEEPS sweeps sits at its roundoff floor (a thin T^4
-    cylinder's is above the rule) and raises.
+    It returns only a residual within RESIDUAL_TOL x max(1, lambda1).  A
+    best residual not halved in STALL_SWEEPS sweeps sits at its roundoff
+    floor (a thin T^4 cylinder's is above that rule) and raises.
     """
     import scipy.linalg as sla
 
@@ -165,7 +160,7 @@ def lambda1(cache):
         residual = float(np.sqrt((r * r / w).sum()))
         if (
             abs(lam - lam_prev) <= RAYLEIGH_RTOL * max(abs(lam), 1e-30)
-            and residual <= _residual_tol(lam)
+            and residual <= RESIDUAL_TOL * max(1.0, abs(lam))
         ):
             shape = (cache.grid.nu, cache.grid.nv)
             return SpectralResult(lam, v.reshape(shape), iteration, residual)

@@ -235,37 +235,17 @@ def _normal_core(cache):
     return _read_only_views(dict(f_uv=f_uv, H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq))
 
 
-class _OnFirstRead:
-    """A field of GeometryCache's normal core: the first read of any core field
-    on a cache builds the whole core with _normal_core into the instance
-    dict, where every later read finds it without reaching this descriptor;
-    a field assigned before that read is kept."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, cache, owner=None):
-        if cache is None:
-            return self
-        fields = vars(cache)
-        for name, view in _normal_core(cache).items():
-            fields.setdefault(name, view)
-        return fields[self.name]
-
-
 @dataclass
 class GeometryCache:
     """Every array field is a read-only (nu, nv, ...) view of the component
     planes compute_geometry works on; index [..., k] reads a contiguous plane.
-    The extrinsic half below, the normal core, is built whole on the first
-    read of any of its fields (see the module docstring); every refusal
-    stays in compute_geometry.
+    Every refusal stays in compute_geometry.
 
-    A cache is a value: what depends on the geometry alone (ball volume
-    reports, the metric spacing) is computed on the first call and kept
-    in a private memo, so it describes grid.positions as they were then.
-    dataclasses.replace builds a new cache with an empty memo, whose
-    normal core is built again from its own fields.
+    A cache is a value: what depends on the geometry alone is built on first
+    read and kept, so it describes grid.positions as they were then.  Values
+    of no argument are functools.cached_property (a field assigned before its
+    first read is kept); ball volume reports are kept by radius in a private
+    memo.  dataclasses.replace builds a new cache that keeps neither.
     """
 
     grid: SurfaceGrid
@@ -284,11 +264,17 @@ class GeometryCache:
     min_edge: float              # shortest ambient grid edge, stability proxy
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    # the normal core, built on first read; every flow step reads it
-    f_uv = _OnFirstRead()       # cross second difference, (nu, nv, 4)
-    H = _OnFirstRead()          # (nu, nv, 4) mean curvature vector
-    norm_H_sq = _OnFirstRead()
-    norm_A_sq = _OnFirstRead()
+    # each lambda looks up _normal_core and _lam_min when it runs.  The normal
+    # core: f_uv the cross second difference, H the mean curvature vector
+    _core = functools.cached_property(lambda self: _normal_core(self))
+    f_uv = functools.cached_property(lambda self: self._core["f_uv"])
+    H = functools.cached_property(lambda self: self._core["H"])
+    norm_H_sq = functools.cached_property(lambda self: self._core["norm_H_sq"])
+    norm_A_sq = functools.cached_property(lambda self: self._core["norm_A_sq"])
+    # the least metric eigenvalue, and the spacing of the flow's parabolic bounds
+    lam_min = functools.cached_property(lambda self: float(_lam_min(_planes(self.g, 2)).min()))
+    metric_spacing = functools.cached_property(
+        lambda self: float(np.sqrt(self.lam_min)) * min(self.hu, self.hv))
 
     @property
     def hu(self):

@@ -20,7 +20,6 @@ from hkflow.flow import (
     coupled_step,
     decay_fit,
     make_state,
-    metric_spacing,
     run_flow,
 )
 from hkflow.kernel import standard_twistor_triple
@@ -162,7 +161,7 @@ def test_criterion_3_pointwise_identities(caches, capfd):
 def test_criterion_4_preservation_consistency(caches, capfd):
     t0 = time.perf_counter()
     state = make_state(caches["perturbed", 128].grid)
-    cap = 0.25 * metric_spacing(state.cache) ** 2
+    cap = 0.25 * state.cache.metric_spacing**2
     errs = []
     for dt in (0.999 * cap, 0.4995 * cap):
         cfg = FlowConfig(dt=dt, steps=1, scheme="rk2", lambda1_cadence=1000)

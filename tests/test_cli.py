@@ -22,7 +22,6 @@ from conftest import cli_env, snapshot_positions, with_positions
 
 from hkflow import cli
 from hkflow.flow import FlowConfig
-from hkflow.spectral import RESIDUAL_TOL
 from hkflow.surface import compute_geometry, load_snapshot
 
 CLI = [sys.executable, "-m", "hkflow.cli"]
@@ -469,7 +468,7 @@ def test_check_passes_on_flat(flat_dir, tmp_path, run_cli):
     assert doc["all_pass"] is True
     names = {c["name"] for c in doc["checks"]}
     assert {"metric-positivity", "gauss-curvature", "plf-identity", "bja-identity",
-            "hdp-margin", "lambda1-positive", "lambda1-residual"} == names
+            "hdp-margin", "lambda1-positive"} == names
     for chk in doc["checks"]:
         if chk["direction"] == "below":
             assert chk["measured"] <= 1e-10
@@ -490,25 +489,6 @@ def test_check_tolerance_scales_with_grid(tmp_path, run_cli):
 
     assert tol(rep64, "plf-identity") == pytest.approx(5e-3)
     assert tol(rep128, "plf-identity") == pytest.approx(1.25e-3)
-
-
-def test_check_judges_lambda1_residual_by_lambda1s_rule(tmp_path, run_cli):
-    # the perturbed torus eps 0.3 scaled by 0.1: lambda1 = 95.40, and the
-    # residual 2.21e-6 that lambda1 stops at is above an absolute RESIDUAL_TOL
-    # but within lambda1's own rule; the identity rows fail it (exit 2)
-    succeeded(run_cli(
-        "init", "--scenario", "custom-expression", "--nu", "32", "--nv", "32",
-        "--exprs", "0.1*u;0.1*v;0.03*sin(u);0.03*sin(v)",
-        "--periods", ",".join([repr(0.2 * np.pi)] * 4), "--out", "scaled",
-    ))
-    run_cli("check", "scaled.snapshot.json", "--json", "report.json")
-    rows = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
-    lam = rows["lambda1-positive"]["measured"]
-    assert lam == pytest.approx(95.40, abs=0.01)
-    row = rows["lambda1-residual"]
-    assert row["status"] == "PASS"
-    assert row["tolerance"] == RESIDUAL_TOL * lam                  # 9.54e-6
-    assert RESIDUAL_TOL < row["measured"] <= row["tolerance"]
 
 
 def test_check_corrupt_snapshot(flat_dir, tmp_path, run_cli):

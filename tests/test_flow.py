@@ -11,6 +11,7 @@ parabolic cap (ratio near 4).  Both are asserted.
 import dataclasses
 import math
 
+import closed_forms
 import numpy as np
 import pytest
 from test_surface import node_major_geometry
@@ -31,12 +32,12 @@ from hkflow.flow import (
     make_state,
     mcf_step,
     metric_evolution_monitor,
-    metric_spacing,
     phase_heat_step,
     run_flow,
 )
 from hkflow.kernel import AmbientSpace, phi_field
 from hkflow.phase import field_from_array, tension_field
+from hkflow.spectral import lambda1
 from hkflow.surface import (
     _lam_min,
     _planes,
@@ -152,9 +153,9 @@ def test_cfl_formula(pert64):
     for state in (state_for("flat-plane-torus", 64), state_for("clifford", 64, R=1.0, r=1.0)):
         eigs = np.linalg.eigvalsh(state.cache.g)
         expect = np.sqrt(eigs.min()) * min(state.cache.hu, state.cache.hv)
-        assert metric_spacing(state.cache) == pytest.approx(expect, rel=1e-14)
+        assert state.cache.metric_spacing == pytest.approx(expect, rel=1e-14)
     cache = pert64.cache
-    hg = metric_spacing(cache)
+    hg = cache.metric_spacing
     eigs = np.linalg.eigvalsh(cache.g)
     assert hg == pytest.approx(np.sqrt(eigs.min()) * min(cache.hu, cache.hv), rel=1e-14)
     expect = 0.9 * hg**2 / (4.0 * (1.0 + cache.norm_A_sq.max() * hg**2))
@@ -172,11 +173,11 @@ def test_metric_spacing_once_per_cache(monkeypatch):
         return _lam_min(g)
 
     st = state_for("perturbed-complex-torus", 16, eps=0.05)
-    expect = [metric_spacing(st.cache)]
-    monkeypatch.setattr(hkflow.flow, "_lam_min", counted)
+    expect = [st.cache.metric_spacing]
+    monkeypatch.setattr(surface, "_lam_min", counted)
     for _ in range(3):
         st, _ = coupled_step(st, FlowConfig())
-        expect.append(metric_spacing(st.cache))
+        expect.append(st.cache.metric_spacing)
     assert len(calls) == 3                       # one per moved cache
     for k, g in enumerate(calls):
         assert expect[k + 1] == float(np.sqrt(_lam_min(g).min())) * (TWO_PI / 16)
@@ -264,7 +265,7 @@ def test_phase_spread_is_the_largest_angle():
 
 def test_phase_step_parabolic_guard():
     st = state_for("flat-plane-torus", 16)
-    cap = 0.25 * metric_spacing(st.cache) ** 2
+    cap = 0.25 * st.cache.metric_spacing**2
     with pytest.raises(NumericalError, match="parabolic bound"):
         phase_heat_step(st.phase, st.cache, cap * 1.01)
     phase_heat_step(st.phase, st.cache, cap * 0.99)
@@ -372,7 +373,7 @@ def test_consistency_flat_exact():
 def test_consistency_euler_floor(pert64):
     # at the parabolic cap the euler splitting error is dominated by the
     # dt*h^2 term: halving dt lands near ratio 2, not 4 (measured 2.26)
-    cap = 0.25 * metric_spacing(pert64.cache) ** 2
+    cap = 0.25 * pert64.cache.metric_spacing**2
     errs = []
     for dt in (0.999 * cap, 0.4995 * cap):
         cfg = FlowConfig(dt=dt, steps=1, lambda1_cadence=1000)
@@ -385,7 +386,7 @@ def test_consistency_euler_floor(pert64):
 
 def test_consistency_rk2_second_order(pert64):
     # rk2 leaves the dt^2 term dominant: measured ratio 4.063
-    cap = 0.25 * metric_spacing(pert64.cache) ** 2
+    cap = 0.25 * pert64.cache.metric_spacing**2
     errs = []
     for dt in (0.999 * cap, 0.4995 * cap):
         cfg = FlowConfig(dt=dt, steps=1, scheme="rk2", lambda1_cadence=1000)
@@ -499,31 +500,43 @@ def test_clifford_shrinks_at_rate_two(clifford_run):
     assert slope == pytest.approx(-2.0, rel=0.05)
 
 
-def clifford_closed_form(t, big_r=1.0, r=0.5):
-    """max|A|, max|H|, area and twistor energy of the Clifford torus
-    (big_r, r) after flow time t: each circle shrinks as R(t)^2 = R^2 - 2t,
-    |A|^2 = |H|^2 = 1/R^2 + 1/r^2, area 4 pi^2 R r and, the phase winding
-    once along each circle, T = 4 pi^2 (R/r + r/R)."""
-    big_rt, rt = math.sqrt(big_r**2 - 2 * t), math.sqrt(r**2 - 2 * t)
-    curv = math.sqrt(1 / big_rt**2 + 1 / rt**2)
-    return dict(max_A=curv, max_H=curv, area=4 * math.pi**2 * big_rt * rt,
-                twistor_energy=4 * math.pi**2 * (big_rt / rt + rt / big_rt))
+# the product families of closed_forms, each run to a flow time well before
+# its singular time min(radius)^2 / 2; Clifford (1, 0.5) stops at t = 0.05,
+# since its area reads order 1.78 at t = 0.1.  Relative errors of max|A|,
+# max|H|, area, T and lambda1 at the first row past that time, 16^2 -> 32^2:
+#   clifford (1, 1)   2.03e-3 -> 5.11e-4, 8.77e-3 -> 2.19e-3, 1.28e-2 -> 3.21e-3, 4.06e-3 -> 1.02e-3
+#   clifford (1, 0.5) 4.43e-3 -> 1.20e-3, 7.53e-3 -> 1.77e-3, 1.63e-2 -> 4.17e-3, 3.59e-4 -> 9.79e-5
+#   cylinder          2.06e-3 -> 5.52e-4, 4.36e-3 -> 1.06e-3, 8.46e-3 -> 2.16e-3, 1.28e-2 -> 3.21e-3
+# (|A| and |H| alike); second order in h, as the O(h^2) stencils and the
+# explicit dt ~ h^2 allow, and bounded at 32^2 with a margin of 1.5
+CLOSED_FORM_RUNS = {
+    "clifford-1-1": ("clifford", dict(R=1.0, r=1.0), 0.1,
+                     lambda t: closed_forms.clifford(t, 1.0, 1.0),
+                     dict(max_A=7.7e-4, max_H=7.7e-4, area=3.3e-3, twistor_energy=4.9e-3,
+                          lambda1=1.6e-3)),
+    "clifford-1-0.5": ("clifford", dict(R=1.0, r=0.5), 0.05,
+                       lambda t: closed_forms.clifford(t, 1.0, 0.5),
+                       dict(max_A=1.8e-3, max_H=1.8e-3, area=2.7e-3, twistor_energy=6.3e-3,
+                            lambda1=1.5e-4)),
+    "cylinder": ("custom-expression", dict(exprs=["u", "0*u", "cos(v)", "sin(v)"],
+                                           periods=[TWO_PI] * 4), 0.1,
+                 closed_forms.cylinder,
+                 dict(max_A=8.3e-4, max_H=8.3e-4, area=1.6e-3, twistor_energy=3.3e-3,
+                      lambda1=4.9e-3)),
+}
 
 
-def test_clifford_flow_converges_to_the_closed_form():
-    # relative errors at the first row past t = 0.05, measured 16^2 -> 32^2:
-    # max|A| and max|H| 4.43e-3 -> 1.20e-3, area 7.53e-3 -> 1.77e-3, T
-    # 1.63e-2 -> 4.17e-3; second order in h, as the O(h^2) stencils and the
-    # explicit dt ~ h^2 allow, and bounded at 32^2 with a margin of 1.5
-    bound = dict(max_A=1.8e-3, max_H=1.8e-3, area=2.7e-3, twistor_energy=6.3e-3)
+@pytest.mark.parametrize("family", list(CLOSED_FORM_RUNS))
+def test_flow_converges_to_the_closed_form(family):
+    name, params, t_final, closed_form, bound = CLOSED_FORM_RUNS[family]
     errs = {}
     for n in (16, 32):
-        cfg = FlowConfig(t_final=0.05, steps=10_000, lambda1_cadence=10_000)
-        series, _ = run_flow(cfg, scenario("clifford", n, n, R=1.0, r=0.5))
+        cfg = FlowConfig(t_final=t_final, steps=10_000, lambda1_cadence=10_000)
+        series, final = run_flow(cfg, scenario(name, n, n, **params))
         last = series.records[-1]
-        assert series.stop_reason == "t_final" and 0.05 <= last.t < 0.05 + last.dt
-        want = clifford_closed_form(last.t)
-        errs[n] = {key: abs(getattr(last, key) / val - 1) for key, val in want.items()}
+        assert series.stop_reason == "t_final" and t_final <= last.t < t_final + last.dt
+        got = dict(vars(last), lambda1=lambda1(final.cache).lambda1)
+        errs[n] = {key: abs(got[key] / val - 1) for key, val in closed_form(last.t).items()}
     for key in errs[16]:
         assert math.log2(errs[16][key] / errs[32][key]) >= 1.8, key
         assert errs[32][key] < bound[key], key
@@ -766,6 +779,22 @@ def test_decay_fit_errors():
     es[30] = 0.0
     with pytest.raises(PreconditionError, match="nonpositive-energy"):
         decay_fit(_fake_series(ts, es), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("window, message", [
+    (2.0, "^decay window must be two real numbers, got 2.0$"),
+    (None, "^decay window must be two real numbers, got None$"),
+    ((0.0, 0.5, 1.0), r"^decay window must be two real numbers, got \(0.0, 0.5, 1.0\)$"),
+    ((0.0, "x"), "^decay window bound must be a real number, got 'x'$"),
+    ((True, 1.0), "^decay window bound must be a real number, got True$"),
+], ids=["scalar", "None", "three", "str", "bool"])
+def test_decay_fit_refuses_a_window_that_is_not_two_numbers(window, message):
+    ts = np.linspace(0.0, 1.0, 60)
+    series = _fake_series(ts, np.exp(-ts))
+    with pytest.raises(InputError, match=message):
+        decay_fit(series, window)
+    # any pair of real numbers is a window, numpy scalars and arrays among them
+    assert decay_fit(series, np.array([0.0, 1.0])) == decay_fit(series, (0, 1.0))
 
 
 def test_decay_fit_on_real_run(pert_run):

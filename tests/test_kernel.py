@@ -21,6 +21,7 @@ from hkflow.kernel import (
     canonical_phase_from_frame,
     holomorphic_symplectic,
     phase_operator,
+    phi_field,
     standard_twistor_triple,
     symplectic_form,
 )
@@ -148,6 +149,23 @@ def test_phase_operator_rejects_non_unit(make):
 def test_phase_operator_rejects_non_3_vector(coeff, message):
     with pytest.raises(InputError, match=message):
         phase_operator(coeff)
+
+
+# a vector with no direction has no companion: refused, not mapped to NaN or
+# to a chart's answer
+@pytest.mark.parametrize("a, message", [
+    ([np.nan, 0.0, 1.0], r"^phase vector is zero or not finite: \[nan"),
+    ([0.0, 0.0, 0.0], r"^phase vector is zero or not finite"),
+    ([[0.0, 0.0, 1.0], [np.inf, 0.0, 0.0]], r"^phase vector at index \(1,\) is zero or not finite"),
+    ([[[0.0, 0.0, 1.0], [1e200, 0.0, 0.0]]], r"^phase vector at index \(0, 1\) is zero or not finite"),
+    (0.5, r"^phase array must have a last axis of length 3, got shape \(\)$"),
+    ([[1.0, 0.0]], r"^phase array must have a last axis of length 3, got shape \(1, 2\)$"),
+    ("x", r"^phase array must hold real numbers, got 'x'$"),
+    ([1j, 0.0, 1.0], r"^phase array must hold real numbers"),
+], ids=["nan", "zero", "inf-at-1", "overflow-at-0-1", "scalar", "2-vectors", "str", "complex"])
+def test_phi_field_refuses_a_vector_with_no_companion(a, message):
+    with pytest.raises(InputError, match=message):
+        phi_field(a)
 
 
 def test_symplectic_form_compatibility_and_antisymmetry(triple):

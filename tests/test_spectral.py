@@ -130,6 +130,16 @@ def test_lambda1_eigenfunction_invariants(flat64):
     assert res.iterations < 50
 
 
+def test_lambda1_stops_within_its_rule_relative_to_lambda1():
+    # the perturbed torus eps 0.3 scaled by 0.1: lambda1 = 95.40, and the
+    # residual 2.21e-6 that lambda1 stops at is above an absolute RESIDUAL_TOL
+    # but within its own rule, RESIDUAL_TOL x lambda1 = 9.54e-6
+    scaled = dict(exprs=["0.1*u", "0.1*v", "0.03*sin(u)", "0.03*sin(v)"], periods=[0.2 * np.pi] * 4)
+    res = lambda1(cache_for("custom-expression", 32, **scaled))
+    assert res.lambda1 == pytest.approx(95.40, abs=0.01)
+    assert RESIDUAL_TOL < res.residual <= RESIDUAL_TOL * res.lambda1
+
+
 def test_lambda1_clifford_exact():
     # the induced metric is the flat square torus; edge weights cancel
     # the symbol defect entirely

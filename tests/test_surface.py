@@ -8,6 +8,7 @@ convergence order.
 """
 
 import dataclasses
+import functools
 import json
 import re
 import tracemalloc
@@ -27,7 +28,6 @@ from hkflow.spectral import c0_from_l2_validator, lambda1
 from hkflow.surface import (
     GeometryCache,
     SurfaceGrid,
-    _OnFirstRead,
     _central,
     _lam_min,
     _planes,
@@ -761,7 +761,9 @@ def test_cache_arrays_are_read_only(perturbed48):
     # a memoized report must not drift from the arrays it was computed from
     c = perturbed48
     eager = [f.name for f in dataclasses.fields(GeometryCache) if f.type is np.ndarray]
-    lazy = [k for k, v in vars(GeometryCache).items() if isinstance(v, _OnFirstRead)]
+    cached = [k for k, v in vars(GeometryCache).items() if isinstance(v, functools.cached_property)]
+    assert cached == ["_core", *NORMAL_CORE, "lam_min", "metric_spacing"]
+    lazy = [k for k in cached if isinstance(getattr(c, k), np.ndarray)]
     assert lazy == NORMAL_CORE
     for name in eager + lazy:
         arr = getattr(c, name)
