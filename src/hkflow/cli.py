@@ -2,12 +2,12 @@
 
 Four subcommands: `init` samples a scenario onto a grid and writes a
 snapshot plus a run manifest, `run` replays a manifest into a CSV series
-(and optional SVG plots), `check` meters one snapshot in six rows
-(metric, curvature and phase identities, energy margin, lambda1; the
-triple's relations, A's exact symmetry and lambda1's residual rule are built in),
-`spectrum` reports the first nonzero eigenvalue.  `main`
-builds its argument parser once per process, on its first call, and
-looks each subcommand up by name when it runs.
+(and optional SVG plots), `check` meters one snapshot in five rows
+(curvature and phase identities, energy margin, lambda1 area / (4 pi^2);
+a positive metric, the triple's relations, A's exact symmetry and
+lambda1's residual rule are built in), `spectrum` reports the first
+nonzero eigenvalue.  `main` builds its argument parser once per process,
+on its first call, and looks each subcommand up by name when it runs.
 
 The manifest is flat key = value text so that runs diff cleanly; the CSV
 is the interface of record (fixed 17-significant-digit scientific
@@ -42,6 +42,7 @@ from .surface import (
     load_snapshot,
     save_snapshot,
     scenario,
+    surface_integral,
 )
 
 CSV_COLUMNS = (
@@ -386,7 +387,6 @@ def _run_checks(cache):
             tolerance=float(tol), direction=direction,
         ))
 
-    record("metric-positivity", cache.lam_min, 1e-10, "above")
     record("gauss-curvature", gauss_curvature_check(cache).max(), tol_id)
 
     pf = phase_field(cache)
@@ -397,7 +397,10 @@ def _run_checks(cache):
     slack = 10.0 * h**2 * cache.norm_A_sq.max()
     record("hdp-margin", margin, -slack, "above")
 
-    record("lambda1-positive", lambda1(cache).lambda1, 1e-10, "above")
+    # lambda1 scales as 1/length^2, so it is judged as lambda1 area / (4 pi^2): about 1 on
+    # the flat torus of side 2 pi and on Clifford (1, 1), whatever their scale
+    scaled = lambda1(cache).lambda1 * surface_integral(1.0, cache) / (4.0 * np.pi**2)
+    record("lambda1-positive", scaled, 1e-10, "above")
     return checks
 
 

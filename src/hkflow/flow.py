@@ -63,7 +63,7 @@ class FlowConfig:
                 raise InputError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceState:
     cache: object
     phase: PhaseField

@@ -19,7 +19,7 @@ No function takes a triple: every one reads the one pinned instance,
 _TRIPLE, which standard_twistor_triple() returns.
 
 All operations are pure functions of immutable values.  The private
-per-node helpers (_dot, _tangent_phase, _apply_phase, _companion) take
+per-node helpers (_dot, _j_pairing, _tangent_phase, _companion) take
 component planes: arrays whose FIRST axis holds the components,
 (4, nu, nv) for vectors and (3, nu, nv) for phases.  Every J_d of the
 pinned triple is a signed permutation, so it acts on planes through the
@@ -60,7 +60,7 @@ def _right_mult_matrix(q):
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistorTriple:
     """Three orthogonal anti-involutions satisfying the quaternion relations."""
 
@@ -114,7 +114,7 @@ class AmbientSpace:
         sign bit catches -0.0 (np.mod makes it +0.0) and the tiny negatives
         np.mod rounds up to the period itself, which a later wrap reduces.
         """
-        out = np.array(positions, float)
+        out = np.array(_real_array("positions", positions))
         if self.periods is None:
             return out
         per = np.array(self.periods)
@@ -123,7 +123,7 @@ class AmbientSpace:
 
     def displacement(self, p, q):
         """Shortest-image displacement q - p."""
-        d = np.asarray(q, float) - np.asarray(p, float)
+        d = _real_array("position q", q) - _real_array("position p", p)
         if self.periods is None:
             return d
         per = np.array(self.periods)
@@ -136,6 +136,14 @@ def _vector(what, value, size):
     arr = _real_array(what, value)
     if arr.shape != (size,):
         raise InputError(f"{what} must be a {size}-vector, got shape {arr.shape}")
+    return arr
+
+
+def _finite_vector(what, value):
+    """_vector(what, value, 4) with a NaN or infinite entry refused too."""
+    arr = _vector(what, value, 4)
+    if not np.isfinite(arr).all():
+        raise InputError(f"{what} must be finite, got {arr}")
     return arr
 
 
@@ -211,38 +219,28 @@ def _apply_j(d, vec, out=None):
     return out
 
 
-def _tangent_phase(e1, e2):
-    """Unit a with a_d = <J_d e1, e2> on component planes: e1, e2 (4, ...) -> (3, ...)."""
-    a = np.empty((3,) + e1.shape[1:])
-    j_e1 = np.empty(e1.shape)
+def _j_pairing(x, y):
+    """The twistor pairing (<J_d x, y>)_d on component planes: x, y (4, ...) -> (3, ...)."""
+    out = np.empty((3,) + x.shape[1:])
+    j_x = np.empty(x.shape)
     for d in range(3):
-        a[d] = _dot(_apply_j(d, e1, j_e1), e2)
-    return a / np.sqrt(_dot(a, a))
-
-
-def _apply_phase(coeff, vec):
-    """(sum_d coeff_d J_d) vec on component planes: coeff (3, ...), vec (4, ...).
-
-    Row r is coeff_1 (J_1 vec)_r + coeff_2 (J_2 vec)_r + coeff_3 (J_3 vec)_r
-    in that order, the term order of the matrix form sum_d coeff_d (J_d vec).
-    """
-    out = np.empty(vec.shape)
-    part = np.empty(vec.shape[1:])
-    for r, ((k, sign), *rest) in enumerate(zip(*_J_ROWS)):
-        row = np.multiply(sign, vec[k], out=out[r])
-        np.multiply(coeff[0], row, out=row)
-        for c, (k, sign) in zip(coeff[1:], rest):
-            np.multiply(sign, vec[k], out=part)
-            row += np.multiply(c, part, out=part)
+        out[d] = _dot(_apply_j(d, x, j_x), y)
     return out
 
 
+def _tangent_phase(e1, e2):
+    """Unit a with a_d = <J_d e1, e2> on component planes: e1, e2 (4, ...) -> (3, ...)."""
+    a = _j_pairing(e1, e2)
+    return a / np.sqrt(_dot(a, a))
+
+
 def symplectic_form(j, u, v):
-    """omega_J(u, v) = <J u, v> for a compatible complex structure J."""
-    return float(np.dot(j @ np.asarray(u, float), np.asarray(v, float)))
+    """omega_J(u, v) = <J u, v> for a compatible complex structure J; u and v
+    must be finite real 4-vectors (InputError names the one that is not)."""
+    return float(np.dot(j @ _finite_vector("vector u", u), _finite_vector("vector v", v)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolomorphicSymplecticForm:
     """Omega_J = omega_{JK} - i omega_K stored as the matrix pair
     (real_part, imag_part) with real_part = omega_{JK} and
@@ -255,8 +253,8 @@ class HolomorphicSymplecticForm:
     imag_part: np.ndarray
 
     def evaluate(self, u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
+        """Omega(u, v) of finite real 4-vectors u and v, or InputError."""
+        u, v = _finite_vector("vector u", u), _finite_vector("vector v", v)
         return complex(u @ self.real_part @ v, u @ self.imag_part @ v)
 
 
@@ -295,9 +293,7 @@ def canonical_phase_from_frame(e1, e2, e3, e4):
         raise FrameError(f"frame is not orthonormal: max Gram deviation {deviation:.3e}")
     if not np.linalg.det(frame) > 0.0:
         raise FrameError("frame is negatively oriented")
-    js = np.stack([_TRIPLE.j1, _TRIPLE.j2, _TRIPLE.j3])
-    a = js @ frame[0] @ frame[1]          # a_d = <J_d e1, e2>
-    a = a / np.linalg.norm(a)
+    a = _tangent_phase(frame[0, :, None], frame[1, :, None])[:, 0]     # planes of one node
     jpsi = a[0] * _TRIPLE.j1 + a[1] * _TRIPLE.j2 + a[2] * _TRIPLE.j3
     residual = np.linalg.norm(jpsi @ frame[0] - frame[1]) + np.linalg.norm(
         jpsi @ frame[2] + frame[3]

@@ -7,10 +7,10 @@ density is the edge (Dirichlet form) density of
 surface.dirichlet_energy_density, so that the integral of |grad a|^2
 matches the quadratic form of the discrete Laplacian exactly.
 
-The identity meters are the mean-curvature formula (in the basis adapted
-to a and a deterministic pointwise-orthogonal companion b, which a test
-shows it does not depend on) and the frame identity (read off the normal
-parts of the second differences, so no normal frame or gauge enters).
+The identity meters are the mean-curvature formula (a vector identity in
+a and H, so no companion phase enters) and the frame identity (read off
+the normal parts of the second differences, so no normal frame enters):
+neither fixes a gauge.
 """
 
 from collections import namedtuple
@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, _real_array
-from .kernel import _apply_phase, _companion, _dot, _phase_norm, _tangent_phase
+from .kernel import _dot, _j_pairing, _phase_norm, _tangent_phase
 from .surface import (
     _central, _difference_gram, _node_major, _normal_parts, _planes, _weighted_density,
     laplace_beltrami, surface_integral,
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class PhaseField:
     """Fields are (nu, nv, ...) views of component planes, as in GeometryCache.
     _gram, the metric-free difference Gram of `a` that _carried reuses, is no
@@ -34,12 +34,7 @@ class PhaseField:
 
     a: np.ndarray                 # (nu, nv, 3) unit phase vectors
     energy_density: np.ndarray    # (nu, nv) edge-form |grad a|^2
-    _gram: tuple = field(default=None, init=False, repr=False, compare=False)
-
-
-def _central_grad(fld, cache):
-    """Central parameter gradient of planes (..., nu, nv) -> (2, ..., nu, nv)."""
-    return np.stack([_central(fld, -2, cache.hu), _central(fld, -1, cache.hv)])
+    _gram: tuple = field(default=None, init=False, repr=False)
 
 
 def _phase_from_planes(a, cache, gram=None):
@@ -83,45 +78,32 @@ def tension_field(pf, cache):
     return _node_major(tau)
 
 
-def _to_frame(comp_u, comp_v, cache):
-    """Convert 1-form components on (f_u, f_v) to the orthonormal frame using
-    the Gram-Schmidt rows of the edge metric, which shares the Laplacian's symbol."""
-    g = _planes(cache.g, 2)
-    ell = np.sqrt(g[1, 1] - g[0, 1] ** 2 / g[0, 0])
-    return ((1.0 / np.sqrt(g[0, 0])) * comp_u,
-            -g[0, 1] / (g[0, 0] * ell) * comp_u + (1.0 / ell) * comp_v)
-
-
 def plf_residual(cache, pf):
     """Pointwise defect of the mean-curvature formula.
 
-    With J = J_a, K = J_b for the companion b, the surface satisfies
-    i_H Omega + 2 dbar(a'_2 + i a'_3) = 0, where the primes are the
-    coefficients of nearby phases in the basis adapted at the node and
-    dbar f = (df - i df(J .))/2 along the surface.  Returns the norm of
-    the defect 1-form per node; both terms are assembled in parameter
-    indices and pushed to the orthonormal frame together.  The result does
-    not depend on the choice of companion b, which the tests exercise.
+    The surface satisfies i_H Omega + 2 dbar(a'_2 + i a'_3) = 0, where
+    Omega is the holomorphic symplectic form of J = J_a, K = J_b for any
+    unit b orthogonal to a, the primes are the coefficients of nearby
+    phases along b and a x b, and dbar f = (df - i df(J .))/2 along the
+    surface.  Since J_a J_b = J_{a x b}, its real and imaginary parts at e1
+    are the b and a x b components of the vector
+
+        rho = d1 a - <a, d1 a> a - a x (V + d2 a),   V_d = <J_d H, f_u> / sqrt(g_uu),
+
+    with d1, d2 the derivatives along the orthonormal frame, and rho is
+    orthogonal to a, so no companion b enters.  Returns sqrt(2) |rho|, the
+    norm of the defect 1-form, per node.
     """
-    a = _planes(pf.a)
-    b = _companion(a)
-    axb = np.cross(a, b, axis=0)
-    f_u, f_v = _planes(cache.f_u), _planes(cache.f_v)
-
-    kh = _apply_phase(b, _planes(cache.H))     # J_b H
-    jkh = _apply_phase(a, kh)                  # J_a J_b H
-    p_u = _dot(jkh, f_u) - 1j * _dot(kh, f_u)
-    p_v = _dot(jkh, f_v) - 1j * _dot(kh, f_v)
-
-    # w(y) = <b(x), a(y)> + i <a x b(x), a(y)>, differentiated at y = x
-    grad_u, grad_v = _central_grad(a, cache)
-    dw_u = _dot(b, grad_u) + 1j * _dot(axb, grad_u)
-    dw_v = _dot(b, grad_v) + 1j * _dot(axb, grad_v)
-
-    p1, p2 = _to_frame(p_u, p_v, cache)
-    dw1, dw2 = _to_frame(dw_u, dw_v, cache)
-    rho = p1 + (dw1 - 1j * dw2)                    # P(e1) + 2 dbar w (e1)
-    return np.sqrt(2.0) * np.abs(rho)
+    a, g = _planes(pf.a), _planes(cache.g, 2)
+    # frame derivatives by the Gram-Schmidt rows of the edge metric, which
+    # shares the Laplacian's symbol; the first row is 1 / sqrt(g_uu)
+    to_e1, ell = 1.0 / np.sqrt(g[0, 0]), np.sqrt(g[1, 1] - g[0, 1] ** 2 / g[0, 0])
+    a_u = _central(a, -2, cache.hu)
+    d1 = to_e1 * a_u
+    d2 = -g[0, 1] / (g[0, 0] * ell) * a_u + (1.0 / ell) * _central(a, -1, cache.hv)
+    v = to_e1 * _j_pairing(_planes(cache.H), _planes(cache.f_u))
+    rho = d1 - _dot(a, d1) * a - np.cross(a, v + d2, axis=0)
+    return np.sqrt(2.0) * np.sqrt(_dot(rho, rho))
 
 
 BjaResult = namedtuple("BjaResult", "lhs rhs ratio")

@@ -82,7 +82,7 @@ SCENARIO_NAMES = tuple(_SCENARIOS)
 SCENARIO_PARAMS = tuple(dict.fromkeys(key for row in _SCENARIOS.values() for key in row[0]))
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceGrid:
     nu: int
     nv: int
@@ -235,7 +235,7 @@ def _normal_core(cache):
     return _read_only_views(dict(f_uv=f_uv, H=big_h, norm_H_sq=norm_h_sq, norm_A_sq=norm_a_sq))
 
 
-@dataclass
+@dataclass(eq=False)
 class GeometryCache:
     """Every array field is a read-only (nu, nv, ...) view of the component
     planes compute_geometry works on; index [..., k] reads a contiguous plane.
@@ -262,7 +262,7 @@ class GeometryCache:
     av: np.ndarray               # sqrt(g) g^vv averaged onto edge (j, j+1)
     cuv: np.ndarray              # sqrt(g) g^uv at the nodes
     min_edge: float              # shortest ambient grid edge, stability proxy
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     # each lambda looks up _normal_core and _lam_min when it runs.  The normal
     # core: f_uv the cross second difference, H the mean curvature vector
@@ -271,10 +271,9 @@ class GeometryCache:
     H = functools.cached_property(lambda self: self._core["H"])
     norm_H_sq = functools.cached_property(lambda self: self._core["norm_H_sq"])
     norm_A_sq = functools.cached_property(lambda self: self._core["norm_A_sq"])
-    # the least metric eigenvalue, and the spacing of the flow's parabolic bounds
-    lam_min = functools.cached_property(lambda self: float(_lam_min(_planes(self.g, 2)).min()))
+    # the spacing of the flow's parabolic bounds, from the least metric eigenvalue
     metric_spacing = functools.cached_property(
-        lambda self: float(np.sqrt(self.lam_min)) * min(self.hu, self.hv))
+        lambda self: float(np.sqrt(_lam_min(_planes(self.g, 2)).min())) * min(self.hu, self.hv))
 
     @property
     def hu(self):

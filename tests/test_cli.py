@@ -467,11 +467,25 @@ def test_check_passes_on_flat(flat_dir, tmp_path, run_cli):
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["all_pass"] is True
     names = {c["name"] for c in doc["checks"]}
-    assert {"metric-positivity", "gauss-curvature", "plf-identity", "bja-identity",
-            "hdp-margin", "lambda1-positive"} == names
+    assert {"gauss-curvature", "plf-identity", "bja-identity", "hdp-margin",
+            "lambda1-positive"} == names
     for chk in doc["checks"]:
         if chk["direction"] == "below":
             assert chk["measured"] <= 1e-10
+
+
+@pytest.mark.parametrize("length", ["1e-5", "1e6"])
+def test_check_passes_on_a_flat_torus_of_any_size(tmp_path, run_cli, length):
+    # no row is an absolute floor on a quantity with units: lambda1 scales as
+    # 1/length^2 and is judged as lambda1 area / (4 pi^2), here the 16^2
+    # symbol (2 sin(h/2) / h)^2 at every size
+    succeeded(run_cli("init", "--scenario", "flat-plane-torus", "--Lu", length, "--Lv", length,
+                      "--nu", "16", "--nv", "16", "--out", "t"))
+    assert "all checks passed" in succeeded(run_cli("check", "t.snapshot.json", "--json", "t.json"))
+    checks = json.loads((tmp_path / "t.json").read_text())["checks"]
+    scaled = next(c["measured"] for c in checks if c["name"] == "lambda1-positive")
+    h = 2 * np.pi / 16
+    assert scaled == pytest.approx((2 * np.sin(h / 2) / h) ** 2, rel=1e-9)
 
 
 def test_check_tolerance_scales_with_grid(tmp_path, run_cli):

@@ -15,8 +15,8 @@ from hkflow.kernel import (
     _TRIPLE,
     AmbientSpace,
     _apply_j,
-    _apply_phase,
     _dot,
+    _j_pairing,
     _tangent_phase,
     canonical_phase_from_frame,
     holomorphic_symplectic,
@@ -166,6 +166,30 @@ def test_phase_operator_rejects_non_3_vector(coeff, message):
 def test_phi_field_refuses_a_vector_with_no_companion(a, message):
     with pytest.raises(InputError, match=message):
         phi_field(a)
+
+
+E0 = [1.0, 0.0, 0.0, 0.0]
+PAIR = holomorphic_symplectic((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+
+
+# the public vector entry points name the argument they refuse
+@pytest.mark.parametrize("call, message", [
+    (lambda: symplectic_form(_TRIPLE.j1, "ab", E0), r"^vector u must hold real numbers, got 'ab'$"),
+    (lambda: symplectic_form(_TRIPLE.j1, E0, [np.nan, 0, 0, 0]), r"^vector v must be finite"),
+    (lambda: symplectic_form(_TRIPLE.j1, E0, [0, np.inf, 0, 0]), r"^vector v must be finite"),
+    (lambda: symplectic_form(_TRIPLE.j1, [1, 0, 0], E0),
+     r"^vector u must be a 4-vector, got shape \(3,\)$"),
+    (lambda: PAIR.evaluate("abcd", E0), r"^vector u must hold real numbers, got 'abcd'$"),
+    (lambda: PAIR.evaluate(E0, [np.nan, 0, 0, 0]), r"^vector v must be finite"),
+    (lambda: AmbientSpace(None).wrap("x"), r"^positions must hold real numbers, got 'x'$"),
+    (lambda: AmbientSpace((1, 1, 1, 1)).displacement("x", E0),
+     r"^position p must hold real numbers, got 'x'$"),
+    (lambda: AmbientSpace(None).displacement(E0, [1j, 0, 0, 0]), r"^position q must hold real numbers"),
+], ids=["form-str", "form-nan", "form-inf", "form-3-vector", "evaluate-str", "evaluate-nan",
+        "wrap-str", "displacement-str", "displacement-complex"])
+def test_public_vectors_are_refused_by_name(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 def test_symplectic_form_compatibility_and_antisymmetry(triple):
@@ -334,19 +358,17 @@ def test_plane_helpers_match_the_matrix_form(triple):
             rebuilt[d, r, k] = sign
     assert np.array_equal(rebuilt, js)
     e1, e2 = RNG.standard_normal((2, 7, 5, 4))
-    coeff = RNG.standard_normal((7, 5, 3))
-    for x in (e1, e2, coeff):
+    for x in (e1, e2):
         x /= np.linalg.norm(x, axis=-1, keepdims=True)
 
-    a = np.stack([((e1 @ j.T) * e2).sum(-1) for j in js], axis=-1)
-    a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    applied = sum(coeff[..., d, None] * (e1 @ j.T) for d, j in enumerate(js))
+    pairing = np.stack([((e1 @ j.T) * e2).sum(-1) for j in js], axis=-1)
+    a = pairing / np.linalg.norm(pairing, axis=-1, keepdims=True)
 
     def planes(x):
         return np.moveaxis(x, -1, 0)
 
+    assert np.array_equal(_j_pairing(planes(e1), planes(e2)), planes(pairing))
     assert np.array_equal(_tangent_phase(planes(e1), planes(e2)), planes(a))
-    assert np.array_equal(_apply_phase(planes(coeff), planes(e1)), planes(applied))
     for d, j in enumerate(js):
         assert np.array_equal(_apply_j(d, planes(e1)), planes(e1 @ j.T))
 

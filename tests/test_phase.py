@@ -14,7 +14,6 @@ import warnings
 import numpy as np
 import pytest
 
-from hkflow import phase
 from hkflow.cli import _run_checks
 from hkflow.errors import InputError
 from hkflow.kernel import phi_field
@@ -27,7 +26,6 @@ from hkflow.phase import (
     twistor_energy,
 )
 from hkflow.surface import (
-    _planes,
     compute_geometry,
     scenario,
     surface_integral,
@@ -141,18 +139,6 @@ def test_mean_curvature_formula_refines(perturbed, graph):
         c2, pf2 = pair[128]
         fine = plf_residual(c2, pf2).max()
         assert 3.4 < coarse / fine < 4.6
-
-
-def test_mean_curvature_formula_companion_independent(perturbed, monkeypatch):
-    c, pf = perturbed[64]
-    b = phi_field(pf.a)
-    alt = np.cross(pf.a, b)
-    mix = 0.6 * b + 0.8 * alt
-    base = plf_residual(c, pf)
-    for other in (alt, mix):
-        # plf_residual reads its companion from phase._companion, on (3, nu, nv) planes
-        monkeypatch.setattr(phase, "_companion", lambda a, other=other: _planes(other))
-        assert np.abs(plf_residual(c, pf) - base).max() < 1e-12
 
 
 def test_frame_identity_equator(eq64):
