@@ -1,5 +1,6 @@
 """Tour of the quaternionic kernel: the standard triple, phase operators
-on the coefficient sphere, and the symplectic forms they induce.
+on the coefficient sphere, and the symplectic forms they induce, all
+built with numpy from the triple's three matrices.
 
 Everything printed here is exact linear algebra on 4x4 matrices; the
 residuals should sit at machine zero.
@@ -7,19 +8,22 @@ residuals should sit at machine zero.
 
 import numpy as np
 
-from hkflow import (
-    canonical_phase_from_frame,
-    holomorphic_symplectic,
-    phase_operator,
-    standard_twistor_triple,
-    symplectic_form,
-)
+from hkflow import standard_twistor_triple
 
 
 def main():
     triple = standard_twistor_triple()
     j1, j2, j3 = triple.j1, triple.j2, triple.j3
     eye = np.eye(4)
+
+    def complex_structure(a):
+        """J_a = a1 J1 + a2 J2 + a3 J3, with a renormalized to unit length."""
+        a = a / np.linalg.norm(a)
+        return a[0] * j1 + a[1] * j2 + a[2] * j3
+
+    def omega(u, v):
+        """Omega(u, v) = omega_{J1 J2}(u, v) - i omega_{J2}(u, v)."""
+        return complex(np.dot(j1 @ (j2 @ u), v), np.dot(-j2 @ u, v))
 
     print("quaternion relations of the standard triple")
     print(f"  |J1 J2 - J3|        = {np.abs(j1 @ j2 - j3).max():.3e}")
@@ -34,7 +38,7 @@ def main():
     for _ in range(5):
         a = rng.standard_normal(3)
         a /= np.linalg.norm(a)
-        ja = phase_operator(a)
+        ja = complex_structure(a)
         worst = max(
             worst,
             np.abs(ja @ ja + eye).max(),
@@ -46,31 +50,27 @@ def main():
     basis = np.eye(4)
     for d, j in enumerate((j1, j2, j3), start=1):
         vals = [
-            symplectic_form(j, basis[k], basis[l])
+            float(np.dot(j @ basis[k], basis[l]))
             for k in range(4)
             for l in range(k + 1, 4)
         ]
         print(f"  omega_{d} on (e_k, e_l), k<l: {np.array(vals)}")
 
     print("\nholomorphic symplectic form of the pair (J_1, J_2)")
-    form = holomorphic_symplectic((1, 0, 0), (0, 1, 0))
-    print(f"  Omega(e1, e3) = {form.evaluate(basis[0], basis[2])}")
-    print(f"  Omega(e1, e4) = {form.evaluate(basis[0], basis[3])}")
-    sym = np.abs(form.real_part + form.real_part.T).max()
+    print(f"  Omega(e1, e3) = {omega(basis[0], basis[2])}")
+    print(f"  Omega(e1, e4) = {omega(basis[0], basis[3])}")
+    real_part = np.array([[omega(u, v).real for v in basis] for u in basis])
+    sym = np.abs(real_part + real_part.T).max()
     print(f"  antisymmetry residual of the real part = {sym:.3e}")
 
     print("\ncanonical phase of a tilting tangent plane")
-    # the phase depends only on the oriented tangent pair (e1, e2);
-    # tilting e2 out of the x2 axis moves a along a great circle, while
-    # the adapted normal frame is reconstructed as e4 = -J_a e3
+    # the phase a_d = <J_d e1, e2> depends only on the oriented tangent pair
+    # (e1, e2); tilting e2 out of the x2 axis moves a along a great circle
     e1 = basis[0]
-    e3 = basis[2]
     for t in (0.0, 0.25 * np.pi, 0.5 * np.pi):
         c, s = np.cos(t), np.sin(t)
         e2 = np.array([0.0, c, 0.0, s])
-        a_raw = np.array([float(e2 @ (j @ e1)) for j in (j1, j2, j3)])
-        e4 = -(phase_operator(a_raw) @ e3)
-        a = canonical_phase_from_frame(e1, e2, e3, e4)
+        a = np.array([float(np.dot(j @ e1, e2)) for j in (j1, j2, j3)])
         print(f"  tilt {t:5.3f}: a = ({a[0]:+.4f}, {a[1]:+.4f}, {a[2]:+.4f})")
 
 

@@ -10,18 +10,11 @@ __version__ = "0.1.0"
 from .errors import (
     HkflowError,
     InputError,
-    FrameError,
     PreconditionError,
     NumericalError,
     IOFailure,
 )
-from .kernel import (
-    standard_twistor_triple,
-    phase_operator,
-    symplectic_form,
-    holomorphic_symplectic,
-    canonical_phase_from_frame,
-)
+from .kernel import standard_twistor_triple
 from .surface import (
     scenario,
     compute_geometry,
@@ -50,15 +43,10 @@ __all__ = [
     "__version__",
     "HkflowError",
     "InputError",
-    "FrameError",
     "PreconditionError",
     "NumericalError",
     "IOFailure",
     "standard_twistor_triple",
-    "phase_operator",
-    "symplectic_form",
-    "holomorphic_symplectic",
-    "canonical_phase_from_frame",
     "scenario",
     "compute_geometry",
     "surface_integral",

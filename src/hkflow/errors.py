@@ -21,11 +21,6 @@ class InputError(HkflowError):
     """Bad user-supplied data: unknown scenario, malformed snapshot, bad flags."""
 
 
-class FrameError(InputError):
-    """A supplied frame is not admissible (not orthonormal, wrongly oriented,
-    or inconsistent with the twistor relations)."""
-
-
 class PreconditionError(InputError):
     """A diagnostic was asked for outside its domain of validity, e.g. the
     sup-from-L2 validator on a field whose L2 mass exceeds radius^4."""

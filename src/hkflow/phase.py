@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, _real_array
-from .kernel import _dot, _j_pairing, _phase_norm, _tangent_phase
+from .kernel import _dot, _j_pairing, _tangent_phase
 from .surface import (
     _central, _difference_gram, _node_major, _normal_parts, _planes, _weighted_density,
     laplace_beltrami, surface_integral,
@@ -51,6 +51,18 @@ def _carried(pf, cache):
     return _phase_from_planes(_planes(pf.a), cache, pf._gram)
 
 
+def _phase_norm(a):
+    """|a| of phase planes a (3, nu, nv); a zero or non-finite vector raises InputError."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(_dot(a, a))
+    if not (norm.min() > 0 and norm.max() < np.inf):    # NaN fails too
+        at = tuple(np.argwhere(~((norm > 0) & (norm < np.inf)))[0].tolist())
+        raise InputError(
+            f"phase vector at node {at} is zero or not finite: {a[(slice(None), *at)]}"
+        )
+    return norm
+
+
 def field_from_array(a, cache):
     """PhaseField of a raw (nu, nv, 3) direction field, normalized first; another
     shape, and a zero or non-finite vector (named by its node), raise InputError."""
@@ -58,7 +70,7 @@ def field_from_array(a, cache):
     if a.shape != shape:
         raise InputError(f"phase array shape {a.shape} does not match the grid's {shape}")
     a = np.ascontiguousarray(_planes(a))
-    return _phase_from_planes(a / _phase_norm(a, "node"), cache)
+    return _phase_from_planes(a / _phase_norm(a), cache)
 
 
 def phase_field(cache):

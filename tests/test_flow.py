@@ -15,6 +15,7 @@ import closed_forms
 import numpy as np
 import pytest
 from test_surface import node_major_geometry
+from twistor_oracle import companion
 
 import hkflow.flow
 from hkflow import kernel, phase, surface
@@ -35,7 +36,7 @@ from hkflow.flow import (
     phase_heat_step,
     run_flow,
 )
-from hkflow.kernel import AmbientSpace, phi_field
+from hkflow.kernel import AmbientSpace
 from hkflow.phase import field_from_array, tension_field
 from hkflow.spectral import lambda1
 from hkflow.surface import (
@@ -232,7 +233,7 @@ def test_phase_drift_guard_budget(monkeypatch, factor):
     # a, so <a, tau> is roundoff, and the phase is scaled off the sphere
     # until |s a + dt tau| - 1 = sqrt(s^2 + dt^2) - 1 is factor x the budget
     st = state_for("perturbed-complex-torus", 16, eps=0.05)
-    tau = phi_field(st.phase.a)
+    tau = companion(st.phase.a)
     monkeypatch.setattr(hkflow.flow, "tension_field", lambda pf, cache: tau)
     dt = 0.5 * cfl_dt(st.cache)
     budget = 1.5 * dt**2 + 1e-13

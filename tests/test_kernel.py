@@ -6,10 +6,13 @@ table of (1, i, j, k) and compare entrywise.  Everything else builds on
 that anchor.
 """
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hkflow.errors import FrameError, InputError
+from hkflow.errors import InputError
 from hkflow.kernel import (
     _J_ROWS,
     _TRIPLE,
@@ -18,12 +21,7 @@ from hkflow.kernel import (
     _dot,
     _j_pairing,
     _tangent_phase,
-    canonical_phase_from_frame,
-    holomorphic_symplectic,
-    phase_operator,
-    phi_field,
     standard_twistor_triple,
-    symplectic_form,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -100,250 +98,120 @@ def test_coordinate_complex_plane_invariant_under_j1(triple):
 
 
 def test_isometry_on_random_vectors(triple):
+    # <J_d u, J_d v> = <u, v>, and the Kahler form omega_d(u, v) = <J_d u, v>
+    # is antisymmetric: omega_d(u, u) = 0
     for _ in range(50):
         u, v = RNG.standard_normal((2, 4))
         for m in (triple.j1, triple.j2, triple.j3):
             assert abs(np.dot(m @ u, m @ v) - np.dot(u, v)) <= 1e-12 * (
                 1 + abs(np.dot(u, v))
             )
+            assert abs(np.dot(m @ u, u)) <= 1e-12 * (1 + u @ u)
 
 
-def test_phase_operator_basis_coefficients(triple):
-    assert np.array_equal(phase_operator([1, 0, 0]), triple.j1)
-    assert np.array_equal(phase_operator([0, 0, 1]), triple.j3)
+def complex_structure(a, triple):
+    """J_a = a1 J1 + a2 J2 + a3 J3, built from the triple."""
+    return a[0] * triple.j1 + a[1] * triple.j2 + a[2] * triple.j3
 
 
-def test_phase_operator_generic_direction():
-    a = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    m = phase_operator(a)
-    assert np.max(np.abs(m @ m + np.eye(4))) <= 1e-12
-    for _ in range(20):
-        u, v = RNG.standard_normal((2, 4))
-        assert abs(np.dot(m @ u, m @ v) - np.dot(u, v)) <= 1e-12 * (
-            1 + abs(np.dot(u, v))
-        )
+def tangent_phase(e1, e2):
+    """_tangent_phase of the one-node planes of the 4-vectors e1, e2."""
+    return _tangent_phase(np.asarray(e1, float)[:, None], np.asarray(e2, float)[:, None])[:, 0]
 
 
-# NaN fails the unit test too, rather than giving an all-NaN J_a
-@pytest.mark.parametrize("make", [
-    lambda: phase_operator([1.0, 1.0, 0.0]),
-    lambda: phase_operator([np.nan, 0.0, 0.0]),
-    lambda: phase_operator([np.inf, 0.0, 0.0]),
-    lambda: holomorphic_symplectic((1.0, 0.0, 0.0), (0.0, np.nan, 0.0)),
-], ids=["sqrt2", "nan", "inf", "pair-nan"])
-def test_phase_operator_rejects_non_unit(make):
-    with pytest.raises(InputError, match="twistor coefficient is not unit"):
-        make()
+def random_frame(orientation=1.0):
+    """Rows (e1, e2, e3, e4) of a random orthonormal frame with det of that sign."""
+    q, _ = np.linalg.qr(RNG.standard_normal((4, 4)))
+    if np.linalg.det(q) * orientation < 0:
+        q[:, 3] = -q[:, 3]
+    return q.T
 
 
-@pytest.mark.parametrize("coeff, message", [
-    ([1.0, 0.0], r"must be a 3-vector, got shape \(2,\)"),
-    ([[1.0, 0.0, 0.0]], r"must be a 3-vector, got shape \(1, 3\)"),
-    ("abc", "must hold real numbers, got 'abc'"),
-    (["1", "0", "0"], "must hold real numbers"),
-    ([True, False, False], "must hold real numbers"),
-    ([[1.0], [0.0, 0.0]], "must hold real numbers"),
-    (None, "must hold real numbers, got None"),
-    ([10**400, 0, 0], "must hold real numbers"),
-], ids=["2-vector", "1x3", "str", "str-entries", "bools", "ragged", "None", "huge-int"])
-def test_phase_operator_rejects_non_3_vector(coeff, message):
-    with pytest.raises(InputError, match=message):
-        phase_operator(coeff)
-
-
-# a vector with no direction has no companion: refused, not mapped to NaN or
-# to a chart's answer
-@pytest.mark.parametrize("a, message", [
-    ([np.nan, 0.0, 1.0], r"^phase vector is zero or not finite: \[nan"),
-    ([0.0, 0.0, 0.0], r"^phase vector is zero or not finite"),
-    ([[0.0, 0.0, 1.0], [np.inf, 0.0, 0.0]], r"^phase vector at index \(1,\) is zero or not finite"),
-    ([[[0.0, 0.0, 1.0], [1e200, 0.0, 0.0]]], r"^phase vector at index \(0, 1\) is zero or not finite"),
-    (0.5, r"^phase array must have a last axis of length 3, got shape \(\)$"),
-    ([[1.0, 0.0]], r"^phase array must have a last axis of length 3, got shape \(1, 2\)$"),
-    ("x", r"^phase array must hold real numbers, got 'x'$"),
-    ([1j, 0.0, 1.0], r"^phase array must hold real numbers"),
-], ids=["nan", "zero", "inf-at-1", "overflow-at-0-1", "scalar", "2-vectors", "str", "complex"])
-def test_phi_field_refuses_a_vector_with_no_companion(a, message):
-    with pytest.raises(InputError, match=message):
-        phi_field(a)
-
-
-E0 = [1.0, 0.0, 0.0, 0.0]
-PAIR = holomorphic_symplectic((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-
-
-# the public vector entry points name the argument they refuse
-@pytest.mark.parametrize("call, message", [
-    (lambda: symplectic_form(_TRIPLE.j1, "ab", E0), r"^vector u must hold real numbers, got 'ab'$"),
-    (lambda: symplectic_form(_TRIPLE.j1, E0, [np.nan, 0, 0, 0]), r"^vector v must be finite"),
-    (lambda: symplectic_form(_TRIPLE.j1, E0, [0, np.inf, 0, 0]), r"^vector v must be finite"),
-    (lambda: symplectic_form(_TRIPLE.j1, [1, 0, 0], E0),
-     r"^vector u must be a 4-vector, got shape \(3,\)$"),
-    (lambda: PAIR.evaluate("abcd", E0), r"^vector u must hold real numbers, got 'abcd'$"),
-    (lambda: PAIR.evaluate(E0, [np.nan, 0, 0, 0]), r"^vector v must be finite"),
-    (lambda: AmbientSpace(None).wrap("x"), r"^positions must hold real numbers, got 'x'$"),
-    (lambda: AmbientSpace((1, 1, 1, 1)).displacement("x", E0),
-     r"^position p must hold real numbers, got 'x'$"),
-    (lambda: AmbientSpace(None).displacement(E0, [1j, 0, 0, 0]), r"^position q must hold real numbers"),
-], ids=["form-str", "form-nan", "form-inf", "form-3-vector", "evaluate-str", "evaluate-nan",
-        "wrap-str", "displacement-str", "displacement-complex"])
-def test_public_vectors_are_refused_by_name(call, message):
-    with pytest.raises(InputError, match=message):
-        call()
-
-
-def test_symplectic_form_compatibility_and_antisymmetry(triple):
-    for _ in range(20):
-        e = RNG.standard_normal(4)
-        e /= np.linalg.norm(e)
-        assert abs(symplectic_form(triple.j1, e, triple.j1 @ e) - 1.0) <= 1e-12
-        u = RNG.standard_normal(4)
-        assert abs(symplectic_form(triple.j2, u, u)) <= 1e-12 * (1 + u @ u)
-
-
-def test_symplectic_form_matrix_entry_vs_oracle(triple):
-    e0 = np.array([1.0, 0, 0, 0])
-    e2 = np.array([0.0, 0, 1, 0])
-    got = symplectic_form(triple.j3, e0, e2)
-    assert got == triple.j3.T[0, 2]
-    oracle = oracle_right_mult([0, 0, 0, -1])
-    assert got == oracle.T[0, 2]
-
-
-def test_holomorphic_symplectic_standard_pair(triple):
-    form = holomorphic_symplectic([1, 0, 0], [0, 1, 0])
-    # J1 J2 = J3, so the real part is omega_{J3}; the imaginary part is
-    # -omega_{J2} under the sign convention Omega = omega_{JK} - i omega_K
-    assert np.max(np.abs(form.real_part - triple.j3.T)) <= 1e-14
-    assert np.max(np.abs(form.imag_part + triple.j2.T)) <= 1e-14
-    assert np.max(np.abs(form.real_part + form.real_part.T)) <= 1e-14
-    assert np.max(np.abs(form.imag_part + form.imag_part.T)) <= 1e-14
-
-
-def test_holomorphic_symplectic_vanishes_on_diagonal():
-    form = holomorphic_symplectic([0, 1, 0], [0, 0, 1])
-    for _ in range(10):
-        u = RNG.standard_normal(4)
-        assert abs(form.evaluate(u, u)) <= 1e-12 * (1 + u @ u)
-
-
-def test_complex_lagrangian_plane_annihilates_omega_j1():
-    # span{e0, e1} is J1-complex, so Omega_{J1} restricted to it vanishes
-    form = holomorphic_symplectic([1, 0, 0], [0, 1, 0])
-    u = np.array([1.0, 0, 0, 0])
-    v = np.array([0.0, 1, 0, 0])
-    assert abs(form.evaluate(u, v)) <= 1e-14
-    assert abs(form.evaluate(v, u)) <= 1e-14
-
-
-def test_holomorphic_symplectic_componentwise_identity():
-    # Omega = omega_{JK} - i omega_K against direct evaluation of both forms
+def test_j_a_is_a_complex_structure(triple):
+    # J_a^2 = -I and J_a is an isometry for every unit a
     for _ in range(20):
         a = RNG.standard_normal(3)
-        a /= np.linalg.norm(a)
-        b = RNG.standard_normal(3)
-        b -= (b @ a) * a
-        b /= np.linalg.norm(b)
-        form = holomorphic_symplectic(a, b)
-        j = phase_operator(a)
-        k = phase_operator(b)
-        u, v = RNG.standard_normal((2, 4))
-        val = form.evaluate(u, v)
-        assert abs(val.real - np.dot(j @ (k @ u), v)) <= 1e-12 * (1 + abs(val))
-        assert abs(val.imag + np.dot(k @ u, v)) <= 1e-12 * (1 + abs(val))
+        m = complex_structure(a / np.linalg.norm(a), triple)
+        assert np.max(np.abs(m @ m + np.eye(4))) <= 1e-12
+        assert np.max(np.abs(m.T @ m - np.eye(4))) <= 1e-12
 
 
-def test_holomorphic_symplectic_rejects_bad_pairs():
-    with pytest.raises(InputError):
-        holomorphic_symplectic([1, 0, 0], [1, 0, 0])
-    with pytest.raises(InputError):
-        holomorphic_symplectic([1, 0, 0], [0, 2, 0])
-
-
-def test_canonical_phase_standard_basis():
+def test_frozen_phase_of_coordinate_planes(triple):
+    # frozen for this triple: the coordinate complex plane span{e0, e1} has
+    # phase -x, and span{e0, e2}, Lagrangian for omega_{J3} (a3 = 0), has -y
     e = np.eye(4)
-    a = canonical_phase_from_frame(e[0], e[1], e[2], e[3])
-    # frozen for this triple: the coordinate complex plane has phase -x
+    a = tangent_phase(e[0], e[1])
     assert np.max(np.abs(a - np.array([-1.0, 0.0, 0.0]))) <= 1e-14
-    jpsi = phase_operator(a)
+    jpsi = complex_structure(a, triple)
     assert np.linalg.norm(jpsi @ e[0] - e[1]) <= 1e-12
     assert np.linalg.norm(jpsi @ e[2] + e[3]) <= 1e-12
-
-
-def test_canonical_phase_lagrangian_plane():
-    # span{e0, e2} is Lagrangian for omega_{J3}: a3 = 0, and for this
-    # triple the phase is exactly (0, -1, 0)
-    e0 = np.array([1.0, 0, 0, 0])
-    e2 = np.array([0.0, 0, 1, 0])
-    e1 = np.array([0.0, 1, 0, 0])
-    e3 = np.array([0.0, 0, 0, 1])
-    # need a positively oriented completion of (e0, e2)
-    frame = [e0, e2, e1, e3]
-    det = np.linalg.det(np.stack(frame))
-    if det < 0:
-        frame = [e0, e2, e3, e1]
-    a = canonical_phase_from_frame(*frame)
+    a = tangent_phase(e[0], e[2])
     assert abs(a[2]) <= 1e-14
     assert np.max(np.abs(a - np.array([0.0, -1.0, 0.0]))) <= 1e-14
 
 
-def test_canonical_phase_tangent_rotation_invariance():
+def test_tangent_phase_is_invariant_under_tangent_rotations():
     e = np.eye(4)
-    a0 = canonical_phase_from_frame(e[0], e[1], e[2], e[3])
-    for phi in (0.3, 1.1, 2.9):
-        f1 = np.cos(phi) * e[0] + np.sin(phi) * e[1]
-        f2 = -np.sin(phi) * e[0] + np.cos(phi) * e[1]
-        a = canonical_phase_from_frame(f1, f2, e[2], e[3])
-        assert np.max(np.abs(a - a0)) <= 1e-12
+    frames = [e] + [random_frame() for _ in range(20)]
+    for e1, e2, _, _ in frames:
+        a0 = tangent_phase(e1, e2)
+        for phi in (0.3, 1.1, 2.9, RNG.uniform(0, 2 * np.pi)):
+            f1 = np.cos(phi) * e1 + np.sin(phi) * e2
+            f2 = -np.sin(phi) * e1 + np.cos(phi) * e2
+            assert np.max(np.abs(tangent_phase(f1, f2) - a0)) <= 1e-12
 
 
-def test_canonical_phase_independent_normal_rotations():
-    # rotating (e1,e2) and (e3,e4) by independent angles keeps the phase
+def test_tangent_phase_reproduces_kahler_pairing(triple):
+    # a3 = omega_{J3}(e1, e2) = <J3 e1, e2> for random oriented frames
     for _ in range(20):
-        q, _ = np.linalg.qr(RNG.standard_normal((4, 4)))
-        if np.linalg.det(q) < 0:
-            q[:, 3] = -q[:, 3]
-        e1, e2, e3, e4 = q.T
-        a0 = canonical_phase_from_frame(e1, e2, e3, e4)
-        phi, psi = RNG.uniform(0, 2 * np.pi, 2)
-        f1 = np.cos(phi) * e1 + np.sin(phi) * e2
-        f2 = -np.sin(phi) * e1 + np.cos(phi) * e2
-        f3 = np.cos(psi) * e3 + np.sin(psi) * e4
-        f4 = -np.sin(psi) * e3 + np.cos(psi) * e4
-        a = canonical_phase_from_frame(f1, f2, f3, f4)
-        assert np.max(np.abs(a - a0)) <= 1e-10
-
-
-def test_canonical_phase_reproduces_kahler_pairing(triple):
-    # a3 = omega_{J3}(e1, e2) for random oriented frames
-    for _ in range(20):
-        q, _ = np.linalg.qr(RNG.standard_normal((4, 4)))
-        if np.linalg.det(q) < 0:
-            q[:, 3] = -q[:, 3]
-        e1, e2, e3, e4 = q.T
-        a = canonical_phase_from_frame(e1, e2, e3, e4)
-        assert abs(a[2] - symplectic_form(triple.j3, e1, e2)) <= 1e-12
+        e1, e2, _, _ = random_frame()
+        a = tangent_phase(e1, e2)
+        assert abs(a[2] - np.dot(triple.j3 @ e1, e2)) <= 1e-12
         assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
 
 
-def test_canonical_phase_error_paths():
+@pytest.mark.parametrize("orientation", [1.0, -1.0], ids=["positive", "negative"])
+def test_tangent_phase_satisfies_the_twistor_relations(triple, orientation):
+    # J_a e1 = e2 from the tangent pair alone; J_a e3 = -e4 is automatic for
+    # positively oriented frames, and a negatively oriented one gets +e4
+    for _ in range(20):
+        e1, e2, e3, e4 = random_frame(orientation)
+        jpsi = complex_structure(tangent_phase(e1, e2), triple)
+        assert np.linalg.norm(jpsi @ e1 - e2) <= 1e-12
+        assert np.linalg.norm(jpsi @ e3 + orientation * e4) <= 1e-12
+
+
+def holomorphic_form(j, k, u, v):
+    """Omega_J(u, v) = omega_{JK}(u, v) - i omega_K(u, v) = <J K u, v> - i <K u, v>."""
+    return complex(np.dot(j @ (k @ u), v), -np.dot(k @ u, v))
+
+
+def test_complex_lagrangian_plane_annihilates_omega_j1(triple):
+    # span{e0, e1} is J1-complex, so Omega_{J1} (K = J2) restricted to it
+    # vanishes, while it pairs e0 with the normal plane
     e = np.eye(4)
-    with pytest.raises(FrameError, match="not orthonormal"):
-        canonical_phase_from_frame(2 * e[0], e[1], e[2], e[3])
-    with pytest.raises(FrameError, match="oriented"):
-        canonical_phase_from_frame(e[1], e[0], e[2], e[3])
-    # a NaN or infinite entry fails the Gram test, before det can warn on it
-    for bad in (np.nan, np.inf):
-        with pytest.raises(FrameError, match="not orthonormal: max Gram deviation nan"):
-            canonical_phase_from_frame([bad, 0.0, 0.0, 0.0], e[1], e[2], e[3])
-    with pytest.raises(InputError, match=r"frame vector e1 must be a 4-vector, got shape \(3,\)"):
-        canonical_phase_from_frame(*np.eye(4, 3))       # four 3-vectors
-    with pytest.raises(InputError, match="frame vector e3 must hold real numbers, got 'abcd'"):
-        canonical_phase_from_frame(e[0], e[1], "abcd", e[3])
-    # small orthonormality slack below the gate is accepted
-    wiggle = e[0] + 1e-9 * e[1]
-    a = canonical_phase_from_frame(wiggle, e[1], e[2], e[3])
-    assert abs(np.linalg.norm(a) - 1.0) <= 1e-9
+    for u, v in ((e[0], e[1]), (e[1], e[0])):
+        assert abs(holomorphic_form(triple.j1, triple.j2, u, v)) <= 1e-14
+    assert holomorphic_form(triple.j1, triple.j2, e[0], e[2]) == 1j
+    assert holomorphic_form(triple.j1, triple.j2, e[0], e[3]) == -1
+    for _ in range(10):
+        u = RNG.standard_normal(4)
+        assert abs(holomorphic_form(triple.j2, triple.j3, u, u)) <= 1e-12 * (1 + u @ u)
+
+
+E0 = [1.0, 0.0, 0.0, 0.0]
+
+
+# the public vector entry points name the argument they refuse
+@pytest.mark.parametrize("call, message", [
+    (lambda: AmbientSpace(None).wrap("x"), r"^positions must hold real numbers, got 'x'$"),
+    (lambda: AmbientSpace((1, 1, 1, 1)).displacement("x", E0),
+     r"^position p must hold real numbers, got 'x'$"),
+    (lambda: AmbientSpace(None).displacement(E0, [1j, 0, 0, 0]), r"^position q must hold real numbers"),
+], ids=["wrap-str", "displacement-str", "displacement-complex"])
+def test_public_vectors_are_refused_by_name(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 def test_plane_helpers_match_the_matrix_form(triple):
@@ -426,3 +294,40 @@ def test_wrap_matches_mod_bit_for_bit():
     assert np.array_equal(_bits(got), _bits(np.mod(x, per)))
     random = RNG.uniform(-3, 3, (50, 4)) * per
     assert np.array_equal(_bits(ambient.wrap(random)), _bits(np.mod(random, per)))
+
+
+DEMO_01 = """\
+quaternion relations of the standard triple
+  |J1 J2 - J3|        = 0.000e+00
+  |J2 J3 - J1|        = 0.000e+00
+  |J3 J1 - J2|        = 0.000e+00
+  |J1^2 + I|          = 0.000e+00
+  |J2^2 + I|          = 0.000e+00
+  |J3^2 + I|          = 0.000e+00
+
+phase operators J_a stay on the same quadric for any unit a
+  worst |J_a^2 + I|, |J_a^T J_a - I| over 5 draws = 4.441e-16
+
+Kahler forms on coordinate pairs, omega_d(u, v) = <J_d u, v>
+  omega_1 on (e_k, e_l), k<l: [-1.  0.  0.  0.  0.  1.]
+  omega_2 on (e_k, e_l), k<l: [ 0. -1.  0.  0. -1.  0.]
+  omega_3 on (e_k, e_l), k<l: [ 0.  0. -1.  1.  0.  0.]
+
+holomorphic symplectic form of the pair (J_1, J_2)
+  Omega(e1, e3) = 1j
+  Omega(e1, e4) = (-1+0j)
+  antisymmetry residual of the real part = 0.000e+00
+
+canonical phase of a tilting tangent plane
+  tilt 0.000: a = (-1.0000, +0.0000, +0.0000)
+  tilt 0.785: a = (-0.7071, +0.0000, -0.7071)
+  tilt 1.571: a = (-0.0000, +0.0000, -1.0000)
+"""
+
+
+def test_demo_01_prints_the_frozen_tour(capsys):
+    # demo 01 builds J_a, the Kahler forms, Omega and the phase of a tilting
+    # plane with numpy from the triple alone; every printed value is frozen
+    demo = Path(__file__).resolve().parents[1] / "demos" / "01_twistor_algebra.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out == DEMO_01

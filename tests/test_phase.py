@@ -13,10 +13,10 @@ import warnings
 
 import numpy as np
 import pytest
+from twistor_oracle import companion
 
 from hkflow.cli import _run_checks
 from hkflow.errors import InputError
-from hkflow.kernel import phi_field
 from hkflow.phase import (
     bja_identity,
     field_from_array,
@@ -183,16 +183,18 @@ def test_gradient_curvature_ratio_bounded(eq64, perturbed, graph):
     assert min(ratios) > 0.9
 
 
-def test_phi_field_charts():
+def test_companion_charts():
+    # the tests' companion phase, from which the paper's adapted frame takes
+    # its normals: unit and orthogonal to a in either chart
     rng = np.random.default_rng(3)
     a = rng.standard_normal((10, 10, 3))
     a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    b = phi_field(a)
+    b = companion(a)
     assert np.abs(np.linalg.norm(b, axis=-1) - 1).max() < 1e-14
     assert np.abs((a * b).sum(-1)).max() < 1e-14
     # near the third axis the z-chart degenerates and the x-chart takes over
     polar = np.array([[[0.03, 0.0, 0.999]]]) / np.linalg.norm([0.03, 0.0, 0.999])
-    bp = phi_field(polar)
+    bp = companion(polar)
     expected = np.array([0.0, -polar[0, 0, 2], polar[0, 0, 1]])
     expected /= np.linalg.norm(expected)
     assert np.abs(bp[0, 0] - expected).max() < 1e-14

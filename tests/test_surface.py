@@ -17,14 +17,13 @@ import warnings
 import numpy as np
 import pytest
 from conftest import snapshot_positions, with_positions
+from twistor_oracle import apply_phase, companion, twistor_stack
 
 from hkflow import flow, surface
 from hkflow.cli import _run_checks, main
 from hkflow.errors import InputError, IOFailure, NumericalError
 from hkflow.flow import FlowConfig, run_flow
-from hkflow.kernel import (
-    AmbientSpace, TwistorTriple, _dot, holomorphic_symplectic, phi_field, standard_twistor_triple,
-)
+from hkflow.kernel import AmbientSpace, TwistorTriple, _dot, standard_twistor_triple
 from hkflow.phase import (
     bja_identity, field_from_array, phase_field, plf_residual, tension_field, twistor_energy,
 )
@@ -52,17 +51,6 @@ TWO_PI = 2.0 * np.pi
 SHEARED = dict(exprs=["u + 0.5*v", "v", "0*u", "0*u"], periods=[np.pi, TWO_PI, TWO_PI, TWO_PI])
 # a graph in T^4 whose normal curvature [h3, h4] is not zero, unlike the named scenarios
 TWISTED = dict(exprs=["u", "v", "0.3*sin(u)*cos(v)", "0.3*sin(v)"], periods=[TWO_PI] * 4)
-
-
-def twistor_stack():
-    """(J1, J2, J3) of the pinned triple as one (3, 4, 4) array."""
-    t = standard_twistor_triple()
-    return np.stack([t.j1, t.j2, t.j3])
-
-
-def apply_phase(coeff, vec):
-    """(sum_d coeff_d J_d) vec node-major: coeff (..., 3), vec (..., 4)."""
-    return sum(coeff[..., d, None] * (vec @ j.T) for d, j in enumerate(twistor_stack()))
 
 
 def node_major_geometry(grid):
@@ -109,9 +97,7 @@ def node_major_geometry(grid):
     gs[..., 1, 1] = 1.0 / ell
 
     a = unit(np.stack([((e1 @ j.T) * e2).sum(-1) for j in js], axis=-1))
-    zxa = np.stack([-a[..., 1], a[..., 0], np.zeros_like(a[..., 0])], axis=-1)
-    xxa = np.stack([np.zeros_like(a[..., 0]), -a[..., 2], a[..., 1]], axis=-1)
-    b = unit(np.where((np.linalg.norm(zxa, axis=-1) > 0.1)[..., None], zxa, xxa))
+    b = companion(a)
     e3, e4 = apply_phase(b, e1), apply_phase(b, e2)
     h = np.empty(pos.shape[:2] + (2, 2, 2))
     for alpha, n in enumerate((e3, e4)):
@@ -150,7 +136,7 @@ def node_major_meters(cache, pf):
     eigvalsh, the bja right-hand side with h rotated into the orthonormal
     frame by an einsum, and the paper's complex form of the mean-curvature
     formula, sqrt(2) |i_H Omega + 2 dbar w| at e1, in the basis adapted to
-    a and the companion b = phi_field(a) (plf) or 0.6 b + 0.8 a x b
+    a and the companion b = companion(a) (plf) or 0.6 b + 0.8 a x b
     (plf_rotated)."""
     hu, hv = cache.hu, cache.hv
     frame = node_major_geometry(cache.grid)
@@ -197,7 +183,7 @@ def node_major_meters(cache, pf):
     ], -2)
     k_int = (np.linalg.det(m1) - np.linalg.det(m2)) / det**2
 
-    b = phi_field(pf.a)
+    b = companion(pf.a)
     normals = [apply_phase(b, e) for e in (cache.e1, cache.e2)]
     hp = np.empty(det.shape + (2, 2, 2))
     for alpha, n in enumerate(normals):
@@ -395,7 +381,7 @@ def test_normal_frame_is_adapted_to_the_phase(name, params):
     js = twistor_stack()
     a = np.stack([((c.e1 @ j.T) * c.e2).sum(-1) for j in js], axis=-1)
     a /= np.linalg.norm(a, axis=-1, keepdims=True)
-    b = phi_field(a)
+    b = companion(a)
     j_a, j_b = (sum(x[..., d, None, None] * js[d] for d in range(3)) for x in (a, b))
     assert np.abs(e3 - np.einsum("...kl,...l->...k", j_b, c.e1)).max() < 1e-14
     assert np.abs(e4 - np.einsum("...kl,...l->...k", j_b, c.e2)).max() < 1e-14
@@ -785,22 +771,20 @@ def test_array_holding_types_compare_by_identity():
     # hash, and dataclasses.replace still builds a new instance
     grid = scenario("perturbed-complex-torus", 8, 8, eps=0.3)
     cache = compute_geometry(grid)
-    triple, pair = standard_twistor_triple(), ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    triple = standard_twistor_triple()
     builds = [
         lambda: SurfaceGrid(8, 8, grid.positions.copy(), grid.ambient),
         lambda: compute_geometry(grid),
         lambda: phase_field(cache),
         lambda: flow.make_state(grid),
         lambda: TwistorTriple(triple.j1.copy(), triple.j2.copy(), triple.j3.copy()),
-        lambda: holomorphic_symplectic(*pair),
     ]
     for build in builds:
         x, y = build(), build()
         assert (x == y) is False and (x != y) is True and (x == x) is True
         twin = dataclasses.replace(x)
         assert type(twin) is type(x) and twin is not x and (twin == x) is False
-    for frozen in (triple, holomorphic_symplectic(*pair)):
-        assert hash(frozen) == hash(frozen) and frozen in {frozen}
+    assert hash(triple) == hash(triple) and triple in {triple}
 
 
 def test_cache_arrays_are_read_only(perturbed48):
