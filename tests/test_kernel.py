@@ -6,11 +6,13 @@ table of (1, i, j, k) and compare entrywise.  Everything else builds on
 that anchor.
 """
 
+import re
 import runpy
 from pathlib import Path
 
 import numpy as np
 import pytest
+from twistor_oracle import companion
 
 from hkflow.errors import InputError
 from hkflow.kernel import (
@@ -83,6 +85,16 @@ def test_quaternion_relations(triple):
     assert np.max(np.abs(j1 @ j2 @ j3 + eye)) <= 1e-14
 
 
+@pytest.mark.parametrize("c, d, e", [(0, 1, 2), (1, 2, 0), (2, 0, 1)],
+                         ids=["J1J2", "J2J3", "J3J1"])
+def test_distinct_structures_anticommute(triple, c, d, e):
+    # J_c J_d = J_e = -J_d J_c for (c, d, e) cyclic; all signed permutations,
+    # so exactly
+    js = (triple.j1, triple.j2, triple.j3)
+    assert np.array_equal(js[c] @ js[d], js[e])
+    assert np.array_equal(js[d] @ js[c], -js[e])
+
+
 def test_j1_squared_on_basis(triple):
     e0 = np.array([1.0, 0, 0, 0])
     assert np.array_equal(triple.j1 @ (triple.j1 @ e0), -e0)
@@ -136,18 +148,32 @@ def test_j_a_is_a_complex_structure(triple):
         assert np.max(np.abs(m.T @ m - np.eye(4))) <= 1e-12
 
 
-def test_frozen_phase_of_coordinate_planes(triple):
-    # frozen for this triple: the coordinate complex plane span{e0, e1} has
-    # phase -x, and span{e0, e2}, Lagrangian for omega_{J3} (a3 = 0), has -y
+# frozen for this triple: a_d = <J_d e_k, e_l> = J_d[l, k] by hand from the
+# matrices of test_frozen_matrix_entries.  The coordinate complex plane
+# span{e0, e1} has phase -x, and span{e0, e2}, Lagrangian for omega_{J3}
+# (a3 = 0), has -y
+COORDINATE_PHASES = {
+    (0, 1): (-1.0, 0.0, 0.0),
+    (0, 2): (0.0, -1.0, 0.0),
+    (0, 3): (0.0, 0.0, -1.0),
+    (1, 2): (0.0, 0.0, 1.0),
+    (1, 3): (0.0, -1.0, 0.0),
+    (2, 3): (1.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("k, l", list(COORDINATE_PHASES), ids=lambda i: f"e{i}")
+def test_frozen_phase_of_coordinate_planes(triple, k, l):
     e = np.eye(4)
-    a = tangent_phase(e[0], e[1])
-    assert np.max(np.abs(a - np.array([-1.0, 0.0, 0.0]))) <= 1e-14
+    a = tangent_phase(e[k], e[l])
+    assert np.max(np.abs(a - np.array(COORDINATE_PHASES[k, l]))) <= 1e-14
+    # (e_k, e_l, e_m, e_n) completed to a positively oriented frame
+    m, n = (i for i in range(4) if i not in (k, l))
+    if np.linalg.det(e[[k, l, m, n]]) < 0:
+        m, n = n, m
     jpsi = complex_structure(a, triple)
-    assert np.linalg.norm(jpsi @ e[0] - e[1]) <= 1e-12
-    assert np.linalg.norm(jpsi @ e[2] + e[3]) <= 1e-12
-    a = tangent_phase(e[0], e[2])
-    assert abs(a[2]) <= 1e-14
-    assert np.max(np.abs(a - np.array([0.0, -1.0, 0.0]))) <= 1e-14
+    assert np.linalg.norm(jpsi @ e[k] - e[l]) <= 1e-12
+    assert np.linalg.norm(jpsi @ e[m] + e[n]) <= 1e-12
 
 
 def test_tangent_phase_is_invariant_under_tangent_rotations():
@@ -181,6 +207,21 @@ def test_tangent_phase_satisfies_the_twistor_relations(triple, orientation):
         assert np.linalg.norm(jpsi @ e3 + orientation * e4) <= 1e-12
 
 
+@pytest.mark.parametrize("orientation", [1.0, -1.0], ids=["positive", "negative"])
+def test_tangent_phase_depends_only_on_the_oriented_plane(orientation):
+    # any basis of span{e1, e2} related to (e1, e2) by a positive determinant
+    # has the same phase, a negative one the antipodal phase; the basis need
+    # not be orthonormal
+    for _ in range(20):
+        e1, e2, _, _ = random_frame()
+        lam, nu = RNG.uniform(0.5, 2.0, 2)
+        phi, mu = RNG.uniform(0, 2 * np.pi), RNG.uniform(-1.0, 1.0)
+        rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        m = rot @ np.array([[lam, mu], [0.0, orientation * nu]])
+        f1, f2 = m @ np.stack([e1, e2])
+        assert np.max(np.abs(tangent_phase(f1, f2) - orientation * tangent_phase(e1, e2))) <= 1e-12
+
+
 def holomorphic_form(j, k, u, v):
     """Omega_J(u, v) = omega_{JK}(u, v) - i omega_K(u, v) = <J K u, v> - i <K u, v>."""
     return complex(np.dot(j @ (k @ u), v), -np.dot(k @ u, v))
@@ -199,6 +240,25 @@ def test_complex_lagrangian_plane_annihilates_omega_j1(triple):
         assert abs(holomorphic_form(triple.j2, triple.j3, u, u)) <= 1e-12 * (1 + u @ u)
 
 
+@pytest.mark.parametrize("a", [
+    (1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0),
+    (0.0, 0.0, 1.0), (0.0, 0.0, -1.0), tuple(np.ones(3) / np.sqrt(3.0)), (0.36, -0.48, 0.8),
+], ids=["+x", "-x", "+y", "-y", "+z", "-z", "diagonal", "generic"])
+def test_complex_lines_of_j_a_have_phase_a(triple, a):
+    # every point a of the twistor sphere is the phase of the J_a-complex
+    # lines span{e, J_a e}; with b a unit vector orthogonal to a,
+    # J_a J_b = J_{a x b}, and Omega of (J_a, J_b) vanishes on those lines
+    a = np.array(a)
+    b = companion(a)
+    ja, jb = complex_structure(a, triple), complex_structure(b, triple)
+    assert np.max(np.abs(ja @ jb - complex_structure(np.cross(a, b), triple))) <= 1e-15
+    for _ in range(10):
+        e = RNG.standard_normal(4)
+        e /= np.linalg.norm(e)
+        assert np.max(np.abs(tangent_phase(e, ja @ e) - a)) <= 1e-12
+        assert abs(holomorphic_form(ja, jb, e, ja @ e)) <= 1e-12
+
+
 E0 = [1.0, 0.0, 0.0, 0.0]
 
 
@@ -208,7 +268,20 @@ E0 = [1.0, 0.0, 0.0, 0.0]
     (lambda: AmbientSpace((1, 1, 1, 1)).displacement("x", E0),
      r"^position p must hold real numbers, got 'x'$"),
     (lambda: AmbientSpace(None).displacement(E0, [1j, 0, 0, 0]), r"^position q must hold real numbers"),
-], ids=["wrap-str", "displacement-str", "displacement-complex"])
+    (lambda: AmbientSpace(None).wrap(["1", "0", "0", "0"]), r"^positions must hold real numbers"),
+    (lambda: AmbientSpace(None).wrap([True, False, False, False]), r"^positions must hold real numbers"),
+    (lambda: AmbientSpace(None).wrap([[1.0], [0.0, 0.0]]), r"^positions must hold real numbers"),
+    (lambda: AmbientSpace(None).wrap(None), r"^positions must hold real numbers, got None$"),
+    (lambda: AmbientSpace(None).wrap([10**400, 0, 0, 0]), r"^positions must hold real numbers"),
+    (lambda: AmbientSpace((1, 1, 1, 1)).wrap(np.full(4, 1j)),
+     r"^positions must hold real numbers, got complex128 entries$"),
+    (lambda: AmbientSpace((1, 1, 1, 1)).displacement([[1.0], [0.0, 0.0]], E0),
+     r"^position p must hold real numbers"),
+    (lambda: AmbientSpace((1, 1, 1, 1)).displacement(E0, np.ones(4, bool)),
+     r"^position q must hold real numbers, got bool entries$"),
+], ids=["wrap-str", "displacement-str", "displacement-complex", "wrap-str-entries", "wrap-bools",
+        "wrap-ragged", "wrap-None", "wrap-huge-int", "torus-wrap-complex", "displacement-ragged",
+        "displacement-bools"])
 def test_public_vectors_are_refused_by_name(call, message):
     with pytest.raises(InputError, match=message):
         call()
@@ -294,6 +367,32 @@ def test_wrap_matches_mod_bit_for_bit():
     assert np.array_equal(_bits(got), _bits(np.mod(x, per)))
     random = RNG.uniform(-3, 3, (50, 4)) * per
     assert np.array_equal(_bits(ambient.wrap(random)), _bits(np.mod(random, per)))
+
+
+@pytest.mark.parametrize("periods", [
+    (1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, -2.0),
+    (1.0, 1.0, 1.0, np.nan), (1.0, 1.0, 1.0, np.inf),
+], ids=["3-periods", "5-periods", "zero", "negative", "nan", "inf"])
+def test_periods_must_be_four_positive_finite_lengths(periods):
+    with pytest.raises(InputError, match=r"^periods must be 4 positive finite lengths, got "
+                                         + re.escape(str(periods)) + "$"):
+        AmbientSpace(periods)
+
+
+@pytest.mark.parametrize("periods", [None, (2 * np.pi, 1.0, 3.0, 0.7)], ids=["R4", "torus"])
+def test_displacement_takes_the_nearest_image(periods):
+    # in R^4 the plain difference; on the torus the image of q - p that
+    # differs from it by whole periods and is at most half a period long
+    ambient = AmbientSpace(periods)
+    p, q = RNG.uniform(-10.0, 10.0, (2, 50, 4))
+    d = ambient.displacement(p, q)
+    if periods is None:
+        assert np.array_equal(d, q - p)
+        return
+    per = np.array(periods)
+    assert np.all(np.abs(d) <= per / 2 * (1 + 1e-15))
+    laps = (q - p - d) / per
+    assert np.max(np.abs(laps - np.round(laps))) <= 1e-12
 
 
 DEMO_01 = """\

@@ -183,7 +183,7 @@ def test_gradient_curvature_ratio_bounded(eq64, perturbed, graph):
     assert min(ratios) > 0.9
 
 
-def test_companion_charts():
+def test_phi_field_charts():
     # the tests' companion phase, from which the paper's adapted frame takes
     # its normals: unit and orthogonal to a in either chart
     rng = np.random.default_rng(3)
@@ -227,6 +227,17 @@ def test_field_from_array_refuses_a_vector_it_cannot_normalize(value):
         warnings.simplefilter("error")
         with pytest.raises(InputError, match=r"phase vector at node \(3, 5\) is zero or not finite"):
             field_from_array(a, c)
+
+
+@pytest.mark.parametrize("value", [
+    "x", None, [[[1.0, 0.0]], [[0.0]]], np.full((8, 8, 3), 1j), np.ones((8, 8, 3), bool),
+    np.full((8, 8, 3), "1"),
+], ids=["str", "None", "ragged", "complex", "bools", "str-entries"])
+def test_field_from_array_refuses_an_array_not_of_real_numbers(value):
+    # refused before its shape is compared: no cast to a real part or to 0/1
+    c = cache_for("flat-plane-torus", 8)
+    with pytest.raises(InputError, match=r"^phase array must hold real numbers, got "):
+        field_from_array(value, c)
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 3), (8, 8, 4), (8, 8), (8, 8, 3, 1)])
